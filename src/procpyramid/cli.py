@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Every command loads the bundle named by the manifest, runs its analyses,
-and renders one report. Exit codes: 0 clean, 1 at least one error finding
-(warnings too under --strict), 2 usage or fatal input failure.
+Every command loads the bundle named by the manifest into one analysis
+session, which computes each shared stage (labels, offsets with their
+timing findings, the dependency graph, the reference templates) at most
+once. A command is a view over that session; `report` merges the views of
+`validate`, `timeline`, `deps` and `conform`, so it too runs each stage
+once. Exit codes: 0 clean, 1 at least one error finding (warnings too
+under --strict), 2 usage or fatal input failure.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .bundle import Bundle, load_bundle
@@ -170,141 +175,182 @@ def _render_payload_text(payload: dict) -> list[str]:
     return lines
 
 
-def _timeline_table(bundle: Bundle) -> tuple[OffsetTable, list[Finding]]:
-    table, f1 = resolve_offsets(bundle.pyramid, bundle.milestones, bundle.manifest.sop_label)
-    f2 = reconcile_declared(table, bundle.milestones)
-    f3 = check_alignment(
-        bundle.pyramid, table, bundle.milestones, bundle.manifest.alignment_tolerance
-    )
-    return table, merge_findings(f1, f2, f3)
+class _Session:
+    """One loaded bundle and the stages computed from it, each at most once.
 
+    The stages are memoized properties; the command views below read them,
+    so `report`, which shows every view, still runs each stage once.
+    """
 
-def _validate_findings(bundle: Bundle) -> tuple[list[Finding], dict]:
-    groups = [list(bundle.findings)]
-    for model_id in sorted(bundle.models):
-        model = bundle.models[model_id]
-        groups.append(model.parse_findings)
-        groups.append(check_wellformed(model))
-    connectivity, depth = check_connectivity(bundle.pyramid)
-    groups.append(connectivity)
-    _, timing = _timeline_table(bundle)
-    groups.append(timing)
-    for ms in bundle.milestones:
-        groups.append(check_gq(ms))
-    payload = {
-        "bundle": {
-            "models": len(bundle.models),
-            "milestones": len(bundle.milestones),
-            "maxConnectedDepth": depth,
-        }
-    }
-    return merge_findings(*groups), payload
+    def __init__(self, bundle: Bundle) -> None:
+        self.bundle = bundle
 
+    @cached_property
+    def labels(self) -> dict[str, str]:
+        return self.bundle.labels()
 
-def _timeline_payload(bundle: Bundle, step: int | None) -> tuple[list[Finding], dict]:
-    table, timing = _timeline_table(bundle)
-    findings = merge_findings(list(bundle.findings), timing)
-    labels = bundle.labels()
-    step = step or bundle.manifest.reference_step.days
-    section: dict = {
-        "offsets": {labels[m]: d for m, d in table.offsets.items()},
-        "renderings": {labels[m]: table.render(m) for m in table.offsets},
-        "provenance": {labels[m]: p for m, p in table.provenance.items()},
-        "grid": None,
-    }
-    if table.offsets:
-        grid = build_reference_timeline(table, step)
-        section["grid"] = {
-            "stepDays": grid.step,
-            "boundaries": grid.boundaries,
-            "slots": {labels[m]: slot for m, slot in sorted(grid.assignments.items())},
-        }
-    return findings, {"timeline": section}
+    @cached_property
+    def timing(self) -> tuple[OffsetTable, list[Finding]]:
+        """The offset table and the findings of resolving and checking it."""
+        bundle = self.bundle
+        table, f1 = resolve_offsets(bundle.pyramid, bundle.milestones, bundle.manifest.sop_label)
+        f2 = reconcile_declared(table, bundle.milestones)
+        f3 = check_alignment(
+            bundle.pyramid, table, bundle.milestones, bundle.manifest.alignment_tolerance
+        )
+        return table, merge_findings(f1, f2, f3)
 
+    @cached_property
+    def graph(self) -> DependencyGraph:
+        return infer_edges(self.bundle.milestones, self.bundle.manifest.aliases)
 
-def _deps_graph(bundle: Bundle) -> tuple[DependencyGraph, OffsetTable]:
-    graph = infer_edges(bundle.milestones, bundle.manifest.aliases)
-    table, _ = resolve_offsets(bundle.pyramid, bundle.milestones, bundle.manifest.sop_label)
-    return graph, table
+    @cached_property
+    def templates(self) -> list[ReferenceProcess]:
+        templates: list[ReferenceProcess] = []
+        for rel in self.bundle.manifest.reference_templates:
+            templates.extend(load_reference((self.bundle.root_dir / rel).read_text(encoding="utf-8")))
+        validate_counterparts(templates)
+        return templates
 
-def _deps_payload(bundle: Bundle) -> tuple[list[Finding], dict, DependencyGraph, OffsetTable]:
-    graph, table = _deps_graph(bundle)
-    findings = merge_findings(
-        list(bundle.findings),
-        cross_check_declared(graph),
-        check_temporal(graph, table),
-        find_redundant(bundle.milestones, bundle.manifest.aliases),
-    )
-    payload = {"dependencies": graph_to_json(graph, table, bundle.pyramid, bundle.labels())}
-    return findings, payload, graph, table
+    # Command views: each takes the parsed arguments and returns the
+    # command's findings and payload.
 
-
-def _load_templates(bundle: Bundle) -> list[ReferenceProcess]:
-    templates: list[ReferenceProcess] = []
-    for rel in bundle.manifest.reference_templates:
-        templates.extend(load_reference((bundle.root_dir / rel).read_text(encoding="utf-8")))
-    validate_counterparts(templates)
-    return templates
-
-
-def _conform_payload(bundle: Bundle) -> tuple[list[Finding], dict]:
-    templates = _load_templates(bundle)
-    graph, _ = _deps_graph(bundle)
-    extra: list[Finding] = []
-    entries = []
-    for ref in sorted(templates, key=lambda t: t.ref_id):
+    def validate(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        bundle = self.bundle
+        groups = [bundle.findings]
         for model_id in sorted(bundle.models):
-            model = bundle.models[model_id]
-            if not ref.binds(model):
-                continue
-            report = diff(model, bundle.milestones, ref, bundle.manifest.aliases)
-            entries.append(
-                {
-                    "model": model_id,
-                    "reference": ref.ref_id,
-                    "verdict": report.verdict,
-                    "aspects": {
-                        name: {
-                            "matched": list(aspect.matched),
-                            "missing": list(aspect.missing),
-                            "extra": list(aspect.extra),
-                            "reordered": [list(p) for p in aspect.reordered],
-                            "matchRatio": aspect.match_ratio,
-                        }
-                        for name, aspect in sorted(report.aspects.items())
-                    },
-                }
+            groups.append(bundle.models[model_id].parse_findings)
+            groups.append(check_wellformed(bundle.models[model_id]))
+        connectivity, depth = check_connectivity(bundle.pyramid)
+        groups += [connectivity, self.timing[1]]
+        groups.extend(check_gq(ms) for ms in bundle.milestones)
+        payload = {
+            "bundle": {
+                "models": len(bundle.models),
+                "milestones": len(bundle.milestones),
+                "maxConnectedDepth": depth,
+            }
+        }
+        return merge_findings(*groups), payload
+
+    def timeline(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        table, timing = self.timing
+        labels = self.labels
+        section: dict = {
+            "offsets": {labels[m]: d for m, d in table.offsets.items()},
+            "renderings": {labels[m]: table.render(m) for m in table.offsets},
+            "provenance": {labels[m]: p for m, p in table.provenance.items()},
+            "grid": None,
+        }
+        if table.offsets:
+            step = args.step or self.bundle.manifest.reference_step.days
+            grid = build_reference_timeline(table, step)
+            section["grid"] = {
+                "stepDays": grid.step,
+                "boundaries": grid.boundaries,
+                "slots": {labels[m]: slot for m, slot in sorted(grid.assignments.items())},
+            }
+        return merge_findings(self.bundle.findings, timing), {"timeline": section}
+
+    def export(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        payload = graph_to_json(self.graph, self.timing[0], self.bundle.pyramid, self.labels)
+        return list(self.bundle.findings), {"dependencies": payload}
+
+    def deps(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        bundle = self.bundle
+        findings, payload = self.export(args)
+        findings = merge_findings(
+            findings,
+            cross_check_declared(self.graph),
+            check_temporal(self.graph, self.timing[0]),
+            find_redundant(bundle.milestones, bundle.manifest.aliases),
+        )
+        return findings, payload
+
+    def impact(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        result = impact(self.graph, self.bundle.pyramid, self._resolve_seed(args.seed))
+        payload = {
+            "impact": {
+                "seed": result.seed,
+                "downstream": result.downstream,
+                "upstream": result.upstream,
+                "crossedLevels": sorted(result.crossed_levels),
+            }
+        }
+        return list(self.bundle.findings), payload
+
+    def _resolve_seed(self, seed: str) -> str:
+        if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.model_map():
+            return seed
+        matches = [
+            ms.milestone_id
+            for ms in self.bundle.milestones
+            if normalize_name(ms.name) == normalize_name(seed)
+        ]
+        if len(matches) == 1:
+            return matches[0]
+        raise UnknownSeedError(f"seed {seed!r} matches no milestone, model, or unique milestone name")
+
+    def conform(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        bundle, templates = self.bundle, self.templates
+        extra: list[Finding] = []
+        entries = []
+        for ref in sorted(templates, key=lambda t: t.ref_id):
+            for model_id in sorted(bundle.models):
+                model = bundle.models[model_id]
+                if not ref.binds(model):
+                    continue
+                report = diff(model, bundle.milestones, ref, bundle.manifest.aliases)
+                entries.append(
+                    {
+                        "model": model_id,
+                        "reference": ref.ref_id,
+                        "verdict": report.verdict,
+                        "aspects": {
+                            name: {
+                                "matched": list(aspect.matched),
+                                "missing": list(aspect.missing),
+                                "extra": list(aspect.extra),
+                                "reordered": [list(p) for p in aspect.reordered],
+                                "matchRatio": aspect.match_ratio,
+                            }
+                            for name, aspect in sorted(report.aspects.items())
+                        },
+                    }
+                )
+                subject = f"{model_id}/{ref.ref_id}"
+                if report.verdict == "major-deviation":
+                    extra.append(finding("MAJOR-DEVIATION", subject, "half or more of one aspect is unmet"))
+                elif report.verdict == "minor-deviation":
+                    extra.append(finding("MINOR-DEVIATION", subject, "some reference items are unmet"))
+        vv = check_vv_links(bundle.pyramid, self.graph, templates)
+        links = [
+            {"right": s.right_model, "left": s.left_model, "iterations": s.iterations}
+            for s in vv_iterations(bundle.pyramid, self.graph, templates)
+        ]
+        payload = {"conformance": entries, "vvLinks": links}
+        return merge_findings(bundle.findings, extra, vv), payload
+
+    def report(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        views = [self.validate, self.timeline, self.deps]
+        if self.bundle.manifest.reference_templates:
+            views.append(self.conform)
+        groups, payload = [], {}
+        for view in views:
+            findings, section = view(args)
+            groups.append(findings)
+            payload.update(section)
+        payload["coordinates"] = {
+            model_id: {"depth": depth, "position": position, "complexity": complexity}
+            for model_id, (depth, position, complexity) in sorted(
+                assign_coordinates(self.bundle.pyramid).items()
             )
-            subject = f"{model_id}/{ref.ref_id}"
-            if report.verdict == "major-deviation":
-                extra.append(finding("MAJOR-DEVIATION", subject, "half or more of one aspect is unmet"))
-            elif report.verdict == "minor-deviation":
-                extra.append(finding("MINOR-DEVIATION", subject, "some reference items are unmet"))
-    vv = check_vv_links(bundle.pyramid, graph, templates)
-    findings = merge_findings(list(bundle.findings), extra, vv)
-    links = [
-        {"right": s.right_model, "left": s.left_model, "iterations": s.iterations}
-        for s in vv_iterations(bundle.pyramid, graph, templates)
-    ]
-    return findings, {"conformance": entries, "vvLinks": links}
-
-
-def _resolve_seed(bundle: Bundle, graph: DependencyGraph, seed: str) -> str:
-    if seed in set(graph.nodes) or seed in bundle.pyramid.model_map():
-        return seed
-    matches = [
-        ms.milestone_id
-        for ms in bundle.milestones
-        if normalize_name(ms.name) == normalize_name(seed)
-    ]
-    if len(matches) == 1:
-        return matches[0]
-    raise UnknownSeedError(f"seed {seed!r} matches no milestone, model, or unique milestone name")
+        }
+        return merge_findings(*groups), payload
 
 
 def _execute(args: argparse.Namespace) -> ReportBundle:
-    command = args.command
-    if command == "retention":
+    if args.command == "retention":
         before = load_bundle(args.before or args.manifest)
         after = load_bundle(args.after)
         findings = check_milestone_retention(before.milestones, after.milestones)
@@ -316,74 +362,16 @@ def _execute(args: argparse.Namespace) -> ReportBundle:
                 "addedIntermediate": sum(1 for f in findings if f.code == "ADDED-INTERMEDIATE"),
             }
         }
-        return ReportBundle(command, findings, payload)
+        return ReportBundle(args.command, findings, payload)
 
-    bundle = load_bundle(args.manifest)
+    session = _Session(load_bundle(args.manifest))
+    findings, payload = getattr(session, args.command)(args)
     artifacts: dict[str, str] = {}
-
-    if command == "validate":
-        findings, payload = _validate_findings(bundle)
-        return ReportBundle(command, findings, payload)
-
-    if command == "timeline":
-        findings, payload = _timeline_payload(bundle, args.step)
-        return ReportBundle(command, findings, payload)
-
-    if command == "deps":
-        findings, payload, graph, table = _deps_payload(bundle)
-        if args.dot:
-            Path(args.dot).write_text(graph_to_dot(graph, table, bundle.labels()), encoding="utf-8")
-            artifacts["dot"] = args.dot
-        return ReportBundle(command, findings, payload, artifacts)
-
-    if command == "impact":
-        graph, table = _deps_graph(bundle)
-        seed = _resolve_seed(bundle, graph, args.seed)
-        result = impact(graph, bundle.pyramid, seed)
-        payload = {
-            "impact": {
-                "seed": result.seed,
-                "downstream": result.downstream,
-                "upstream": result.upstream,
-                "crossedLevels": sorted(result.crossed_levels),
-            }
-        }
-        return ReportBundle(command, list(bundle.findings), payload)
-
-    if command == "conform":
-        findings, payload = _conform_payload(bundle)
-        return ReportBundle(command, findings, payload)
-
-    if command == "export":
-        graph, table = _deps_graph(bundle)
-        payload = {"dependencies": graph_to_json(graph, table, bundle.pyramid, bundle.labels())}
-        if args.dot:
-            Path(args.dot).write_text(graph_to_dot(graph, table, bundle.labels()), encoding="utf-8")
-            artifacts["dot"] = args.dot
-        return ReportBundle(command, list(bundle.findings), payload, artifacts)
-
-    if command == "report":
-        v_findings, v_payload = _validate_findings(bundle)
-        t_findings, t_payload = _timeline_payload(bundle, args.step)
-        d_findings, d_payload, graph, table = _deps_payload(bundle)
-        groups = [v_findings, t_findings, d_findings]
-        payload = {**v_payload, **t_payload, **d_payload}
-        if bundle.manifest.reference_templates:
-            c_findings, c_payload = _conform_payload(bundle)
-            groups.append(c_findings)
-            payload.update(c_payload)
-        payload["coordinates"] = {
-            model_id: {"depth": depth, "position": position, "complexity": complexity}
-            for model_id, (depth, position, complexity) in sorted(
-                assign_coordinates(bundle.pyramid).items()
-            )
-        }
-        if args.dot:
-            Path(args.dot).write_text(graph_to_dot(graph, table, bundle.labels()), encoding="utf-8")
-            artifacts["dot"] = args.dot
-        return ReportBundle(command, merge_findings(*groups), payload, artifacts)
-
-    raise PyramidError(f"unknown command {command!r}")
+    if getattr(args, "dot", None):
+        dot = graph_to_dot(session.graph, session.timing[0], session.labels)
+        Path(args.dot).write_text(dot, encoding="utf-8")
+        artifacts["dot"] = args.dot
+    return ReportBundle(args.command, findings, payload, artifacts)
 
 
 def _positive_days(text: str) -> int:

@@ -56,10 +56,6 @@ class ImpactSet:
     crossed_levels: set[int]
 
 
-def _milestone_id(ms: Milestone) -> str:
-    return ms.milestone_id
-
-
 def infer_edges(
     milestones: Iterable[Milestone], aliases: dict[str, str] | None = None
 ) -> DependencyGraph:
@@ -69,7 +65,7 @@ def infer_edges(
     after alias normalization, or where a consumer is declared in gq7. The
     edge status records whether data flow and declaration agree.
     """
-    milestones = sorted(milestones, key=_milestone_id)
+    milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
     keyed: list[tuple[Milestone, frozenset[str], frozenset[str]]] = []
     for ms in milestones:
         outs = frozenset(canonical_key(n, aliases) for n in ms.gq.gq6_outputs)
@@ -267,7 +263,7 @@ def find_redundant(
     and left alone.
     """
     producers: dict[str, list[Milestone]] = {}
-    for ms in sorted(milestones, key=_milestone_id):
+    for ms in sorted(milestones, key=lambda ms: ms.milestone_id):
         for name in ms.gq.gq6_outputs:
             producers.setdefault(canonical_key(name, aliases), []).append(ms)
 

@@ -335,17 +335,16 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
 
     order: list[str] = []
     seen: set[str] = set()
-
-    def walk(model_id: str) -> None:
+    # a stack, not recursion, so chains deeper than the recursion limit work;
+    # children are pushed in reverse so that they pop in id order
+    stack = [pyramid.root_model] if pyramid.root_model in model_map else []
+    while stack:
+        model_id = stack.pop()
         if model_id in seen:
-            return
+            continue
         seen.add(model_id)
         order.append(model_id)
-        for child in sorted(set(children.get(model_id, ()))):
-            walk(child)
-
-    if pyramid.root_model in model_map:
-        walk(pyramid.root_model)
+        stack.extend(sorted(set(children.get(model_id, ())), reverse=True))
     for model_id in sorted(model_map, key=lambda m: (level_of[m], m)):
         if model_id not in seen:
             seen.add(model_id)

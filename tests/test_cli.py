@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -275,3 +276,39 @@ class TestFatalPaths:
         assert cli.run([]) == 2
         assert cli.run(["validate"]) == 2
         assert cli.run(["no-such-command", "x.json"]) == 2
+
+
+class TestStagesRunOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Calls per stage function, counted where the CLI calls them."""
+        counts = Counter()
+
+        def counting(name):
+            fn = getattr(cli, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in ("resolve_offsets", "infer_edges", "load_reference"):
+            monkeypatch.setattr(cli, name, counting(name))
+        return counts
+
+    def test_report_computes_each_stage_once(self, capsys, calls):
+        assert cli.run(["report", str(PARKPILOT_MANIFEST), "--json"]) == 0
+        templates = json.loads(PARKPILOT_MANIFEST.read_text(encoding="utf-8"))["referenceTemplates"]
+        assert calls == {
+            "resolve_offsets": 1,
+            "infer_edges": 1,
+            "load_reference": len(templates),
+        }
+
+    @pytest.mark.parametrize(
+        "argv", [["conform"], ["impact", "--seed", "test-plan"]], ids=["conform", "impact"]
+    )
+    def test_views_without_offsets_do_not_resolve_them(self, capsys, calls, argv):
+        assert cli.run([argv[0], str(PARKPILOT_MANIFEST), *argv[1:]]) == 0
+        assert calls["resolve_offsets"] == 0

@@ -247,6 +247,21 @@ class TestConnectivity:
         assert coords["b"][1] == 1
         assert coords["a"][1] == 2
 
+    def test_coordinates_place_a_shared_child_at_its_first_visit(self):
+        levels = {0: ["root"], 1: ["a", "b"], 2: ["c", "d"], 3: ["e"]}
+        links = [("root", "a"), ("root", "b"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "e"), ("d", "e")]
+        coords = assign_coordinates(stub_pyramid(levels, links))
+        positions = {model_id: position for model_id, (_, position, _) in coords.items()}
+        assert positions == {"root": 0, "a": 1, "d": 2, "e": 3, "b": 4, "c": 5}
+
+    def test_coordinates_of_a_chain_deeper_than_the_recursion_limit(self):
+        depth = 1100
+        levels = {lvl: [f"m{lvl:04d}"] for lvl in range(depth)}
+        links = [(f"m{lvl:04d}", f"m{lvl + 1:04d}") for lvl in range(depth - 1)]
+        coords = assign_coordinates(stub_pyramid(levels, links))
+        assert coords[f"m{depth - 1:04d}"] == (depth - 1, depth - 1, 3)
+        assert all(coords[f"m{lvl:04d}"][1] == lvl for lvl in range(depth))
+
 
 @given(st.data())
 def test_disconnected_matches_bfs_complement(data):
