@@ -13,7 +13,7 @@ from .dependency import DECLARED_UNMATCHED, DependencyGraph
 from .errors import TemplateError
 from .findings import Finding, finding, sort_findings
 from .model import ProcessModel
-from .naming import canonical_key, normalize_name
+from .naming import canonical_key, compile_aliases, normalize_name
 from .timeline import Milestone
 
 if TYPE_CHECKING:
@@ -225,7 +225,7 @@ def _set_diff(aspect: str, reference: frozenset[str], actual: frozenset[str]) ->
     )
 
 
-def _model_steps(model: ProcessModel, aliases: dict[str, str] | None) -> list[str]:
+def _model_steps(model: ProcessModel, table: dict[str, str]) -> list[str]:
     """Task names in flow order: topological where possible, document order
     to break ties and on cycles."""
     doc_rank = {n.node_id: i for i, n in enumerate(model.nodes)}
@@ -247,32 +247,32 @@ def _model_steps(model: ProcessModel, aliases: dict[str, str] | None) -> list[st
         order = [n.node_id for n in model.nodes]
     node_map = model.node_map()
     return [
-        canonical_key(node_map[nid].name or nid, aliases)
+        canonical_key(node_map[nid].name or nid, table)
         for nid in order
         if node_map[nid].kind == "task"
     ]
 
 
 def _model_aspects(
-    model: ProcessModel, milestones: Iterable[Milestone], aliases: dict[str, str] | None
+    model: ProcessModel, milestones: Iterable[Milestone], table: dict[str, str]
 ) -> tuple[list[str], frozenset[str], frozenset[str], frozenset[str]]:
     roles = {
-        canonical_key(lane.role_name, aliases) for lane in model.lanes if lane.role_name.strip()
+        canonical_key(lane.role_name, table) for lane in model.lanes if lane.role_name.strip()
     }
     tools: set[str] = set()
     for ms in milestones:
         if ms.model_id == model.model_id:
-            tools.update(canonical_key(t, aliases) for t in ms.gq.gq3_tools)
+            tools.update(canonical_key(t, table) for t in ms.gq.gq3_tools)
     methods: set[str] = set()
     sources = [model.extensions] + [n.extensions for n in model.nodes]
     for ext in sources:
         for raw in ext.get("methods", "").split(","):
             if raw.strip():
-                methods.add(canonical_key(raw, aliases))
+                methods.add(canonical_key(raw, table))
         for raw in ext.get("tools", "").split(","):
             if raw.strip():
-                tools.add(canonical_key(raw, aliases))
-    return _model_steps(model, aliases), frozenset(roles), frozenset(methods), frozenset(tools)
+                tools.add(canonical_key(raw, table))
+    return _model_steps(model, table), frozenset(roles), frozenset(methods), frozenset(tools)
 
 
 def diff(
@@ -288,15 +288,16 @@ def diff(
     roles, methods, and tools compare as sets. Fully matched everywhere is
     conforming; any aspect below the threshold is a major deviation.
     """
-    steps, roles, methods, tools = _model_aspects(model, milestones, aliases)
-    ref_steps = [canonical_key(s, aliases) for s in reference.steps]
+    table = compile_aliases(aliases)
+    steps, roles, methods, tools = _model_aspects(model, milestones, table)
+    ref_steps = [canonical_key(s, table) for s in reference.steps]
     aspects = {
         "steps": _step_diff(ref_steps, steps),
-        "roles": _set_diff("roles", frozenset(canonical_key(r, aliases) for r in reference.roles), roles),
+        "roles": _set_diff("roles", frozenset(canonical_key(r, table) for r in reference.roles), roles),
         "methods": _set_diff(
-            "methods", frozenset(canonical_key(x, aliases) for x in reference.methods), methods
+            "methods", frozenset(canonical_key(x, table) for x in reference.methods), methods
         ),
-        "tools": _set_diff("tools", frozenset(canonical_key(t, aliases) for t in reference.tools), tools),
+        "tools": _set_diff("tools", frozenset(canonical_key(t, table) for t in reference.tools), tools),
     }
     ratios = [a.match_ratio for a in aspects.values()]
     if all(r == 1.0 for r in ratios):
@@ -329,7 +330,7 @@ def check_vv_links(
             producers[e.consumer].append(e.producer)
 
     def upstream_of(model_id: str) -> set[str]:
-        seeds = [n for n in graph.nodes if n.split(":", 1)[0] == model_id]
+        seeds = [n for n in graph.nodes if graph.model_id(n) == model_id]
         seen = set(seeds)
         stack = list(seeds)
         while stack:
@@ -360,7 +361,7 @@ def check_vv_links(
         for rm in right_models:
             reach = upstream_of(rm)
             for lm in left_models:
-                if not any(n.split(":", 1)[0] == lm for n in reach):
+                if not any(graph.model_id(n) == lm for n in reach):
                     out.append(
                         finding(
                             "VV-UNLINKED",
@@ -423,11 +424,11 @@ def vv_iterations(
             reach = {
                 node: upstream_of_node(node)
                 for node in graph.nodes
-                if node.split(":", 1)[0] == rm
+                if graph.model_id(node) == rm
             }
             for lm in left_models:
                 count = sum(
-                    1 for up in reach.values() for n in up if n.split(":", 1)[0] == lm
+                    1 for up in reach.values() for n in up if graph.model_id(n) == lm
                 )
                 out.append(VvLinkStat(rm, lm, count))
     return out

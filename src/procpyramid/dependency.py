@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownSeedError
 from .findings import Finding, finding, sort_findings
-from .naming import canonical_key
+from .naming import canonical_key, compile_aliases
 from .timeline import Milestone, OffsetTable
 
 if TYPE_CHECKING:
@@ -34,6 +34,13 @@ class DependencyEdge:
 class DependencyGraph:
     nodes: list[str] = field(default_factory=list)
     edges: list[DependencyEdge] = field(default_factory=list)
+    # milestone id -> model id; model ids may themselves contain ":"
+    model_of: dict[str, str] = field(default_factory=dict)
+
+    def model_id(self, node: str) -> str:
+        """The model a node belongs to. Nodes that are no milestone (dangling
+        gq7 references) are read as model:node."""
+        return self.model_of.get(node, node.split(":", 1)[0])
 
     def consumers_of(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {n: [] for n in self.nodes}
@@ -63,21 +70,35 @@ def infer_edges(
 
     An edge exists where a producer's outputs intersect a consumer's inputs
     after alias normalization, or where a consumer is declared in gq7. The
-    edge status records whether data flow and declaration agree.
+    edge status records whether data flow and declaration agree. Consumers
+    are found through an index from canonical input name to milestone, so
+    only pairs that share a name or a declaration are examined.
     """
+    table = compile_aliases(aliases)
     milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
     keyed: list[tuple[Milestone, frozenset[str], frozenset[str]]] = []
-    for ms in milestones:
-        outs = frozenset(canonical_key(n, aliases) for n in ms.gq.gq6_outputs)
-        ins = frozenset(canonical_key(n, aliases) for n in ms.gq.gq5_inputs)
+    positions: dict[str, list[int]] = {}
+    readers: dict[str, list[int]] = {}
+    for i, ms in enumerate(milestones):
+        outs = frozenset(canonical_key(n, table) for n in ms.gq.gq6_outputs)
+        ins = frozenset(canonical_key(n, table) for n in ms.gq.gq5_inputs)
         keyed.append((ms, outs, ins))
+        positions.setdefault(ms.milestone_id, []).append(i)
+        for name in ins:
+            readers.setdefault(name, []).append(i)
 
-    known = {ms.milestone_id for ms in milestones}
+    known = set(positions)
     nodes = set(known)
     edges: list[DependencyEdge] = []
     for producer, outs, _ in keyed:
         declared = producer.gq.gq7_consumers
-        for consumer, _, ins in keyed:
+        reached: set[int] = set()
+        for name in outs:
+            reached.update(readers.get(name, ()))
+        for ref in declared & known:
+            reached.update(positions[ref])
+        for j in sorted(reached):
+            consumer, _, ins = keyed[j]
             if producer.milestone_id == consumer.milestone_id:
                 continue
             via = outs & ins
@@ -87,7 +108,7 @@ def infer_edges(
                 edges.append(
                     DependencyEdge(producer.milestone_id, consumer.milestone_id, via, status)
                 )
-            elif is_declared:
+            else:
                 edges.append(
                     DependencyEdge(
                         producer.milestone_id, consumer.milestone_id, frozenset(), DECLARED_UNMATCHED
@@ -101,7 +122,9 @@ def infer_edges(
                 edges.append(DependencyEdge(producer.milestone_id, ref, frozenset(), DECLARED_UNMATCHED))
 
     edges.sort(key=lambda e: (e.producer, e.consumer))
-    return DependencyGraph(nodes=sorted(nodes), edges=edges)
+    return DependencyGraph(
+        nodes=sorted(nodes), edges=edges, model_of={ms.milestone_id: ms.model_id for ms in milestones}
+    )
 
 
 def cross_check_declared(graph: DependencyGraph) -> list[Finding]:
@@ -206,7 +229,7 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
 def _expand_seed(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> set[str]:
     node_set = set(graph.nodes)
     if pyramid is not None and seed in pyramid.model_map():
-        members = {n for n in node_set if n.split(":", 1)[0] == seed}
+        members = {n for n in node_set if graph.model_id(n) == seed}
         if members:
             return members
         raise UnknownSeedError(f"model {seed!r} has no milestones in the dependency graph")
@@ -236,9 +259,8 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
     """Everything a change at the seed can touch, in both directions.
 
     The seed may be a milestone id or a model id (which expands to all of
-    the model's milestones). Milestone ids carry their model as the prefix
-    before the colon; crossed_levels collects the pyramid levels of every
-    touched milestone.
+    the model's milestones). crossed_levels collects the pyramid levels of
+    every touched milestone.
     """
     seeds = _expand_seed(graph, pyramid, seed)
     downstream = [n for n in _bfs_layers(graph.consumers_of(), seeds) if n not in seeds]
@@ -248,7 +270,7 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
     if pyramid is not None:
         level_of = pyramid.level_map()
         for node in seeds | set(downstream) | set(upstream):
-            model_id = node.split(":", 1)[0]
+            model_id = graph.model_id(node)
             if model_id in level_of:
                 crossed.add(level_of[model_id])
     return ImpactSet(seed=seed, downstream=downstream, upstream=upstream, crossed_levels=crossed)
@@ -262,10 +284,11 @@ def find_redundant(
     Producing the same object twice inside one model is taken as refinement
     and left alone.
     """
+    table = compile_aliases(aliases)
     producers: dict[str, list[Milestone]] = {}
     for ms in sorted(milestones, key=lambda ms: ms.milestone_id):
         for name in ms.gq.gq6_outputs:
-            producers.setdefault(canonical_key(name, aliases), []).append(ms)
+            producers.setdefault(canonical_key(name, table), []).append(ms)
 
     out: list[Finding] = []
     for key in sorted(producers):
@@ -327,7 +350,7 @@ def graph_to_json(
     level_of = pyramid.level_map() if pyramid is not None else {}
 
     def level(node: str) -> int | None:
-        return level_of.get(node.split(":", 1)[0])
+        return level_of.get(graph.model_id(node))
 
     nodes = [
         {

@@ -46,11 +46,16 @@ def parse_duration(text: str) -> Duration:
 
 
 def parse_offset_days(text: str) -> int:
-    """Parse a declared SOP offset: signed integer days, negative = before SOP."""
+    """Parse a declared SOP offset: signed integer days, negative = before SOP,
+    or an ISO-8601 duration that many days before SOP (`P2M` is -60)."""
+    if text.strip().startswith("P"):
+        return -parse_duration(text).days
     try:
         return int(text.strip())
     except ValueError:
-        raise ValueError(f"declared offset must be signed integer days, got {text!r}") from None
+        raise ValueError(
+            f"declared offset must be signed integer days or an ISO-8601 duration, got {text!r}"
+        ) from None
 
 
 def render_offset(days: int) -> str:

@@ -8,6 +8,7 @@ recorded as info findings on the resulting model.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape, quoteattr
 
@@ -401,8 +402,9 @@ def _split_list(value: str) -> frozenset[str]:
 
 
 def _parse_storage(value: str) -> dict[str, str]:
+    """gq8 entries `name=location`, separated by `,` or `;`."""
     entries: dict[str, str] = {}
-    for pair in value.split(";"):
+    for pair in re.split(r"[,;]", value):
         if "=" in pair:
             key, loc = pair.split("=", 1)
             if key.strip():

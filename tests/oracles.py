@@ -111,6 +111,26 @@ def edges_brute_force(producers, consumers, declared):
     return expected
 
 
+def alias_walk(name, aliases):
+    """Canonical name by walking the raw alias table from one name.
+
+    Names compare case-folded with whitespace collapsed. The walk follows
+    the table until the name is no key, or until the next name was already
+    seen, so a cycle stops at the last distinct name seen from the start.
+    """
+
+    def norm(text):
+        return " ".join(text.split()).casefold()
+
+    table = {norm(k): norm(v) for k, v in aliases.items()}
+    key = norm(name)
+    seen = {key}
+    while key in table and table[key] not in seen:
+        key = table[key]
+        seen.add(key)
+    return key
+
+
 def unreachable_by_bfs(root, children):
     """Models not reached from root over parent->child links."""
     seen = {root}

@@ -1,4 +1,5 @@
 import json
+import shutil
 from collections import Counter
 
 import pytest
@@ -194,6 +195,42 @@ class TestConform:
         assert doc["vvLinks"] == [
             {"right": "park-pilot-test", "left": "function-chart", "iterations": 0}
         ]
+
+
+class TestColonInModelId:
+    """Model ids may contain ":", so the model of a milestone is not the
+    prefix of its id: park-pilot-test renamed to ecu:v2 must analyse the same."""
+
+    OLD, NEW = "park-pilot-test", "ecu:v2"
+
+    @pytest.fixture
+    def renamed(self, tmp_path):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        for name in ("manifest.json", "test-plan.bpmn"):
+            path = tmp_path / name
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(f'"{self.OLD}"', f'"{self.NEW}"'), encoding="utf-8")
+        return tmp_path / "manifest.json"
+
+    def rename(self, node):
+        return self.NEW + node[len(self.OLD):] if node.startswith(self.OLD + ":") else node
+
+    def test_impact_expands_the_model_seed(self, capsys, renamed):
+        _, before = run_json(capsys, ["impact", str(PARKPILOT_MANIFEST), "--seed", self.OLD])
+        code, after = run_json(capsys, ["impact", str(renamed), "--seed", self.NEW])
+        assert code == 0
+        assert after["impact"]["crossedLevels"] == before["impact"]["crossedLevels"] == [0, 1, 2, 3, 4]
+        assert set(after["impact"]["upstream"]) == {self.rename(n) for n in before["impact"]["upstream"]}
+
+    def test_graph_levels_and_vv_links(self, capsys, renamed):
+        _, before = run_json(capsys, ["report", str(PARKPILOT_MANIFEST)])
+        code, after = run_json(capsys, ["report", str(renamed)])
+        assert code == 0
+        assert after["findings"] == before["findings"] == []
+        levels = {n["id"]: n["level"] for n in after["dependencies"]["nodes"]}
+        assert levels == {self.rename(n["id"]): n["level"] for n in before["dependencies"]["nodes"]}
+        assert levels["ecu:v2:e4"] == 4
+        assert after["vvLinks"] == [{"right": self.NEW, "left": "function-chart", "iterations": 4}]
 
 
 class TestRetention:

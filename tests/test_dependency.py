@@ -93,6 +93,52 @@ class TestInference:
         )
         assert {(e.producer, e.consumer): (e.via, e.status) for e in graph.edges} == expected
 
+    spellings = st.sampled_from(["plan", "Plan ", "brief", "BRIEF", "report", "frame", "spec"])
+
+    @given(st.data())
+    def test_aliased_edges_match_the_pairwise_scan_in_order(self, data):
+        aliases = data.draw(st.dictionaries(self.spellings, self.spellings, max_size=5), label="aliases")
+        count = data.draw(st.integers(min_value=0, max_value=8), label="count")
+        ids = [f"m{i % 3}:e{i}" for i in range(count)]
+        ms = []
+        for mid in ids:
+            outs = data.draw(st.frozensets(self.spellings, max_size=3), label=f"out {mid}")
+            ins = data.draw(st.frozensets(self.spellings, max_size=3), label=f"in {mid}")
+            declared = data.draw(
+                st.frozensets(st.sampled_from(ids + ["x:ghost"]), max_size=2),
+                label=f"gq7 {mid}",
+            )
+            ms.append(milestone(mid, inputs=ins, outputs=outs, consumers=declared))
+
+        def canonical(names):
+            return {oracles.alias_walk(n, aliases) for n in names}
+
+        graph = infer_edges(data.draw(st.permutations(ms), label="order"), aliases)
+        expected = oracles.edges_brute_force(
+            {m.milestone_id: canonical(m.gq.gq6_outputs) for m in ms},
+            {m.milestone_id: canonical(m.gq.gq5_inputs) for m in ms},
+            {m.milestone_id: set(m.gq.gq7_consumers) for m in ms},
+        )
+        assert [(e.producer, e.consumer, e.via, e.status) for e in graph.edges] == [
+            (p, c, *expected[p, c]) for p, c in sorted(expected)
+        ]
+        assert graph.nodes == sorted(set(ids).union(*(m.gq.gq7_consumers for m in ms)))
+
+    def test_duplicate_ids_yield_one_edge_per_milestone_pair(self):
+        ms = [
+            milestone("m:a", outputs=("x",)),
+            milestone("m:b", inputs=("x",), consumers=("m:a",)),
+            milestone("m:a", outputs=("x",)),
+        ]
+        graph = infer_edges(ms)
+        assert [(e.producer, e.consumer, e.status) for e in graph.edges] == [
+            ("m:a", "m:b", INFERRED_UNDECLARED),
+            ("m:a", "m:b", INFERRED_UNDECLARED),
+            ("m:b", "m:a", DECLARED_UNMATCHED),
+            ("m:b", "m:a", DECLARED_UNMATCHED),
+        ]
+        assert graph.nodes == ["m:a", "m:b"]
+
     @given(st.data())
     def test_aliases_only_ever_add_pairs(self, data):
         count = data.draw(st.integers(min_value=0, max_value=6))

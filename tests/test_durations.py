@@ -43,13 +43,14 @@ def test_duration_round_trips_through_text(days):
 
 
 @pytest.mark.parametrize(
-    "text,days", [("-60", -60), ("0", 0), ("+30", 30), (" 15 ", 15)]
+    "text,days",
+    [("-60", -60), ("0", 0), ("+30", 30), (" 15 ", 15), ("P2M", -60), (" P1M2W ", -44), ("P0D", 0)],
 )
 def test_parse_offset_days(text, days):
     assert parse_offset_days(text) == days
 
 
-@pytest.mark.parametrize("text", ["abc", "1.5", "", "P1M"])
+@pytest.mark.parametrize("text", ["abc", "1.5", "", "PT1H", "P"])
 def test_parse_offset_days_rejects(text):
     with pytest.raises(ValueError):
         parse_offset_days(text)

@@ -271,6 +271,18 @@ class TestMilestones:
         assert ms.gq.gq6_outputs == frozenset({"c"})
         assert ms.gq.gq8_storage == {"thing": "loc://d", "a": "x", "b": "y", "c": "z"}
 
+    def test_documented_annotation_forms(self):
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", timer=anchor(30)),
+                node("e", "end-event", ext={"gq8": "a=x, b=y; c=z", "declaredOffset": "P2M"}),
+            ],
+        )
+        ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
+        assert ms.gq.gq8_storage == {"a": "x", "b": "y", "c": "z"}
+        assert ms.declared_offset == -60
+
     def test_nameless_objects_fall_back_to_ids(self):
         model = chain_model(
             "m",

@@ -1,7 +1,11 @@
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from procpyramid.naming import canonical_key, normalize_name, resolve_alias
+import oracles
+from procpyramid.naming import canonical_key, compile_aliases, normalize_name, resolve_alias
+
+# a few names, some spelled in more than one way
+RAW_NAMES = ["a", "A", " a", "b", "B ", "c", "C", "d", "e  e", "E e"]
 
 
 def test_normalize_collapses_case_and_whitespace():
@@ -33,3 +37,17 @@ def test_canonical_key_without_aliases_is_normalization():
 def test_normalize_is_idempotent(name):
     once = normalize_name(name)
     assert normalize_name(once) == once
+
+
+@given(st.dictionaries(st.sampled_from(RAW_NAMES), st.sampled_from(RAW_NAMES), max_size=8))
+@example({"a": "b", "b": "c", " C": "d"})
+@example({"a": "b", "B": "a"})
+@example({"a": "b", "b": "c", "C": "a", "d": "a", "e e": "d"})
+@example({"a": "a", "b": "A"})
+def test_compiled_table_matches_the_per_name_walk(aliases):
+    compiled = compile_aliases(aliases)
+    assert set(compiled) == {normalize_name(k) for k in aliases}
+    for name in RAW_NAMES:
+        expected = oracles.alias_walk(name, aliases)
+        assert canonical_key(name, compiled) == expected
+        assert resolve_alias(name, aliases) == expected
