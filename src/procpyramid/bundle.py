@@ -64,8 +64,11 @@ def resolve_references(milestones: list[Milestone]) -> list[Milestone]:
         return ref
 
     for ms in milestones:
-        ms.gq.gq7_consumers = frozenset(resolve(r) for r in ms.gq.gq7_consumers)
-        ms.aligns_with = frozenset(resolve(r) for r in ms.aligns_with)
+        # Empty sets are kept as they are: they are shared, not copied.
+        if ms.gq.gq7_consumers:
+            ms.gq.gq7_consumers = frozenset(resolve(r) for r in ms.gq.gq7_consumers)
+        if ms.aligns_with:
+            ms.aligns_with = frozenset(resolve(r) for r in ms.aligns_with)
     return milestones
 
 

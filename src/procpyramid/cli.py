@@ -6,7 +6,8 @@ timing findings, the dependency graph, the reference templates) at most
 once. A command is a view over that session; `report` merges the views of
 `validate`, `timeline`, `deps` and `conform`, so it too runs each stage
 once. Exit codes: 0 clean, 1 at least one error finding (warnings too
-under --strict), 2 usage or fatal input failure.
+under --strict), 2 usage or fatal input failure; any other exception
+is reported as `fatal [FATAL]` with exit 2.
 """
 
 from __future__ import annotations
@@ -417,18 +418,26 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_FATAL
     try:
         report = _execute(args)
+        text = render_report(report, "json" if args.json else "text")
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
     except PyramidError as exc:
         print(f"fatal [{exc.code}]: {exc}", file=sys.stderr)
         return EXIT_FATAL
     except OSError as exc:
         print(f"fatal [IO]: {exc}", file=sys.stderr)
         return EXIT_FATAL
+    except Exception as exc:
+        # A defect: one line for the user, the traceback only for a debug
+        # handler on the `procpyramid` logger. Imported here because the
+        # logging module adds about 0.3 MB to every run's resident memory.
+        import logging
 
-    text = render_report(report, "json" if args.json else "text")
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+        logging.getLogger(__name__).debug("unhandled exception", exc_info=True)
+        print(f"fatal [FATAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FATAL
     return exit_status(report.findings, args.strict)
 
 

@@ -24,6 +24,7 @@ CATALOG: dict[str, str] = {
     "R4-NO-TIMER": "error",
     # milestone extraction
     "AMBIGUOUS-ANCHOR": "error",
+    "BAD-ANNOTATION": "error",
     # pyramid assembly
     "ORPHAN-MODEL": "warning",
     "MISSING-MODEL": "error",

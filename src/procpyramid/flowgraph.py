@@ -1,14 +1,19 @@
-"""Flow-graph analysis shared by model linting and offset resolution."""
+"""Flow-graph analysis shared by model linting and offset resolution.
+
+Stages that walk one model's flows build its `FlowIndex` (node map,
+successor and predecessor lists) once and pass it to every walk; the
+index is dropped when the stage returns. Each walk builds adjacency over
+the nodes it may visit (an anchor's cone, an event's segment), never over
+the whole model.
+"""
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable
 
 from .model import ANCHOR_BEFORE_SOP, ELAPSED, FlowNode, ProcessModel
-
-# Sentinel distinguishing "no acyclic path" from "a cycle blocks the path".
-CYCLIC = object()
 
 
 def successors(model: ProcessModel) -> dict[str, list[str]]:
@@ -23,6 +28,19 @@ def predecessors(model: ProcessModel) -> dict[str, list[str]]:
     for src, dst in model.flows:
         pred[dst].append(src)
     return pred
+
+
+@dataclass(frozen=True, slots=True)
+class FlowIndex:
+    """One model's node map and successor and predecessor lists."""
+
+    nodes: dict[str, FlowNode]
+    succ: dict[str, list[str]]
+    pred: dict[str, list[str]]
+
+    @classmethod
+    def of(cls, model: ProcessModel) -> FlowIndex:
+        return cls(model.node_map(), successors(model), predecessors(model))
 
 
 def reachable(adj: dict[str, list[str]], starts: Iterable[str]) -> set[str]:
@@ -51,64 +69,76 @@ def is_anchor(node: FlowNode) -> bool:
     return node.timer is not None and node.timer.mode == ANCHOR_BEFORE_SOP
 
 
-def timer_covered_events(model: ProcessModel) -> set[str]:
+def timer_covered_events(index: FlowIndex) -> set[str]:
     """Events that carry a timer or sit downstream of a timer-carrying node."""
-    timered = [n.node_id for n in model.nodes if n.timer is not None]
-    downstream = reachable(successors(model), timered)
-    return {n.node_id for n in model.events() if n.timer is not None or n.node_id in downstream}
+    nodes = index.nodes
+    timered = [nid for nid, n in nodes.items() if n.timer is not None]
+    downstream = reachable(index.succ, timered)
+    return {
+        nid for nid, n in nodes.items()
+        if n.is_event and (n.timer is not None or nid in downstream)
+    }
 
 
-def _cone_longest_path(
-    model: ProcessModel, src: str, dst: str, allowed: set[str]
-) -> int | None | object:
-    """Longest weighted path src -> dst restricted to allowed nodes.
+def _reach_within(adj: dict[str, list[str]], start: str, allowed: set[str]) -> set[str]:
+    """Nodes reachable from start over adj without leaving allowed."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v in allowed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
-    The source contributes no weight; every later node on the path does.
-    Returns None when no path exists, CYCLIC when a cycle lies inside the
-    src-to-dst cone.
+
+def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> bool:
+    """Longest weighted paths over the flows inside members, in place.
+
+    Walks Kahn's order from the members without a predecessor among them,
+    sorted; each flow from a node with a distance offers that distance plus
+    the weight of the node it enters. False when a cycle inside members
+    stops the order.
     """
-    nodes = model.node_map()
-    adj = {k: [v for v in vs if v in allowed] for k, vs in successors(model).items() if k in allowed}
-    fwd = reachable(adj, [src])
-    back_adj: dict[str, list[str]] = {k: [] for k in adj}
-    for k, vs in adj.items():
+    nodes = index.nodes
+    adj = {k: [v for v in index.succ[k] if v in members] for k in members}
+    indeg = dict.fromkeys(members, 0)
+    for vs in adj.values():
         for v in vs:
-            back_adj[v].append(k)
-    cone = fwd & reachable(back_adj, [dst])
-    if src not in cone or dst not in cone:
-        return None
-
-    indeg = {n: 0 for n in cone}
-    for k in cone:
-        for v in adj[k]:
-            if v in cone:
-                indeg[v] += 1
+            indeg[v] += 1
     queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    order = []
+    ordered = 0
     while queue:
         cur = queue.popleft()
-        order.append(cur)
+        ordered += 1
+        base = dist.get(cur)
         for v in adj[cur]:
-            if v in cone:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    queue.append(v)
-    if len(order) != len(cone):
-        return CYCLIC
-
-    dist: dict[str, int] = {src: 0}
-    for cur in order:
-        if cur not in dist:
-            continue
-        for v in adj[cur]:
-            if v in cone:
-                cand = dist[cur] + node_weight(nodes[v])
+            if base is not None:
+                cand = base + node_weight(nodes[v])
                 if cand > dist.get(v, cand - 1):
                     dist[v] = cand
-    return dist.get(dst)
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return ordered == len(members)
 
 
-def anchor_candidates(model: ProcessModel, event_id: str) -> tuple[list[tuple[str, int]], bool]:
+def _cone_longest_path(index: FlowIndex, src: str, dst: str, allowed: set[str]) -> int | None:
+    """Longest weighted path src -> dst restricted to allowed nodes.
+
+    Every allowed node reaches dst inside allowed, as in an event's
+    upstream region, so the nodes src reaches are the src-to-dst cone.
+    The source contributes no weight; every later node on the path does.
+    None when a cycle lies inside the cone.
+    """
+    cone = _reach_within(index.succ, src, allowed)
+    dist = {src: 0}
+    if not _longest_paths(index, cone, dist):
+        return None
+    return dist[dst]
+
+
+def anchor_candidates(index: FlowIndex, event_id: str) -> tuple[list[tuple[str, int]], bool]:
     """Nearest upstream anchor timers and the SOP offset each one implies.
 
     Returns (candidates, cyclic): candidates as (anchor node id, offset days)
@@ -116,18 +146,17 @@ def anchor_candidates(model: ProcessModel, event_id: str) -> tuple[list[tuple[st
     path computation. An event carrying its own anchor timer is its sole
     candidate with a zero-length path.
     """
-    nodes = model.node_map()
+    nodes, pred = index.nodes, index.pred
     target = nodes[event_id]
     if is_anchor(target):
         return [(event_id, -target.timer.amount.days)], False
 
-    pred = predecessors(model)
     region = {event_id}
     anchors: list[str] = []
     queue = deque([event_id])
     while queue:
         cur = queue.popleft()
-        for p in pred.get(cur, ()):
+        for p in pred[cur]:
             if p in region:
                 continue
             region.add(p)
@@ -139,28 +168,25 @@ def anchor_candidates(model: ProcessModel, event_id: str) -> tuple[list[tuple[st
     cyclic = False
     out: list[tuple[str, int]] = []
     for anchor in sorted(anchors):
-        allowed = region - {a for a in anchors if a != anchor}
-        dist = _cone_longest_path(model, anchor, event_id, allowed)
-        if dist is CYCLIC:
-            cyclic = True
-            continue
+        allowed = region.difference(a for a in anchors if a != anchor)
+        dist = _cone_longest_path(index, anchor, event_id, allowed)
         if dist is None:
+            cyclic = True
             continue
         amount = nodes[anchor].timer.amount.days
         out.append((anchor, -amount + dist))
     return out, cyclic
 
 
-def segment_nodes(model: ProcessModel, event_id: str) -> set[str]:
+def segment_nodes(index: FlowIndex, event_id: str) -> set[str]:
     """The process segment owned by an event: upstream nodes reachable
     backwards without crossing another event. Includes the event itself."""
-    nodes = model.node_map()
-    pred = predecessors(model)
+    nodes, pred = index.nodes, index.pred
     seg = {event_id}
     stack = [event_id]
     while stack:
         cur = stack.pop()
-        for p in pred.get(cur, ()):
+        for p in pred[cur]:
             if p in seg or nodes[p].is_event:
                 continue
             seg.add(p)
@@ -168,36 +194,19 @@ def segment_nodes(model: ProcessModel, event_id: str) -> set[str]:
     return seg
 
 
-def segment_duration(model: ProcessModel, event_id: str) -> int | None:
+def segment_duration(index: FlowIndex, event_id: str) -> int | None:
     """Longest task-time path through the event's segment, in days.
 
     None when the segment contains no task or a cycle makes the sum
     ill-defined.
     """
-    seg = segment_nodes(model, event_id)
-    nodes = model.node_map()
+    seg = segment_nodes(index, event_id)
+    nodes = index.nodes
     if not any(nodes[n].kind == "task" for n in seg):
         return None
-
-    adj = {k: [v for v in vs if v in seg] for k, vs in successors(model).items() if k in seg}
-    indeg = {n: 0 for n in seg}
-    for k, vs in adj.items():
-        for v in vs:
-            indeg[v] += 1
-    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    order = []
-    dist: dict[str, int] = {}
-    while queue:
-        cur = queue.popleft()
-        order.append(cur)
-        dist.setdefault(cur, node_weight(nodes[cur]))
-        for v in adj[cur]:
-            cand = dist[cur] + node_weight(nodes[v])
-            if cand > dist.get(v, cand - 1):
-                dist[v] = cand
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    if len(order) != len(seg):
+    # Weights are non-negative, so starting every node at its own weight
+    # leaves the longest path into it unchanged.
+    dist = {n: node_weight(nodes[n]) for n in seg}
+    if not _longest_paths(index, seg, dist):
         return None
-    return dist.get(event_id, 0)
+    return dist[event_id]

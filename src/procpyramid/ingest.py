@@ -361,8 +361,9 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
     role; R4 every event has a time symbol on its incoming chain.
     """
     out: list[Finding] = []
+    flow = flowgraph.FlowIndex.of(model)
     start = next(n.node_id for n in model.nodes if n.kind == "start-event")
-    reached = flowgraph.reachable(flowgraph.successors(model), [start])
+    reached = flowgraph.reachable(flow.succ, [start])
     for node in model.nodes:
         subject = f"{model.model_id}:{node.node_id}"
         if node.node_id not in reached:
@@ -377,7 +378,7 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
         lane = model.lane_of(node.node_id)
         if lane is None or not lane.role_name.strip():
             out.append(finding("R3-NO-ROLE", subject, "node is not assigned to a lane with a role"))
-    covered = flowgraph.timer_covered_events(model)
+    covered = flowgraph.timer_covered_events(flow)
     for node in model.events():
         if node.node_id not in covered:
             out.append(
@@ -397,8 +398,12 @@ _KIND_FOR_EVENT = {
 }
 
 
+_NO_ITEMS: frozenset[str] = frozenset()
+
+
 def _split_list(value: str) -> frozenset[str]:
-    return frozenset(item.strip() for item in value.split(",") if item.strip())
+    # Most lists are empty; they share one set instead of 216 bytes each.
+    return frozenset(item.strip() for item in value.split(",") if item.strip()) or _NO_ITEMS
 
 
 def _parse_storage(value: str) -> dict[str, str]:
@@ -424,23 +429,40 @@ def _object_names(model: ProcessModel, object_ids: frozenset[str]) -> frozenset[
     return frozenset(names)
 
 
+def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: list[Finding]):
+    """The parsed extension entry, or None when it is absent or does not
+    parse; the latter is reported as BAD-ANNOTATION."""
+    if key not in ext:
+        return None
+    try:
+        return parse(ext[key])
+    except ValueError as exc:
+        findings.append(finding("BAD-ANNOTATION", subject, f"{key}={ext[key]!r} ignored: {exc}"))
+        return None
+
+
 def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Finding]]:
     """Extract one milestone per event with a resolvable time symbol.
 
     GQ answers are derived from the model where possible (owning process,
     lane role, segment durations, data associations) and overridden by
-    explicit gq1..gq8 extension entries on the event.
+    explicit gq1..gq8 extension entries on the event. A gq4 or
+    declaredOffset entry that does not parse is reported as BAD-ANNOTATION
+    and treated as absent. Each milestone keeps its event's anchor
+    candidates for offset resolution.
     """
     out: list[Milestone] = []
     findings: list[Finding] = []
-    covered = flowgraph.timer_covered_events(model)
+    flow = flowgraph.FlowIndex.of(model)
+    covered = flowgraph.timer_covered_events(flow)
     objects = model.object_map()
+    node_map = flow.nodes
 
     for node in model.events():
         if node.node_id not in covered:
             continue
         subject = f"{model.model_id}:{node.node_id}"
-        candidates, _ = flowgraph.anchor_candidates(model, node.node_id)
+        candidates, cyclic = flowgraph.anchor_candidates(flow, node.node_id)
         if len({offset for _, offset in candidates}) > 1:
             detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
             findings.append(
@@ -448,18 +470,16 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             )
 
         ext = node.extensions
-        seg = flowgraph.segment_nodes(model, node.node_id)
-        node_map = model.node_map()
+        seg = flowgraph.segment_nodes(flow, node.node_id)
         seg_inputs: set[str] = set()
         seg_outputs: set[str] = set()
         for nid in seg:
             seg_inputs.update(node_map[nid].inputs)
             seg_outputs.update(node_map[nid].outputs)
 
-        if "gq4" in ext:
-            gq4 = parse_duration(ext["gq4"])
-        else:
-            days = flowgraph.segment_duration(model, node.node_id)
+        gq4 = _annotation(ext, "gq4", parse_duration, subject, findings)
+        if gq4 is None:
+            days = flowgraph.segment_duration(flow, node.node_id)
             gq4 = Duration(days) if days is not None else None
 
         gq5 = _split_list(ext["gq5"]) if "gq5" in ext else _object_names(model, frozenset(seg_inputs))
@@ -484,7 +504,6 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             gq7_consumers=_split_list(ext.get("gq7", "")),
             gq8_storage=storage,
         )
-        declared = parse_offset_days(ext["declaredOffset"]) if "declaredOffset" in ext else None
         out.append(
             Milestone(
                 milestone_id=subject,
@@ -493,9 +512,10 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
                 name=node.name or node.node_id,
                 kind=_KIND_FOR_EVENT[node.kind],
                 gq=gq,
-                declared_offset=declared,
+                declared_offset=_annotation(ext, "declaredOffset", parse_offset_days, subject, findings),
                 terminal=ext.get("terminal", "").strip().lower() in ("true", "1", "yes"),
                 aligns_with=_split_list(ext.get("alignsWith", "")),
+                anchors=(tuple(candidates), cyclic),
             )
         )
     return out, sort_findings(findings)

@@ -10,6 +10,7 @@ from . import flowgraph
 from .durations import Duration, render_offset
 from .errors import EmptyTimelineError
 from .findings import Finding, finding, sort_findings
+from .model import FlowNode
 from .naming import normalize_name
 
 if TYPE_CHECKING:
@@ -48,6 +49,11 @@ class Milestone:
     declared_offset: int | None = None
     terminal: bool = False
     aligns_with: frozenset[str] = frozenset()
+    # The event's (anchor candidates, cyclic) as found at extraction;
+    # None for a milestone built by hand.
+    anchors: tuple[tuple[tuple[str, int], ...], bool] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in ("start", "intermediate", "end"):
@@ -90,10 +96,13 @@ def resolve_offsets(
     offset = -(anchor amount) + longest path of task durations and elapsed
     waits from the anchor to the event. Diverging branches take the latest
     completion. A milestone named like the SOP label is pinned to day zero.
+    The anchor candidates are those stored at extraction; only a milestone
+    built by hand has its anchor walk run here.
     """
     table = OffsetTable()
     out: list[Finding] = []
     models = pyramid.model_map()
+    node_maps: dict[str, dict[str, FlowNode]] = {}
     sop_key = normalize_name(sop_label)
 
     for ms in milestones:
@@ -101,13 +110,19 @@ def resolve_offsets(
             table.offsets[ms.milestone_id] = 0
             table.provenance[ms.milestone_id] = "designated SOP milestone"
             continue
-        model = models.get(ms.model_id)
-        if model is None or ms.event_node_id not in model.node_map():
+        nodes = node_maps.get(ms.model_id)
+        if nodes is None and ms.model_id in models:
+            nodes = node_maps[ms.model_id] = models[ms.model_id].node_map()
+        if nodes is None or ms.event_node_id not in nodes:
             out.append(
                 finding("NO-ANCHOR", ms.milestone_id, "owning model or event not present in the pyramid")
             )
             continue
-        candidates, cyclic = flowgraph.anchor_candidates(model, ms.event_node_id)
+        anchors = ms.anchors
+        if anchors is None:
+            index = flowgraph.FlowIndex.of(models[ms.model_id])
+            anchors = flowgraph.anchor_candidates(index, ms.event_node_id)
+        candidates, cyclic = anchors
         if cyclic:
             out.append(
                 finding("FLOW-CYCLE", ms.milestone_id, "flow cycle on the path from the anchor timer")
@@ -128,7 +143,7 @@ def resolve_offsets(
             )
             continue
         anchor_id, offset = candidates[0]
-        amount = model.node_map()[anchor_id].timer.amount.days
+        amount = nodes[anchor_id].timer.amount.days
         path = offset + amount
         table.offsets[ms.milestone_id] = offset
         table.provenance[ms.milestone_id] = (

@@ -5,6 +5,7 @@ Floyd-Warshall, linear scans. Keep these independent of the package
 internals so a bug cannot hide in both places at once.
 """
 
+from collections import deque
 from itertools import combinations
 
 
@@ -144,3 +145,180 @@ def unreachable_by_bfs(root, children):
                     nxt.append(child)
         frontier = nxt
     return set(children) - seen
+
+
+# Offsets as they were computed per event: every call rebuilds the node map
+# and the successor and predecessor lists of the whole model, and each
+# anchor's cone filters the whole model's successor lists. Nodes are
+# duck-typed (node_id, kind, duration.days, timer.mode, timer.amount.days).
+
+_CYCLIC = object()
+
+
+def _node_map(model):
+    return {n.node_id: n for n in model.nodes}
+
+
+def _successors(model):
+    adj = {n.node_id: [] for n in model.nodes}
+    for src, dst in model.flows:
+        adj[src].append(dst)
+    return adj
+
+
+def _predecessors(model):
+    pred = {n.node_id: [] for n in model.nodes}
+    for src, dst in model.flows:
+        pred[dst].append(src)
+    return pred
+
+
+def _reachable(adj, starts):
+    seen = set()
+    stack = [s for s in starts if s in adj]
+    while stack:
+        cur = stack.pop()
+        if cur in seen:
+            continue
+        seen.add(cur)
+        stack.extend(adj[cur])
+    return seen
+
+
+def _node_weight(node):
+    if node.kind == "task" and node.duration is not None:
+        return node.duration.days
+    if node.timer is not None and node.timer.mode == "elapsed":
+        return node.timer.amount.days
+    return 0
+
+
+def _is_anchor(node):
+    return node.timer is not None and node.timer.mode == "anchor-before-sop"
+
+
+def _cone_longest_path(model, src, dst, allowed):
+    nodes = _node_map(model)
+    adj = {k: [v for v in vs if v in allowed] for k, vs in _successors(model).items() if k in allowed}
+    fwd = _reachable(adj, [src])
+    back_adj = {k: [] for k in adj}
+    for k, vs in adj.items():
+        for v in vs:
+            back_adj[v].append(k)
+    cone = fwd & _reachable(back_adj, [dst])
+    if src not in cone or dst not in cone:
+        return None
+
+    indeg = {n: 0 for n in cone}
+    for k in cone:
+        for v in adj[k]:
+            if v in cone:
+                indeg[v] += 1
+    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
+    order = []
+    while queue:
+        cur = queue.popleft()
+        order.append(cur)
+        for v in adj[cur]:
+            if v in cone:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    queue.append(v)
+    if len(order) != len(cone):
+        return _CYCLIC
+
+    dist = {src: 0}
+    for cur in order:
+        if cur not in dist:
+            continue
+        for v in adj[cur]:
+            if v in cone:
+                cand = dist[cur] + _node_weight(nodes[v])
+                if cand > dist.get(v, cand - 1):
+                    dist[v] = cand
+    return dist.get(dst)
+
+
+def anchor_candidates_by_cones(model, event_id):
+    """(candidates, cyclic) for one event: each nearest upstream anchor with
+    the offset its longest path implies, sorted by anchor id."""
+    nodes = _node_map(model)
+    target = nodes[event_id]
+    if _is_anchor(target):
+        return [(event_id, -target.timer.amount.days)], False
+
+    pred = _predecessors(model)
+    region = {event_id}
+    anchors = []
+    queue = deque([event_id])
+    while queue:
+        cur = queue.popleft()
+        for p in pred.get(cur, ()):
+            if p in region:
+                continue
+            region.add(p)
+            if _is_anchor(nodes[p]):
+                anchors.append(p)
+                continue
+            queue.append(p)
+
+    cyclic = False
+    out = []
+    for anchor in sorted(anchors):
+        allowed = region - {a for a in anchors if a != anchor}
+        dist = _cone_longest_path(model, anchor, event_id, allowed)
+        if dist is _CYCLIC:
+            cyclic = True
+            continue
+        if dist is None:
+            continue
+        amount = nodes[anchor].timer.amount.days
+        out.append((anchor, -amount + dist))
+    return out, cyclic
+
+
+def _segment_nodes(model, event_id):
+    nodes = _node_map(model)
+    pred = _predecessors(model)
+    seg = {event_id}
+    stack = [event_id]
+    while stack:
+        cur = stack.pop()
+        for p in pred.get(cur, ()):
+            if p in seg or nodes[p].kind in ("start-event", "intermediate-event", "end-event"):
+                continue
+            seg.add(p)
+            stack.append(p)
+    return seg
+
+
+def segment_duration_by_scan(model, event_id):
+    """Longest task-time path through the event's segment, None when the
+    segment has no task or holds a cycle."""
+    seg = _segment_nodes(model, event_id)
+    nodes = _node_map(model)
+    if not any(nodes[n].kind == "task" for n in seg):
+        return None
+
+    adj = {k: [v for v in vs if v in seg] for k, vs in _successors(model).items() if k in seg}
+    indeg = {n: 0 for n in seg}
+    for k, vs in adj.items():
+        for v in vs:
+            indeg[v] += 1
+    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
+    order = []
+    dist = {}
+    while queue:
+        cur = queue.popleft()
+        order.append(cur)
+        dist.setdefault(cur, _node_weight(nodes[cur]))
+        for v in adj[cur]:
+            cand = dist[cur] + _node_weight(nodes[v])
+            if cand > dist.get(v, cand - 1):
+                dist[v] = cand
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    if len(order) != len(seg):
+        return None
+    return dist.get(event_id, 0)

@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
-from procpyramid import cli
+from procpyramid import cli, flowgraph
 from procpyramid.findings import finding
 
 
@@ -56,6 +56,25 @@ class TestValidate:
         assert code == 0
         assert capsys.readouterr().out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "validate"
+
+    @pytest.mark.parametrize(
+        "needle, bad",
+        [
+            ('key="declaredOffset" value="-60"', 'key="declaredOffset" value="banana"'),
+            ('key="gq4" value="P0D"', 'key="gq4" value="banana"'),
+        ],
+        ids=["declaredOffset", "gq4"],
+    )
+    def test_malformed_annotation_is_a_finding(self, capsys, tmp_path, needle, bad):
+        text = (FIG7_MANIFEST.parent / "fragment.bpmn").read_text(encoding="utf-8")
+        assert needle in text
+        (tmp_path / "fragment.bpmn").write_text(text.replace(needle, bad, 1), encoding="utf-8")
+        shutil.copy(FIG7_MANIFEST, tmp_path / "manifest.json")
+        code, doc = run_json(capsys, ["validate", str(tmp_path / "manifest.json")])
+        assert code == 1
+        errors = [f for f in doc["findings"] if f["severity"] == "error"]
+        assert [f["code"] for f in errors] == ["BAD-ANNOTATION"]
+        assert "'banana'" in errors[0]["message"]
 
 
 def degraded_fig7(tmp_path):
@@ -314,6 +333,16 @@ class TestFatalPaths:
         assert cli.run(["validate"]) == 2
         assert cli.run(["no-such-command", "x.json"]) == 2
 
+    def test_unexpected_exception_is_fatal(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage blew up")
+
+        monkeypatch.setattr(cli, "resolve_offsets", broken)
+        assert cli.run(["timeline", str(FIG7_MANIFEST)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "fatal [FATAL]: RuntimeError: stage blew up\n"
+        assert captured.out == ""
+
 
 class TestStagesRunOnce:
     @pytest.fixture
@@ -342,6 +371,20 @@ class TestStagesRunOnce:
             "infer_edges": 1,
             "load_reference": len(templates),
         }
+
+    def test_report_walks_each_anchor_once(self, capsys, monkeypatch):
+        events = Counter()
+        original = flowgraph.anchor_candidates
+
+        def counted(index, event_id):
+            events[event_id] += 1
+            return original(index, event_id)
+
+        monkeypatch.setattr(flowgraph, "anchor_candidates", counted)
+        code, doc = run_json(capsys, ["report", str(PARKPILOT_MANIFEST)])
+        assert code == 0
+        assert sum(events.values()) == doc["bundle"]["milestones"]
+        assert set(events.values()) == {1}
 
     @pytest.mark.parametrize(
         "argv", [["conform"], ["impact", "--seed", "test-plan"]], ids=["conform", "impact"]

@@ -11,13 +11,14 @@ the files again with
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
+from conftest import ANCHORS_MANIFEST, FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
 from procpyramid import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -34,6 +35,10 @@ CASES["parkpilot-retention.json"] = [
     "retention", str(PARKPILOT_MANIFEST), "--after", str(PARKPILOT_SEVERED)
 ]
 CASES.update({f"{bundle}-export.dot": ["export", str(manifest)] for bundle, manifest in BUNDLES.items()})
+# Two conflicting anchors on converging paths and one flow cycle.
+CASES.update(
+    {f"anchors-{command}.json": [command, str(ANCHORS_MANIFEST)] for command in ("timeline", "deps", "report")}
+)
 
 
 def produce(name: str, work: Path) -> bytes:
@@ -49,6 +54,21 @@ def produce(name: str, work: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden(name, tmp_path):
     assert produce(name, tmp_path) == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, codes",
+    [
+        ("timeline", {"AMBIGUOUS-ANCHOR", "FLOW-CYCLE"}),
+        ("deps", {"AMBIGUOUS-ANCHOR"}),
+        ("report", {"AMBIGUOUS-ANCHOR", "FLOW-CYCLE"}),
+    ],
+)
+def test_anchor_findings_are_pinned(command, codes):
+    """The anchor goldens hold the findings they exist for: the bundle's
+    AMBIGUOUS-ANCHOR (every view) and the timing FLOW-CYCLE (offset views)."""
+    doc = json.loads((GOLDEN / f"anchors-{command}.json").read_text(encoding="utf-8"))
+    assert codes <= {f["code"] for f in doc["findings"]}
 
 
 if __name__ == "__main__":

@@ -283,6 +283,27 @@ class TestMilestones:
         assert ms.gq.gq8_storage == {"a": "x", "b": "y", "c": "z"}
         assert ms.declared_offset == -60
 
+    @pytest.mark.parametrize(
+        "key, value", [("declaredOffset", "banana"), ("declaredOffset", "P"), ("gq4", "banana")]
+    )
+    def test_malformed_annotation_is_a_finding(self, key, value):
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", timer=anchor(30)),
+                node("t", "task", days=5),
+                node("e", "end-event", ext={key: value}),
+            ],
+        )
+        milestones, findings = extract_milestones(model)
+        bad = [f for f in findings if f.code == "BAD-ANNOTATION"]
+        assert [(f.subject, f.severity) for f in bad] == [("m:e", "error")]
+        assert key in bad[0].message and repr(value) in bad[0].message
+        ms = [m for m in milestones if m.milestone_id == "m:e"][0]
+        # the entry counts as absent: no declared offset, gq4 from the segment
+        assert ms.declared_offset is None
+        assert ms.gq.gq4_duration == Duration(5)
+
     def test_nameless_objects_fall_back_to_ids(self):
         model = chain_model(
             "m",

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,7 +14,7 @@ from procpyramid import (
     reconcile_declared,
     resolve_offsets,
 )
-from procpyramid.flowgraph import anchor_candidates
+from procpyramid.flowgraph import FlowIndex, anchor_candidates, segment_duration
 
 
 def one_model_pyramid(model):
@@ -126,6 +126,16 @@ class TestResolve:
         stray = milestone("ghost:e", name="Ghost")
         _, findings = resolve_offsets(one_model_pyramid(model), [stray])
         assert [f.code for f in findings] == ["NO-ANCHOR"]
+
+    def test_hand_built_milestone_walks_its_anchor(self):
+        model = chain_model(
+            "m",
+            [node("s", "start-event", timer=anchor(90)), node("t", "task", days=10), node("e", "end-event")],
+        )
+        extracted = offsets_for(model)
+        built = resolve_offsets(one_model_pyramid(model), [milestone("m:e", name="e")])
+        assert built[0].offsets == {"m:e": -80} == {"m:e": extracted[0].offsets["m:e"]}
+        assert built[0].provenance["m:e"] == extracted[0].provenance["m:e"]
 
     def test_ambiguous_anchor(self):
         model = chain_model(
@@ -324,7 +334,7 @@ def sparse_dags(draw):
 def test_longest_path_matches_exhaustive_oracle(drawn):
     model, weights = drawn
     last = model.nodes[-1].node_id
-    candidates, cyclic = anchor_candidates(model, last)
+    candidates, cyclic = anchor_candidates(FlowIndex.of(model), last)
     assert not cyclic
     assert len(candidates) == 1
 
@@ -337,3 +347,70 @@ def test_longest_path_matches_exhaustive_oracle(drawn):
     expected = oracles.longest_path_exhaustive(adjacency, weight_map, model.nodes[0].node_id, last)
     anchor_id, offset = candidates[0]
     assert offset == -100 + expected
+
+
+FLOW_KINDS = ("task", "task", "task", "intermediate-event", "exclusive-gateway", "parallel-gateway", "end-event")
+
+
+@st.composite
+def cyclic_flow_graphs(draw):
+    """Small flow graphs with 1-3 anchors, elapsed timers, forward jumps,
+    duplicate flows and back edges (cycles, self-loops included)."""
+    size = draw(st.integers(min_value=2, max_value=10))
+    kinds = ["start-event"] + [draw(st.sampled_from(FLOW_KINDS)) for _ in range(size - 1)]
+    anchors = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3))
+    for i in anchors - {0}:
+        kinds[i] = "intermediate-event"
+    nodes = []
+    for i, kind in enumerate(kinds):
+        timer = days = None
+        if i in anchors:
+            timer = anchor(draw(st.integers(min_value=0, max_value=200)))
+        elif "event" in kind and draw(st.booleans()):
+            timer = elapsed(draw(st.integers(min_value=0, max_value=30)))
+        if kind == "task":
+            days = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=40)))
+        nodes.append(node(f"n{i}", kind, days=days, timer=timer))
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    flows = [(f"n{i}", f"n{i + 1}") for i in range(size - 1) if draw(st.integers(0, 5))]
+    for a, b in draw(st.lists(pair, max_size=8)):
+        flows.append((f"n{min(a, b)}", f"n{max(a, b)}"))
+    for a, b in draw(st.lists(pair, max_size=3)):
+        flows.append((f"n{max(a, b)}", f"n{min(a, b)}"))
+    return chain_model("m", nodes, flows=flows)
+
+
+CONVERGING_ANCHORS = chain_model(
+    "m",
+    [
+        node("a1", "start-event", timer=anchor(180)),
+        node("split", "parallel-gateway"),
+        node("t1", "task", days=10),
+        node("a2", "intermediate-event", timer=anchor(120)),
+        node("t2", "task", days=15),
+        node("join", "parallel-gateway"),
+        node("e", "intermediate-event", timer=elapsed(3)),
+        node("t3", "task", days=2),
+        node("gw", "exclusive-gateway"),
+        node("end", "end-event"),
+    ],
+    flows=[
+        ("a1", "split"), ("split", "t1"), ("split", "a2"), ("a2", "t2"), ("t1", "join"),
+        ("t2", "join"), ("join", "e"), ("e", "t3"), ("t3", "gw"), ("gw", "t3"), ("gw", "end"),
+    ],
+)
+
+
+@settings(max_examples=300)
+@example(CONVERGING_ANCHORS)
+@given(cyclic_flow_graphs())
+def test_flow_index_walks_match_per_event_cones(model):
+    """anchor_candidates and segment_duration over one FlowIndex give exactly
+    what the per-event cone walk over the whole model gave: candidate order,
+    cycle flag and days."""
+    index = FlowIndex.of(model)
+    for event in model.events():
+        expected = oracles.anchor_candidates_by_cones(model, event.node_id)
+        assert anchor_candidates(index, event.node_id) == expected
+        expected_days = oracles.segment_duration_by_scan(model, event.node_id)
+        assert segment_duration(index, event.node_id) == expected_days
