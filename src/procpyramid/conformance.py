@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import flowgraph
 from .dependency import DECLARED_UNMATCHED, DependencyGraph
 from .errors import TemplateError
 from .findings import Finding, finding, sort_findings
+from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
 from .naming import canonical_key, compile_aliases, normalize_name
 from .timeline import Milestone
@@ -229,23 +229,11 @@ def _model_steps(model: ProcessModel, table: dict[str, str]) -> list[str]:
     """Task names in flow order: topological where possible, document order
     to break ties and on cycles."""
     doc_rank = {n.node_id: i for i, n in enumerate(model.nodes)}
-    adj = flowgraph.successors(model)
-    indeg = {n.node_id: 0 for n in model.nodes}
-    for src, dst in model.flows:
-        indeg[dst] += 1
-    heap = [(doc_rank[n], n) for n, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[str] = []
-    while heap:
-        _, cur = heapq.heappop(heap)
-        order.append(cur)
-        for nxt in adj[cur]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(heap, (doc_rank[nxt], nxt))
-    if len(order) != len(model.nodes):
+    flow = flowgraph.FlowIndex.of(model)
+    order = topological_order(flow.succ, doc_rank.__getitem__)
+    if order is None:
         order = [n.node_id for n in model.nodes]
-    node_map = model.node_map()
+    node_map = flow.nodes
     return [
         canonical_key(node_map[nid].name or nid, table)
         for nid in order
@@ -311,45 +299,38 @@ def diff(
     )
 
 
-def check_vv_links(
-    pyramid: Pyramid, graph: DependencyGraph, references: Iterable[ReferenceProcess]
-) -> list[Finding]:
-    """Every right-side (verification) model must trace back to data produced
-    by a model bound to its left-side counterpart."""
-    references = list(references)
+def _vv_pairs(
+    pyramid: Pyramid, references: Iterable[ReferenceProcess]
+) -> Iterator[tuple[ReferenceProcess, ReferenceProcess, list[str], list[str]]]:
+    """(right-side template, its counterpart, models bound to each) for every
+    right-side template whose counterpart is known, by template id."""
+    references = sorted(references, key=lambda r: r.ref_id)
     by_id = {r.ref_id: r for r in references}
     model_map = pyramid.model_map()
 
     def bound_models(ref: ReferenceProcess) -> list[str]:
         return sorted(mid for mid, m in model_map.items() if ref.binds(m))
 
-    # reverse adjacency over edges that carry real data
-    producers: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        if e.status != DECLARED_UNMATCHED:
-            producers[e.consumer].append(e.producer)
-
-    def upstream_of(model_id: str) -> set[str]:
-        seeds = [n for n in graph.nodes if graph.model_id(n) == model_id]
-        seen = set(seeds)
-        stack = list(seeds)
-        while stack:
-            cur = stack.pop()
-            for p in producers.get(cur, ()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
-    out: list[Finding] = []
     for ref in references:
-        if ref.side != "right":
-            continue
         counterpart = by_id.get(ref.counterpart or "")
-        if counterpart is None:
-            continue
-        right_models = bound_models(ref)
-        left_models = bound_models(counterpart)
+        if ref.side == "right" and counterpart is not None:
+            yield ref, counterpart, bound_models(ref), bound_models(counterpart)
+
+
+def _data_producers(graph: DependencyGraph) -> dict[str, list[str]]:
+    """Each node's producers over the edges that carry real data."""
+    pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
+    return adjacency(graph.nodes, pairs)[1]
+
+
+def check_vv_links(
+    pyramid: Pyramid, graph: DependencyGraph, references: Iterable[ReferenceProcess]
+) -> list[Finding]:
+    """Every right-side (verification) model must trace back to data produced
+    by a model bound to its left-side counterpart."""
+    producers = _data_producers(graph)
+    out: list[Finding] = []
+    for ref, counterpart, right_models, left_models in _vv_pairs(pyramid, references):
         if not right_models:
             out.append(finding("UNBOUND-REFERENCE", ref.ref_id, "binds no model in the bundle"))
             continue
@@ -359,7 +340,7 @@ def check_vv_links(
             )
             continue
         for rm in right_models:
-            reach = upstream_of(rm)
+            reach = reachable(producers, [n for n in graph.nodes if graph.model_id(n) == rm])
             for lm in left_models:
                 if not any(graph.model_id(n) == lm for n in reach):
                     out.append(
@@ -390,45 +371,21 @@ def vv_iterations(
     right model) pair counts as one iteration. Reported as a metric only; no
     threshold is applied.
     """
-    references = list(references)
-    by_id = {r.ref_id: r for r in references}
-    model_map = pyramid.model_map()
-
-    producers: dict[str, list[str]] = {n: [] for n in graph.nodes}
-    for e in graph.edges:
-        if e.status != DECLARED_UNMATCHED:
-            producers[e.consumer].append(e.producer)
-
-    def upstream_of_node(node: str) -> set[str]:
-        seen = {node}
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            for p in producers.get(cur, ()):
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        seen.discard(node)
-        return seen
-
+    producers = _data_producers(graph)
     out: list[VvLinkStat] = []
-    for ref in sorted(references, key=lambda r: r.ref_id):
-        if ref.side != "right":
-            continue
-        counterpart = by_id.get(ref.counterpart or "")
-        if counterpart is None:
-            continue
-        right_models = sorted(mid for mid, m in model_map.items() if ref.binds(m))
-        left_models = sorted(mid for mid, m in model_map.items() if counterpart.binds(m))
+    for _, _, right_models, left_models in _vv_pairs(pyramid, references):
         for rm in right_models:
             reach = {
-                node: upstream_of_node(node)
+                node: reachable(producers, [node])
                 for node in graph.nodes
                 if graph.model_id(node) == rm
             }
             for lm in left_models:
                 count = sum(
-                    1 for up in reach.values() for n in up if graph.model_id(n) == lm
+                    1
+                    for node, up in reach.items()
+                    for n in up
+                    if n != node and graph.model_id(n) == lm
                 )
                 out.append(VvLinkStat(rm, lm, count))
     return out

@@ -3,12 +3,12 @@ declared consumers, ordered in time, and traversed for impact."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownSeedError
 from .findings import Finding, finding, sort_findings
+from .graph import adjacency, bfs_layers, strongly_connected
 from .naming import canonical_key, compile_aliases
 from .timeline import Milestone, OffsetTable
 
@@ -42,17 +42,9 @@ class DependencyGraph:
         gq7 references) are read as model:node."""
         return self.model_of.get(node, node.split(":", 1)[0])
 
-    def consumers_of(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.producer].append(e.consumer)
-        return adj
-
-    def producers_of(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.consumer].append(e.producer)
-        return adj
+    def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """The consumers and the producers of every node, over every edge."""
+        return adjacency(self.nodes, ((e.producer, e.consumer) for e in self.edges))
 
 
 @dataclass
@@ -151,56 +143,6 @@ def cross_check_declared(graph: DependencyGraph) -> list[Finding]:
     return sort_findings(out)
 
 
-def _strongly_connected(graph: DependencyGraph) -> list[list[str]]:
-    """Tarjan's algorithm, iterative to survive deep graphs."""
-    adj = graph.consumers_of()
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-
-    for root in graph.nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(sorted(component))
-    return sccs
-
-
 def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
     """Producers must not occur after their consumers, and the graph must
     admit a time ordering at all (no cycles)."""
@@ -218,8 +160,9 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
                     f"producer at {p}d occurs after consumer at {c}d",
                 )
             )
-    for component in _strongly_connected(graph):
+    for component in strongly_connected(graph.adjacency()[0]):
         if len(component) > 1:
+            component.sort()
             out.append(
                 finding("CYCLE", component[0], "dependency cycle: " + " -> ".join(component))
             )
@@ -238,23 +181,6 @@ def _expand_seed(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> 
     raise UnknownSeedError(f"seed {seed!r} matches no milestone and no model")
 
 
-def _bfs_layers(adj: dict[str, list[str]], seeds: set[str]) -> list[str]:
-    """Nodes reachable from the seed set, ordered by BFS layer then id."""
-    seen = set(seeds)
-    frontier = sorted(seeds)
-    ordered: list[str] = []
-    while frontier:
-        nxt: set[str] = set()
-        for node in frontier:
-            for neighbor in adj.get(node, ()):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    nxt.add(neighbor)
-        frontier = sorted(nxt)
-        ordered.extend(frontier)
-    return ordered
-
-
 def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> ImpactSet:
     """Everything a change at the seed can touch, in both directions.
 
@@ -263,8 +189,9 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
     every touched milestone.
     """
     seeds = _expand_seed(graph, pyramid, seed)
-    downstream = [n for n in _bfs_layers(graph.consumers_of(), seeds) if n not in seeds]
-    upstream = [n for n in _bfs_layers(graph.producers_of(), seeds) if n not in seeds]
+    consumers, producers = graph.adjacency()
+    downstream = bfs_layers(consumers, seeds)
+    upstream = bfs_layers(producers, seeds)
 
     crossed: set[int] = set()
     if pyramid is not None:

@@ -4,30 +4,17 @@ Stages that walk one model's flows build its `FlowIndex` (node map,
 successor and predecessor lists) once and pass it to every walk; the
 index is dropped when the stage returns. Each walk builds adjacency over
 the nodes it may visit (an anchor's cone, an event's segment), never over
-the whole model.
+the whole model. Generic reachability and ordering come from `graph`; this
+module adds the node weights, anchors and segments of process flows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
+from .graph import adjacency, reachable, topological_order
 from .model import ANCHOR_BEFORE_SOP, ELAPSED, FlowNode, ProcessModel
-
-
-def successors(model: ProcessModel) -> dict[str, list[str]]:
-    adj: dict[str, list[str]] = {n.node_id: [] for n in model.nodes}
-    for src, dst in model.flows:
-        adj[src].append(dst)
-    return adj
-
-
-def predecessors(model: ProcessModel) -> dict[str, list[str]]:
-    pred: dict[str, list[str]] = {n.node_id: [] for n in model.nodes}
-    for src, dst in model.flows:
-        pred[dst].append(src)
-    return pred
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,20 +27,8 @@ class FlowIndex:
 
     @classmethod
     def of(cls, model: ProcessModel) -> FlowIndex:
-        return cls(model.node_map(), successors(model), predecessors(model))
-
-
-def reachable(adj: dict[str, list[str]], starts: Iterable[str]) -> set[str]:
-    """All nodes reachable from the start set, start set included."""
-    seen = set()
-    stack = [s for s in starts if s in adj]
-    while stack:
-        cur = stack.pop()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        stack.extend(adj[cur])
-    return seen
+        nodes = model.node_map()
+        return cls(nodes, *adjacency(nodes, model.flows))
 
 
 def node_weight(node: FlowNode) -> int:
@@ -80,47 +55,26 @@ def timer_covered_events(index: FlowIndex) -> set[str]:
     }
 
 
-def _reach_within(adj: dict[str, list[str]], start: str, allowed: set[str]) -> set[str]:
-    """Nodes reachable from start over adj without leaving allowed."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for v in adj[stack.pop()]:
-            if v in allowed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
 def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> bool:
     """Longest weighted paths over the flows inside members, in place.
 
-    Walks Kahn's order from the members without a predecessor among them,
-    sorted; each flow from a node with a distance offers that distance plus
-    the weight of the node it enters. False when a cycle inside members
-    stops the order.
+    Walks the members in topological order; each flow from a node with a
+    distance offers that distance plus the weight of the node it enters.
+    False when a cycle inside members stops the order.
     """
     nodes = index.nodes
     adj = {k: [v for v in index.succ[k] if v in members] for k in members}
-    indeg = dict.fromkeys(members, 0)
-    for vs in adj.values():
-        for v in vs:
-            indeg[v] += 1
-    queue = deque(sorted(n for n, d in indeg.items() if d == 0))
-    ordered = 0
-    while queue:
-        cur = queue.popleft()
-        ordered += 1
+    order = topological_order(adj)
+    if order is None:
+        return False
+    for cur in order:
         base = dist.get(cur)
-        for v in adj[cur]:
-            if base is not None:
+        if base is not None:
+            for v in adj[cur]:
                 cand = base + node_weight(nodes[v])
                 if cand > dist.get(v, cand - 1):
                     dist[v] = cand
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return ordered == len(members)
+    return True
 
 
 def _cone_longest_path(index: FlowIndex, src: str, dst: str, allowed: set[str]) -> int | None:
@@ -131,7 +85,7 @@ def _cone_longest_path(index: FlowIndex, src: str, dst: str, allowed: set[str]) 
     The source contributes no weight; every later node on the path does.
     None when a cycle lies inside the cone.
     """
-    cone = _reach_within(index.succ, src, allowed)
+    cone = reachable(index.succ, [src], allowed)
     dist = {src: 0}
     if not _longest_paths(index, cone, dist):
         return None
@@ -194,13 +148,13 @@ def segment_nodes(index: FlowIndex, event_id: str) -> set[str]:
     return seg
 
 
-def segment_duration(index: FlowIndex, event_id: str) -> int | None:
-    """Longest task-time path through the event's segment, in days.
+def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | None:
+    """Longest task-time path through the event's segment (as given by
+    segment_nodes), in days.
 
     None when the segment contains no task or a cycle makes the sum
     ill-defined.
     """
-    seg = segment_nodes(index, event_id)
     nodes = index.nodes
     if not any(nodes[n].kind == "task" for n in seg):
         return None

@@ -1,0 +1,125 @@
+"""Generic walks over directed graphs given as adjacency lists.
+
+A graph is a dict from every node to the list of its successors; each
+successor is itself a key. Every walk is iterative, so chains deeper than
+the recursion limit work.
+"""
+
+from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+from typing import Callable, Iterable
+
+
+def adjacency(
+    nodes: Iterable[str], pairs: Iterable[tuple[str, str]]
+) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Successor and predecessor lists of every node, in pair order."""
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
+    pred: dict[str, list[str]] = {n: [] for n in succ}
+    for src, dst in pairs:
+        succ[src].append(dst)
+        pred[dst].append(src)
+    return succ, pred
+
+
+def reachable(
+    adj: dict[str, list[str]], starts: Iterable[str], allowed: set[str] | None = None
+) -> set[str]:
+    """The start nodes plus every node reachable from them, never entering
+    a node outside allowed (when given)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen and (allowed is None or v in allowed):
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+def topological_order(
+    adj: dict[str, list[str]], key: Callable[[str], object] | None = None
+) -> list[str] | None:
+    """Kahn's order: of the nodes whose predecessors are all placed, the
+    one with the least key (by default the least node) comes next. None
+    when a cycle stops the order."""
+    indeg = dict.fromkeys(adj, 0)
+    for vs in adj.values():
+        for v in vs:
+            indeg[v] += 1
+    rank = key or str
+    heap = [(rank(n), n) for n, d in indeg.items() if d == 0]
+    heapify(heap)
+    order: list[str] = []
+    while heap:
+        cur = heappop(heap)[1]
+        order.append(cur)
+        for v in adj[cur]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                heappush(heap, (rank(v), v))
+    return order if len(order) == len(indeg) else None
+
+
+def bfs_layers(adj: dict[str, list[str]], seeds: Iterable[str]) -> list[str]:
+    """Nodes reachable from the seeds but not among them, ordered by BFS
+    layer, then by node within a layer."""
+    seen = set(seeds)
+    frontier = sorted(seen)
+    ordered: list[str] = []
+    while frontier:
+        nxt: set[str] = set()
+        for node in frontier:
+            for v in adj[node]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.add(v)
+        frontier = sorted(nxt)
+        ordered.extend(frontier)
+    return ordered
+
+
+def strongly_connected(adj: dict[str, list[str]]) -> list[list[str]]:
+    """Strongly connected components by Tarjan's algorithm, roots taken in
+    adj order; members in the order they leave the stack."""
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+
+    def enter(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+
+    for root in adj:
+        if root in index:
+            continue
+        enter(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if nxt not in index:
+                    enter(nxt)
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components

@@ -16,6 +16,7 @@ from . import flowgraph
 from .durations import Duration, parse_duration, parse_offset_days
 from .errors import ModelParseError
 from .findings import Finding, finding, sort_findings
+from .graph import reachable
 from .model import (
     ANCHOR_BEFORE_SOP,
     EVENT_KINDS,
@@ -43,6 +44,10 @@ _IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
 _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
 
 _LIST_KEYS = {"gq3", "gq5", "gq6", "gq7", "alignsWith"}
+
+# Most name sets (node inputs and outputs, gq lists) are empty; they share
+# this one instead of 216 bytes each.
+_NO_ITEMS: frozenset[str] = frozenset()
 
 
 def _local(tag: str) -> str:
@@ -265,10 +270,10 @@ def parse_model(xml_text: str, model_id: str) -> ProcessModel:
         ins, outs = raw_io[node.node_id]
         node.inputs = frozenset(
             r for r in (resolve_object(ref, node.node_id) for ref in sorted(ins)) if r
-        )
+        ) or _NO_ITEMS
         node.outputs = frozenset(
             r for r in (resolve_object(ref, node.node_id) for ref in sorted(outs)) if r
-        )
+        ) or _NO_ITEMS
 
     return ProcessModel(
         model_id=model_id,
@@ -363,7 +368,7 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
     out: list[Finding] = []
     flow = flowgraph.FlowIndex.of(model)
     start = next(n.node_id for n in model.nodes if n.kind == "start-event")
-    reached = flowgraph.reachable(flow.succ, [start])
+    reached = reachable(flow.succ, [start])
     for node in model.nodes:
         subject = f"{model.model_id}:{node.node_id}"
         if node.node_id not in reached:
@@ -398,11 +403,7 @@ _KIND_FOR_EVENT = {
 }
 
 
-_NO_ITEMS: frozenset[str] = frozenset()
-
-
 def _split_list(value: str) -> frozenset[str]:
-    # Most lists are empty; they share one set instead of 216 bytes each.
     return frozenset(item.strip() for item in value.split(",") if item.strip()) or _NO_ITEMS
 
 
@@ -417,8 +418,9 @@ def _parse_storage(value: str) -> dict[str, str]:
     return entries
 
 
-def _object_names(model: ProcessModel, object_ids: frozenset[str]) -> frozenset[str]:
-    objects = model.object_map()
+def _object_names(
+    model: ProcessModel, objects: dict[str, DataObject], object_ids: set[str]
+) -> frozenset[str]:
     names = set()
     for oid in object_ids:
         obj = objects.get(oid)
@@ -479,11 +481,11 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
 
         gq4 = _annotation(ext, "gq4", parse_duration, subject, findings)
         if gq4 is None:
-            days = flowgraph.segment_duration(flow, node.node_id)
+            days = flowgraph.segment_duration(flow, node.node_id, seg)
             gq4 = Duration(days) if days is not None else None
 
-        gq5 = _split_list(ext["gq5"]) if "gq5" in ext else _object_names(model, frozenset(seg_inputs))
-        gq6 = _split_list(ext["gq6"]) if "gq6" in ext else _object_names(model, frozenset(seg_outputs))
+        gq5 = _split_list(ext["gq5"]) if "gq5" in ext else _object_names(model, objects, seg_inputs)
+        gq6 = _split_list(ext["gq6"]) if "gq6" in ext else _object_names(model, objects, seg_outputs)
 
         storage: dict[str, str] = {}
         for oid in sorted(seg_inputs | seg_outputs):

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .durations import Duration
 from .errors import ManifestError
 from .findings import Finding, finding, sort_findings
+from .graph import adjacency, reachable
 from .model import ProcessModel
 
 
@@ -59,13 +59,17 @@ class Pyramid:
     root_model: str
     levels: dict[int, list[ProcessModel]] = field(default_factory=dict)
     vertical_links: list[VerticalLink] = field(default_factory=list)
-    documents: dict[str, list[DocumentRef]] = field(default_factory=dict)
 
     def model_map(self) -> dict[str, ProcessModel]:
         return {m.model_id: m for models in self.levels.values() for m in models}
 
     def level_map(self) -> dict[str, int]:
         return {m.model_id: lvl for lvl, models in self.levels.items() for m in models}
+
+    def children(self) -> dict[str, list[str]]:
+        """Every model's linked child models, in link order."""
+        links = ((link.parent_model, link.child_model) for link in self.vertical_links)
+        return adjacency(self.level_map(), links)[0]
 
     def depth(self) -> int:
         return max(self.levels) if self.levels else 0
@@ -217,7 +221,6 @@ def build_pyramid(
         raise ManifestError(f"root model {manifest.root_model!r} is missing from the bundle")
 
     levels: dict[int, list[ProcessModel]] = {}
-    documents: dict[str, list[DocumentRef]] = {}
     for entry in manifest.entries:
         model = model_map.get(entry.model_id)
         if model is None:
@@ -230,11 +233,10 @@ def build_pyramid(
             )
             continue
         levels.setdefault(entry.level, []).append(model)
-        documents[entry.model_id] = list(entry.documents)
     for level in levels:
         levels[level].sort(key=lambda m: m.model_id)
 
-    pyramid = Pyramid(root_model=manifest.root_model, levels=levels, documents=documents)
+    pyramid = Pyramid(root_model=manifest.root_model, levels=levels)
     return pyramid, sort_findings(out)
 
 
@@ -297,26 +299,15 @@ def check_connectivity(pyramid: Pyramid) -> tuple[list[Finding], int]:
     Returns the findings and the maximum connected depth (deepest level
     reachable from the root).
     """
-    children: dict[str, list[str]] = {}
-    for link in pyramid.vertical_links:
-        children.setdefault(link.parent_model, []).append(link.child_model)
-
-    seen = set()
-    queue = deque([pyramid.root_model])
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        queue.extend(children.get(cur, ()))
-
     level_of = pyramid.level_map()
+    roots = [pyramid.root_model] if pyramid.root_model in level_of else []
+    seen = reachable(pyramid.children(), roots)
     out = [
         finding("DISCONNECTED", model_id, f"model at level {level_of[model_id]} is not reachable from the root")
         for model_id in sorted(level_of)
         if model_id not in seen
     ]
-    depth = max((level_of[m] for m in seen if m in level_of), default=0)
+    depth = max((level_of[m] for m in seen), default=0)
     return sort_findings(out), depth
 
 
@@ -329,9 +320,7 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
     """
     model_map = pyramid.model_map()
     level_of = pyramid.level_map()
-    children: dict[str, list[str]] = {}
-    for link in pyramid.vertical_links:
-        children.setdefault(link.parent_model, []).append(link.child_model)
+    children = pyramid.children()
 
     order: list[str] = []
     seen: set[str] = set()
@@ -344,7 +333,7 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
             continue
         seen.add(model_id)
         order.append(model_id)
-        stack.extend(sorted(set(children.get(model_id, ())), reverse=True))
+        stack.extend(sorted(set(children[model_id]), reverse=True))
     for model_id in sorted(model_map, key=lambda m: (level_of[m], m)):
         if model_id not in seen:
             seen.add(model_id)

@@ -57,6 +57,21 @@ def closure_floyd_warshall(nodes, edges):
     return {(a, b) for a, b in reach if a != b}
 
 
+def priority_topological_order(nodes, edges):
+    """Topological order that always places, of the unplaced nodes with no
+    edge from an unplaced node, the one listed first in nodes. Rescans every
+    edge for every node placed. None when a cycle leaves nodes unplaced."""
+    pending = list(nodes)
+    order = []
+    while pending:
+        ready = [n for n in pending if not any(b == n and a in pending for a, b in edges)]
+        if not ready:
+            return None
+        order.append(ready[0])
+        pending.remove(ready[0])
+    return order
+
+
 def lcs_exhaustive(a, b):
     """Longest common subsequence by trying subsequences of a, longest first."""
 

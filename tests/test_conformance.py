@@ -228,6 +228,26 @@ class TestDiff:
         assert len(steps.matched) + len(steps.missing) == len(ref)
         assert steps.match_ratio == len(steps.matched) / len(ref)
 
+    @given(st.data())
+    def test_steps_follow_flows_then_document_order(self, data):
+        size = data.draw(st.integers(min_value=1, max_value=7), label="size")
+        flow_rank = data.draw(st.permutations(range(size)), label="flow rank")
+        ids = data.draw(st.permutations([f"n{i}" for i in range(size)]), label="document order")
+        edges = [
+            (a, b)
+            for a in ids
+            for b in ids
+            if flow_rank[ids.index(a)] < flow_rank[ids.index(b)]
+            and data.draw(st.booleans(), label=f"{a}->{b}")
+        ]
+        if edges and data.draw(st.booleans(), label="back edge"):
+            edges.append(edges[0][::-1])
+        kinds = {n: data.draw(st.sampled_from(["task", "exclusive-gateway"]), label=n) for n in ids}
+        model = chain_model("m", [node(n, kinds[n], days=1) for n in ids], flows=edges)
+        report = diff(model, [], ReferenceProcess("r", "r", steps=["none of these"]))
+        order = oracles.priority_topological_order(ids, edges) or ids
+        assert report.aspects["steps"].extra == [n for n in order if kinds[n] == "task"]
+
     @pytest.mark.parametrize(
         ("ref", "act"),
         [
@@ -333,6 +353,25 @@ class TestIterationCounts:
         pyramid, graph, _ = vv_setup([])
         refs = [ReferenceProcess("design", "design", side="left", steps=["x"], binding_model="lm")]
         assert vv_iterations(pyramid, graph, refs) == []
+
+    @given(st.data())
+    def test_counts_and_links_match_closure(self, data):
+        ids = ["lm:a", "lm:b", "other:x", "rm:b", "rm:c"]
+        edges = []
+        for p in ids:
+            for c in ids:
+                if p != c and data.draw(st.booleans(), label=f"{p}->{c}"):
+                    status = data.draw(
+                        st.sampled_from([INFERRED_UNDECLARED, DECLARED_UNMATCHED]), label="status"
+                    )
+                    edges.append(DependencyEdge(p, c, frozenset({"x"}), status))
+        pyramid, graph, refs = vv_setup(edges)
+        carried = [(e.producer, e.consumer) for e in edges if e.status != DECLARED_UNMATCHED]
+        closure = oracles.closure_floyd_warshall(graph.nodes, carried)
+        count = sum(1 for a, b in closure if a.startswith("lm:") and b.startswith("rm:"))
+        assert vv_iterations(pyramid, graph, refs) == [VvLinkStat("rm", "lm", count)]
+        findings = check_vv_links(pyramid, graph, refs)
+        assert [f.code for f in findings] == ([] if count else ["VV-UNLINKED"])
 
 
 class TestRetention:

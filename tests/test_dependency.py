@@ -186,6 +186,37 @@ class TestTemporal:
         assert len(cycles) == 1
         assert "m:a" in cycles[0].message and "m:d" not in cycles[0].message
 
+    @given(st.data())
+    def test_cycles_match_mutual_reachability(self, data):
+        size = data.draw(st.integers(min_value=1, max_value=6), label="size")
+        ids = [f"m:e{i}" for i in range(size)]
+        edges = [(a, b) for a in ids for b in ids if data.draw(st.booleans(), label=f"{a}->{b}")]
+        graph = DependencyGraph(
+            nodes=ids,
+            edges=[DependencyEdge(a, b, frozenset({"x"}), INFERRED_UNDECLARED) for a, b in edges],
+        )
+        closure = oracles.closure_floyd_warshall(ids, edges)
+        expected = set()
+        for a in ids:
+            component = sorted({a} | {b for b in ids if (a, b) in closure and (b, a) in closure})
+            if len(component) > 1:
+                expected.add((component[0], "dependency cycle: " + " -> ".join(component)))
+        findings = check_temporal(graph, OffsetTable(offsets=dict.fromkeys(ids, 0)))
+        found = [(f.subject, f.message) for f in findings if f.code == "CYCLE"]
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+
+def layer_order(seed, edges):
+    """Nodes other than seed that it reaches, by fewest edges from seed, then
+    by id; distances by relaxing every edge once per node."""
+    hops = {seed: 0}
+    for _ in range(len(edges)):
+        for a, b in edges:
+            if a in hops and hops[a] + 1 < hops.get(b, len(edges) + 1):
+                hops[b] = hops[a] + 1
+    return sorted((n for n in hops if n != seed), key=lambda n: (hops[n], n))
+
 
 def diamond_graph():
     ms = [
@@ -239,6 +270,8 @@ class TestImpact:
         result = impact(graph, None, seed)
         assert set(result.downstream) == {b for a, b in closure if a == seed} - {seed}
         assert set(result.upstream) == {a for a, b in closure if b == seed} - {seed}
+        assert result.downstream == layer_order(seed, edges)
+        assert result.upstream == layer_order(seed, [(b, a) for a, b in edges])
 
 
 class TestRedundant:

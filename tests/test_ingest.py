@@ -15,6 +15,7 @@ from procpyramid import (
     parse_model,
     serialize_model,
 )
+from procpyramid.ingest import _NO_ITEMS
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
 PRODUCT_XML = (FIXTURES / "parkpilot" / "product-process.bpmn").read_text(encoding="utf-8")
@@ -95,6 +96,12 @@ class TestParse:
         model = parse_model(wrap(body), "m")
         assert [f.code for f in model.parse_findings] == ["UNRESOLVED-DATA-REF"]
         assert model.node_map()["t"].inputs == frozenset()
+
+    def test_empty_inputs_and_outputs_share_one_set(self):
+        model = parse_model(PRODUCT_XML, "product")
+        empty = [s for n in model.nodes for s in (n.inputs, n.outputs) if not s]
+        assert empty
+        assert all(s is _NO_ITEMS for s in empty)
 
     def test_unsupported_elements_are_reported_not_fatal(self):
         model = parse_model(wrap('<subProcess id="sub"/>' + MINIMAL), "m")

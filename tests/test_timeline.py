@@ -14,7 +14,7 @@ from procpyramid import (
     reconcile_declared,
     resolve_offsets,
 )
-from procpyramid.flowgraph import FlowIndex, anchor_candidates, segment_duration
+from procpyramid.flowgraph import FlowIndex, anchor_candidates, segment_duration, segment_nodes
 
 
 def one_model_pyramid(model):
@@ -413,4 +413,5 @@ def test_flow_index_walks_match_per_event_cones(model):
         expected = oracles.anchor_candidates_by_cones(model, event.node_id)
         assert anchor_candidates(index, event.node_id) == expected
         expected_days = oracles.segment_duration_by_scan(model, event.node_id)
-        assert segment_duration(index, event.node_id) == expected_days
+        segment = segment_nodes(index, event.node_id)
+        assert segment_duration(index, event.node_id, segment) == expected_days
