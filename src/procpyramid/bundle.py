@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ModelParseError
+from .errors import ManifestError, ModelParseError, PyramidError
 from .findings import Finding, finding, merge_findings
 from .ingest import extract_milestones, parse_model
 from .model import ProcessModel
@@ -36,6 +36,14 @@ class Bundle:
             ms.milestone_id: ms.name if counts[ms.name] == 1 else ms.milestone_id
             for ms in self.milestones
         }
+
+
+def read_utf8(path: Path, error: type[PyramidError]) -> str:
+    """The text of a UTF-8 JSON input file; any other bytes raise `error`."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path.name} is not UTF-8 text ({exc})") from None
 
 
 def resolve_references(milestones: list[Milestone]) -> list[Milestone]:
@@ -86,11 +94,12 @@ def collect_milestones(models: dict[str, ProcessModel]) -> tuple[list[Milestone]
 def load_bundle(manifest_path: str | Path) -> Bundle:
     """Read the manifest, parse every listed model, and assemble the pyramid.
 
-    Individual model files that fail to parse degrade to findings; a missing
-    or unreadable root model stays fatal.
+    Model files are read as bytes, so each one's XML encoding declaration is
+    honoured. Individual model files that fail to parse degrade to findings;
+    a missing or unreadable root model stays fatal.
     """
     manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path.read_text(encoding="utf-8"))
+    manifest = load_manifest(read_utf8(manifest_path, ManifestError))
     base = manifest_path.parent
 
     models: dict[str, ProcessModel] = {}
@@ -98,7 +107,7 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
     for entry in manifest.entries:
         path = base / entry.file
         try:
-            models[entry.model_id] = parse_model(path.read_text(encoding="utf-8"), entry.model_id)
+            models[entry.model_id] = parse_model(path.read_bytes(), entry.model_id)
         except OSError as exc:
             load_findings.append(
                 finding("MODEL-PARSE-ERROR", entry.model_id, f"cannot read {entry.file!r}: {exc}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -100,11 +101,16 @@ def load_reference(text: str) -> list[ReferenceProcess]:
         if not steps:
             raise _template_error(hint, "EMPTY-STEPS: a reference process needs at least one step")
         counterpart = item.get("counterpart")
+        if counterpart is not None and not isinstance(counterpart, str):
+            raise _template_error(hint, "counterpart must be a template id")
         if side == "right" and not counterpart:
             raise _template_error(hint, "right-side template must name its left counterpart")
         binding = item.get("binding", {})
         if not isinstance(binding, dict):
             raise _template_error(hint, "binding must be an object")
+        for key in ("modelId", "namePattern"):
+            if binding.get(key) is not None and not isinstance(binding[key], str):
+                raise _template_error(hint, f"binding.{key} must be a string")
 
         def str_set(key: str) -> frozenset[str]:
             values = item.get(key, [])
@@ -126,8 +132,7 @@ def load_reference(text: str) -> list[ReferenceProcess]:
                 binding_pattern=binding.get("namePattern"),
             )
         )
-    ids = [t.ref_id for t in templates]
-    dupes = sorted({x for x in ids if ids.count(x) > 1})
+    dupes = sorted(x for x, n in Counter(t.ref_id for t in templates).items() if n > 1)
     if dupes:
         raise TemplateError(f"duplicate template ids: {', '.join(dupes)}")
     validate_counterparts(templates, partial=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import xml.etree.ElementTree as ET
+from functools import lru_cache
 from xml.sax.saxutils import escape, quoteattr
 
 from . import flowgraph
@@ -43,29 +44,27 @@ _TAG_FOR_KIND = {v: k for k, v in _NODE_TAGS.items()}
 _IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
 _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
 
-_LIST_KEYS = {"gq3", "gq5", "gq6", "gq7", "alignsWith"}
-
 # Most name sets (node inputs and outputs, gq lists) are empty; they share
 # this one instead of 216 bytes each.
 _NO_ITEMS: frozenset[str] = frozenset()
 
 
-def _local(tag: str) -> str:
-    return tag.rsplit("}", 1)[-1]
+@lru_cache(maxsize=1024)
+def _tag(tag: str) -> tuple[str, bool]:
+    """The local name of an element tag, and whether the element is harmless
+    noise: an ignored tag, or one in a diagram-interchange namespace.
+
+    Every element is looked up here, so the string work runs once per
+    distinct tag instead of once per element.
+    """
+    local = tag.rsplit("}", 1)[-1]
+    prefix = tag[1:].split("}", 1)[0].rsplit("/", 1)[-1].lower() if tag.startswith("{") else ""
+    return local, local in _IGNORED_TAGS or any(part in prefix for part in _IGNORED_NS)
 
 
-def _ns_prefix(tag: str) -> str:
-    if tag.startswith("{"):
-        ns = tag[1:].split("}", 1)[0]
-        return ns.rsplit("/", 1)[-1].lower()
-    return ""
-
-
-def _is_ignorable(elem: ET.Element) -> bool:
-    if _local(elem.tag) in _IGNORED_TAGS:
-        return True
-    prefix = _ns_prefix(elem.tag)
-    return any(part in prefix for part in _IGNORED_NS)
+# A bundle repeats a handful of duration strings across thousands of nodes
+# and timers; `Duration` is frozen, so each string is parsed once and shared.
+_duration = lru_cache(maxsize=1024)(parse_duration)
 
 
 def _fail(model_id: str, message: str) -> None:
@@ -89,20 +88,19 @@ def _parse_timer(elem: ET.Element, model_id: str, node_id: str) -> TimerDef:
     mode = elem.get("mode", ANCHOR_BEFORE_SOP)
     text = None
     for child in elem:
-        if _local(child.tag) == "timeDuration":
+        if _tag(child.tag)[0] == "timeDuration":
             text = (child.text or "").strip()
     if not text:
         _fail(model_id, f"timer on node {node_id!r} has no timeDuration")
     try:
-        amount = parse_duration(text)
-        return TimerDef(amount=amount, mode=mode)
+        return TimerDef(amount=_duration(text), mode=mode)
     except ValueError as exc:
         _fail(model_id, f"timer on node {node_id!r}: {exc}")
 
 
 def _assoc_ref(elem: ET.Element, ref_tag: str) -> str | None:
     for child in elem:
-        if _local(child.tag) == ref_tag:
+        if _tag(child.tag)[0] == ref_tag:
             text = (child.text or "").strip()
             if text:
                 return text
@@ -110,21 +108,33 @@ def _assoc_ref(elem: ET.Element, ref_tag: str) -> str | None:
     return attr.strip() if attr else None
 
 
-def parse_model(xml_text: str, model_id: str) -> ProcessModel:
-    """Parse one process diagram from BPMN XML.
+def _processes(root: ET.Element) -> list[ET.Element]:
+    """The root if it is a `process`, else every `process` element below it
+    in document order. Only the tree's distinct tags are looked up."""
+    if _tag(root.tag)[0] == "process":
+        return [root]
+    tags = {tag for tag in {el.tag for el in root.iter()} if _tag(tag)[0] == "process"}
+    return [el for el in root.iter() if el.tag in tags]
 
-    Structural defects (malformed XML, duplicate ids, dangling flows,
-    missing start or end events) raise ModelParseError; everything else
-    degrades to findings attached to the model.
+
+def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
+    """Parse one process diagram from BPMN XML, given as text or as the
+    file's bytes; bytes are decoded as their XML declaration says.
+
+    Structural defects (malformed or undecodable XML, duplicate ids,
+    dangling flows, missing start or end events) raise ModelParseError;
+    everything else degrades to findings attached to the model.
     """
     try:
-        root = ET.fromstring(xml_text)
+        root = ET.fromstring(source)
     except ET.ParseError as exc:
         _fail(model_id, f"not well-formed XML ({exc})")
+    except (LookupError, ValueError) as exc:
+        # An encoding the declaration names but expat cannot use: unknown,
+        # multi-byte, or failing to decode.
+        _fail(model_id, f"cannot decode XML ({type(exc).__name__}: {exc})")
 
-    processes = [root] if _local(root.tag) == "process" else [
-        el for el in root.iter() if _local(el.tag) == "process"
-    ]
+    processes = _processes(root)
     if not processes:
         _fail(model_id, "no process element found")
     info: list[Finding] = []
@@ -142,16 +152,17 @@ def parse_model(xml_text: str, model_id: str) -> ProcessModel:
     process_ext: dict[str, str] = {}
     raw_io: dict[str, tuple[set[str], set[str]]] = {}
 
-    def parse_node(elem: ET.Element, kind: str) -> None:
+    def parse_node(elem: ET.Element, node_tag: str) -> None:
+        kind = _NODE_TAGS[node_tag]
         node_id = elem.get("id")
         if not node_id:
-            _fail(model_id, f"{_local(elem.tag)} element without id")
+            _fail(model_id, f"{node_tag} element without id")
         timer = None
         extensions: dict[str, str] = {}
         ins: set[str] = set()
         outs: set[str] = set()
         for child in elem:
-            tag = _local(child.tag)
+            tag, ignorable = _tag(child.tag)
             if tag == "extensionElements":
                 extensions.update(_parse_extensions(child))
             elif tag == "timerEventDefinition":
@@ -166,16 +177,14 @@ def parse_model(xml_text: str, model_id: str) -> ProcessModel:
                 ref = _assoc_ref(child, "targetRef")
                 if ref:
                     outs.add(ref)
-            elif _is_ignorable(child):
-                continue
-            else:
+            elif not ignorable:
                 info.append(
                     finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
                 )
         duration = None
         if "duration" in extensions:
             try:
-                duration = parse_duration(extensions["duration"])
+                duration = _duration(extensions["duration"])
             except ValueError as exc:
                 _fail(model_id, f"node {node_id!r}: {exc}")
         if kind == "call-activity":
@@ -193,21 +202,21 @@ def parse_model(xml_text: str, model_id: str) -> ProcessModel:
         raw_io[node_id] = (ins, outs)
 
     for elem in process:
-        tag = _local(elem.tag)
+        tag, ignorable = _tag(elem.tag)
         if tag in _NODE_TAGS:
-            parse_node(elem, _NODE_TAGS[tag])
+            parse_node(elem, tag)
         elif tag == "sequenceFlow":
             flow_id = elem.get("id", f"flow{len(flows)}")
             src, dst = elem.get("sourceRef", ""), elem.get("targetRef", "")
             flows.append((flow_id, src, dst))
         elif tag == "laneSet":
             for lane_el in elem:
-                if _local(lane_el.tag) != "lane":
+                if _tag(lane_el.tag)[0] != "lane":
                     continue
                 members = frozenset(
                     (ref.text or "").strip()
                     for ref in lane_el
-                    if _local(ref.tag) == "flowNodeRef" and (ref.text or "").strip()
+                    if _tag(ref.tag)[0] == "flowNodeRef" and (ref.text or "").strip()
                 )
                 lanes.append(
                     Lane(
@@ -230,9 +239,7 @@ def parse_model(xml_text: str, model_id: str) -> ProcessModel:
                 object_refs[ref_id] = target
         elif tag == "extensionElements":
             process_ext.update(_parse_extensions(elem))
-        elif _is_ignorable(elem):
-            continue
-        else:
+        elif not ignorable:
             info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
     seen_ids: set[str] = set()
@@ -479,7 +486,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             seg_inputs.update(node_map[nid].inputs)
             seg_outputs.update(node_map[nid].outputs)
 
-        gq4 = _annotation(ext, "gq4", parse_duration, subject, findings)
+        gq4 = _annotation(ext, "gq4", _duration, subject, findings)
         if gq4 is None:
             days = flowgraph.segment_duration(flow, node.node_id, seg)
             gq4 = Duration(days) if days is not None else None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -133,8 +134,7 @@ def load_manifest(text: str) -> Manifest:
             )
         )
 
-    ids = [e.model_id for e in entries]
-    dupes = sorted({i for i in ids if ids.count(i) > 1})
+    dupes = sorted(i for i, n in Counter(e.model_id for e in entries).items() if n > 1)
     if dupes:
         raise _field_error("models", f"duplicate model ids: {', '.join(dupes)}", "DUPLICATE-MODEL")
 

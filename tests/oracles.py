@@ -5,8 +5,22 @@ Floyd-Warshall, linear scans. Keep these independent of the package
 internals so a bug cannot hide in both places at once.
 """
 
+import xml.etree.ElementTree as ET
 from collections import deque
 from itertools import combinations
+
+from procpyramid.durations import parse_duration
+from procpyramid.errors import ModelParseError
+from procpyramid.findings import Finding, finding, sort_findings
+from procpyramid.model import (
+    ANCHOR_BEFORE_SOP,
+    EVENT_KINDS,
+    DataObject,
+    FlowNode,
+    Lane,
+    ProcessModel,
+    TimerDef,
+)
 
 
 def reachable_from(start, adjacency):
@@ -337,3 +351,264 @@ def segment_duration_by_scan(model, event_id):
     if len(order) != len(seg):
         return None
     return dist.get(event_id, 0)
+
+
+# The tree-walk BPMN parser as it stood before ingest moved to bytes and one
+# memoized tag lookup: `_local`, `_ns_prefix` and `_is_ignorable` run per
+# element. Kept verbatim as the reference for `ingest.parse_model`.
+
+_NODE_TAGS = {
+    "startEvent": "start-event",
+    "intermediateCatchEvent": "intermediate-event",
+    "endEvent": "end-event",
+    "task": "task",
+    "callActivity": "call-activity",
+    "exclusiveGateway": "exclusive-gateway",
+    "parallelGateway": "parallel-gateway",
+}
+
+# Harmless structural noise present in real exports; skipped without comment.
+_IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
+_IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
+
+# Most name sets (node inputs and outputs, gq lists) are empty; they share
+# this one instead of 216 bytes each.
+_NO_ITEMS: frozenset[str] = frozenset()
+
+
+def _local(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def _ns_prefix(tag: str) -> str:
+    if tag.startswith("{"):
+        ns = tag[1:].split("}", 1)[0]
+        return ns.rsplit("/", 1)[-1].lower()
+    return ""
+
+
+def _is_ignorable(elem: ET.Element) -> bool:
+    if _local(elem.tag) in _IGNORED_TAGS:
+        return True
+    prefix = _ns_prefix(elem.tag)
+    return any(part in prefix for part in _IGNORED_NS)
+
+
+def _fail(model_id: str, message: str) -> None:
+    raise ModelParseError(f"model {model_id!r}: {message}")
+
+
+def _parse_extensions(elem: ET.Element) -> dict[str, str]:
+    entries: dict[str, str] = {}
+    for child in elem:
+        key = child.get("key")
+        if key is None:
+            continue
+        value = child.get("value")
+        if value is None:
+            value = (child.text or "").strip()
+        entries[key] = value
+    return entries
+
+
+def _parse_timer(elem: ET.Element, model_id: str, node_id: str) -> TimerDef:
+    mode = elem.get("mode", ANCHOR_BEFORE_SOP)
+    text = None
+    for child in elem:
+        if _local(child.tag) == "timeDuration":
+            text = (child.text or "").strip()
+    if not text:
+        _fail(model_id, f"timer on node {node_id!r} has no timeDuration")
+    try:
+        amount = parse_duration(text)
+        return TimerDef(amount=amount, mode=mode)
+    except ValueError as exc:
+        _fail(model_id, f"timer on node {node_id!r}: {exc}")
+
+
+def _assoc_ref(elem: ET.Element, ref_tag: str) -> str | None:
+    for child in elem:
+        if _local(child.tag) == ref_tag:
+            text = (child.text or "").strip()
+            if text:
+                return text
+    attr = elem.get(ref_tag)
+    return attr.strip() if attr else None
+
+
+def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
+    """Parse one process diagram from BPMN XML.
+
+    Structural defects (malformed XML, duplicate ids, dangling flows,
+    missing start or end events) raise ModelParseError; everything else
+    degrades to findings attached to the model.
+    """
+    try:
+        root = ET.fromstring(xml_text)
+    except ET.ParseError as exc:
+        _fail(model_id, f"not well-formed XML ({exc})")
+
+    processes = [root] if _local(root.tag) == "process" else [
+        el for el in root.iter() if _local(el.tag) == "process"
+    ]
+    if not processes:
+        _fail(model_id, "no process element found")
+    info: list[Finding] = []
+    if len(processes) > 1:
+        extra = ", ".join(p.get("id", "?") for p in processes[1:])
+        info.append(finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
+    process = processes[0]
+
+    nodes: list[FlowNode] = []
+    flows: list[tuple[str, str, str]] = []
+    lanes: list[Lane] = []
+    data_objects: list[DataObject] = []
+    object_refs: dict[str, str] = {}
+    call_targets: dict[str, str] = {}
+    process_ext: dict[str, str] = {}
+    raw_io: dict[str, tuple[set[str], set[str]]] = {}
+
+    def parse_node(elem: ET.Element, kind: str) -> None:
+        node_id = elem.get("id")
+        if not node_id:
+            _fail(model_id, f"{_local(elem.tag)} element without id")
+        timer = None
+        extensions: dict[str, str] = {}
+        ins: set[str] = set()
+        outs: set[str] = set()
+        for child in elem:
+            tag = _local(child.tag)
+            if tag == "extensionElements":
+                extensions.update(_parse_extensions(child))
+            elif tag == "timerEventDefinition":
+                if kind not in EVENT_KINDS:
+                    _fail(model_id, f"timer on non-event node {node_id!r}")
+                timer = _parse_timer(child, model_id, node_id)
+            elif tag == "dataInputAssociation":
+                ref = _assoc_ref(child, "sourceRef")
+                if ref:
+                    ins.add(ref)
+            elif tag == "dataOutputAssociation":
+                ref = _assoc_ref(child, "targetRef")
+                if ref:
+                    outs.add(ref)
+            elif _is_ignorable(child):
+                continue
+            else:
+                info.append(
+                    finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
+                )
+        duration = None
+        if "duration" in extensions:
+            try:
+                duration = parse_duration(extensions["duration"])
+            except ValueError as exc:
+                _fail(model_id, f"node {node_id!r}: {exc}")
+        if kind == "call-activity":
+            call_targets[node_id] = (elem.get("calledElement") or "").strip()
+        nodes.append(
+            FlowNode(
+                node_id=node_id,
+                kind=kind,
+                name=elem.get("name", ""),
+                duration=duration,
+                timer=timer,
+                extensions=extensions,
+            )
+        )
+        raw_io[node_id] = (ins, outs)
+
+    for elem in process:
+        tag = _local(elem.tag)
+        if tag in _NODE_TAGS:
+            parse_node(elem, _NODE_TAGS[tag])
+        elif tag == "sequenceFlow":
+            flow_id = elem.get("id", f"flow{len(flows)}")
+            src, dst = elem.get("sourceRef", ""), elem.get("targetRef", "")
+            flows.append((flow_id, src, dst))
+        elif tag == "laneSet":
+            for lane_el in elem:
+                if _local(lane_el.tag) != "lane":
+                    continue
+                members = frozenset(
+                    (ref.text or "").strip()
+                    for ref in lane_el
+                    if _local(ref.tag) == "flowNodeRef" and (ref.text or "").strip()
+                )
+                lanes.append(
+                    Lane(
+                        lane_id=lane_el.get("id", f"lane{len(lanes)}"),
+                        role_name=lane_el.get("name", ""),
+                        member_nodes=members,
+                    )
+                )
+        elif tag == "dataObject":
+            data_objects.append(
+                DataObject(
+                    object_id=elem.get("id", ""),
+                    name=elem.get("name", ""),
+                    storage_ref=elem.get("storageRef"),
+                )
+            )
+        elif tag == "dataObjectReference":
+            ref_id, target = elem.get("id"), elem.get("dataObjectRef")
+            if ref_id and target:
+                object_refs[ref_id] = target
+        elif tag == "extensionElements":
+            process_ext.update(_parse_extensions(elem))
+        elif _is_ignorable(elem):
+            continue
+        else:
+            info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
+
+    seen_ids: set[str] = set()
+    for node in nodes:
+        if node.node_id in seen_ids:
+            _fail(model_id, f"duplicate node id {node.node_id!r}")
+        seen_ids.add(node.node_id)
+    for flow_id, src, dst in flows:
+        for end in (src, dst):
+            if end not in seen_ids:
+                _fail(model_id, f"flow {flow_id!r} references unknown node {end!r}")
+
+    starts = [n for n in nodes if n.kind == "start-event"]
+    if len(starts) != 1:
+        _fail(model_id, f"expected exactly one start event, found {len(starts)}")
+    if not any(n.kind == "end-event" for n in nodes):
+        _fail(model_id, "no end event")
+
+    known_objects = {d.object_id for d in data_objects}
+
+    def resolve_object(ref: str, node_id: str) -> str | None:
+        target = object_refs.get(ref, ref)
+        if target in known_objects:
+            return target
+        info.append(
+            finding(
+                "UNRESOLVED-DATA-REF",
+                f"{model_id}:{node_id}",
+                f"data association references unknown object {ref!r}",
+            )
+        )
+        return None
+
+    for node in nodes:
+        ins, outs = raw_io[node.node_id]
+        node.inputs = frozenset(
+            r for r in (resolve_object(ref, node.node_id) for ref in sorted(ins)) if r
+        ) or _NO_ITEMS
+        node.outputs = frozenset(
+            r for r in (resolve_object(ref, node.node_id) for ref in sorted(outs)) if r
+        ) or _NO_ITEMS
+
+    return ProcessModel(
+        model_id=model_id,
+        name=process.get("name", ""),
+        nodes=nodes,
+        flows=[(src, dst) for _, src, dst in flows],
+        lanes=lanes,
+        data_objects=data_objects,
+        call_targets=call_targets,
+        extensions=process_ext,
+        parse_findings=sort_findings(info),
+    )

@@ -1,3 +1,4 @@
+import gc
 import json
 import shutil
 from collections import Counter
@@ -342,6 +343,71 @@ class TestFatalPaths:
         captured = capsys.readouterr()
         assert captured.err == "fatal [FATAL]: RuntimeError: stage blew up\n"
         assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        ("old", "new"),
+        [
+            (b'"namePattern": "*park pilot*"', b'"namePattern": 7'),
+            (b'"counterpart": "component-design"', b'"counterpart": ["component-design"]'),
+        ],
+        ids=["namePattern", "counterpart"],
+    )
+    def test_mistyped_template_field_is_a_template_fatal(self, capsys, tmp_path, old, new):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        template = tmp_path / "refs" / "vmodel.json"
+        assert old in template.read_bytes()
+        template.write_bytes(template.read_bytes().replace(old, new))
+        assert cli.run(["conform", str(tmp_path / "manifest.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("fatal [TEMPLATE]: reference template component-")
+        assert captured.out == ""
+
+
+class TestCyclicGcPause:
+    """The collector is off while one command runs and restored after it,
+    whatever its state before and however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def gc_before(self, request):
+        saved = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if saved else gc.disable)()
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        states = []
+        load = cli.load_bundle
+
+        def recording(*args, **kwargs):
+            states.append(gc.isenabled())
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_bundle", recording)
+        return states
+
+    def test_success(self, capsys, gc_before, seen):
+        assert cli.run(["validate", str(FIG7_MANIFEST)]) == 0
+        assert (gc.isenabled(), seen) == (gc_before, [False])
+
+    def test_pyramid_error(self, capsys, gc_before, seen):
+        assert cli.run(["impact", str(FIG7_MANIFEST), "--seed", "nowhere"]) == 2
+        assert "fatal [UNKNOWN-SEED]" in capsys.readouterr().err
+        assert (gc.isenabled(), seen) == (gc_before, [False])
+
+    def test_unexpected_exception(self, capsys, monkeypatch, gc_before, seen):
+        def broken(*args, **kwargs):
+            raise RuntimeError("stage blew up")
+
+        monkeypatch.setattr(cli, "resolve_offsets", broken)
+        assert cli.run(["timeline", str(FIG7_MANIFEST)]) == 2
+        assert "fatal [FATAL]: RuntimeError" in capsys.readouterr().err
+        assert (gc.isenabled(), seen) == (gc_before, [False])
+
+    def test_usage_error_leaves_the_collector_alone(self, capsys, gc_before):
+        assert cli.run(["validate"]) == 2
+        assert gc.isenabled() is gc_before
 
 
 class TestStagesRunOnce:

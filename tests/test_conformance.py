@@ -65,6 +65,10 @@ class TestLoad:
             (json.dumps(template(steps=[])), "EMPTY-STEPS"),
             (json.dumps(template(side="right")), "must name its left counterpart"),
             (json.dumps(template(binding=7)), "binding must be an object"),
+            (json.dumps(template(binding={"namePattern": 7})), "binding.namePattern must be a string"),
+            (json.dumps(template(binding={"modelId": ["m"]})), "binding.modelId must be a string"),
+            (json.dumps(template(side="right", counterpart=["a"])), "counterpart must be a template id"),
+            (json.dumps(template(counterpart=3)), "counterpart must be a template id"),
             (json.dumps(template(roles="crew")), "roles must be a list"),
             (json.dumps([template(), template()]), "duplicate template ids"),
             (
@@ -81,6 +85,11 @@ class TestLoad:
     def test_rejects(self, data, fragment):
         with pytest.raises(TemplateError, match=fragment):
             load_reference(data)
+
+    def test_duplicate_ids_are_listed_once_in_sorted_order(self):
+        ids = ["b", "a", "c", "b", "a", "b"]
+        with pytest.raises(TemplateError, match=r"duplicate template ids: a, b$"):
+            load_reference(json.dumps([template(id=i) for i in ids]))
 
     def test_counterpart_missing_from_file_is_tolerated(self):
         (ref,) = load_reference(json.dumps(template(side="right", counterpart="elsewhere")))

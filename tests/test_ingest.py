@@ -1,9 +1,11 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from conftest import FIXTURES, anchor, chain_model, node
 from procpyramid import (
     DataObject,
@@ -400,3 +402,135 @@ def test_analysis_ignores_element_order(model, rng):
     right, _ = extract_milestones(reparsed)
     key = lambda ms: ms.milestone_id
     assert sorted(left, key=key) == sorted(right, key=key)
+
+
+# Variants that the serializer never emits, applied to a serialized model on
+# its way into both parsers. Each maps document text to document text.
+BPMN_NS = "http://www.omg.org/spec/BPMN/20100524/MODEL"
+DI_NOISE = (
+    '<bpmndi:BPMNShape xmlns:bpmndi="http://www.omg.org/spec/BPMN/20100524/DI" id="shape">'
+    '<di:waypoint xmlns:di="http://www.omg.org/spec/DD/20100524/DI" x="1" y="2"/>'
+    "</bpmndi:BPMNShape>"
+)
+
+
+def _into_process(text: str, extra: str) -> str:
+    return text.replace("  </process>", f"    {extra}\n  </process>")
+
+
+def _into_first_node(text: str, extra: str) -> str:
+    def insert(m: re.Match) -> str:
+        return f"{m[1]}>{extra}" + ("</startEvent>" if m[2] else "")
+
+    return re.sub(r"(<startEvent[^>]*?)(/?)>", insert, text, count=1)
+
+
+def _process_root(text: str) -> str:
+    text = re.sub(r"(?s)<definitions[^>]*>\s*<process ", f'<process xmlns="{BPMN_NS}" ', text)
+    return text.replace("</definitions>", "")
+
+
+def _prefixed(text: str) -> str:
+    text = text.replace(f'xmlns="{BPMN_NS}"', f'xmlns:bpmn2="{BPMN_NS}"')
+    return re.sub(r"<(/?)(?!\?)(?!bpmn2:)([A-Za-z]+)", r"<\1bpmn2:\2", text)
+
+
+VARIANTS = {
+    "prefixed": _prefixed,
+    "di-noise": lambda t: _into_first_node(_into_process(t, DI_NOISE), DI_NOISE),
+    "ignored-children": lambda t: _into_first_node(t, "<documentation>d</documentation><outgoing>x</outgoing>"),
+    "unsupported": lambda t: _into_first_node(_into_process(t, '<subProcess id="sp"/>'), "<compensate/>"),
+    "non-ascii": lambda t: _into_process(t, '<dataObject id="dx" name="Übergabe – naïve"/>'),
+    "extra-process": lambda t: t.replace("</definitions>", '<process id="p2"/><process id="p3"/></definitions>'),
+    "nested-process": lambda t: _into_process(t, '<process id="inner"><task id="deep"/></process>'),
+    "process-root": _process_root,
+    "node-without-id": lambda t: _into_process(t, '<task name="anonymous"/>'),
+    "timer-without-duration": lambda t: _into_process(
+        t, '<intermediateCatchEvent id="tx"><timerEventDefinition mode="elapsed"/></intermediateCatchEvent>'
+    ),
+    "bad-duration": lambda t: _into_process(
+        t, '<task id="tb"><extensionElements><entry key="duration" value="PT1H"/></extensionElements></task>'
+    ),
+    "malformed-tail": lambda t: t.replace("</definitions>", "<unclosed></definitions>"),
+}
+
+
+def _outcome(parse, source):
+    """The parsed model with its findings, or the ModelParseError message."""
+    try:
+        model = parse(source, "m")
+    except ModelParseError as exc:
+        return str(exc)
+    return model, model.parse_findings
+
+
+@given(models(), st.lists(st.sampled_from(sorted(VARIANTS)), unique=True, max_size=4))
+def test_parse_model_of_bytes_matches_the_tree_walk_oracle(model, variants):
+    text = serialize_model(model)
+    # Prefixing goes last: the other variants edit unprefixed markup.
+    for name in sorted(variants, key=lambda name: name == "prefixed"):
+        text = VARIANTS[name](text)
+    assert _outcome(parse_model, text.encode("utf-8")) == _outcome(oracles.parse_model_by_tree, text)
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_each_variant_parses_like_the_oracle(name):
+    base = serialize_model(parse_model(PRODUCT_XML, "m"))
+    text = VARIANTS[name](base)
+    assert text != base
+    expected = _outcome(oracles.parse_model_by_tree, text)
+    assert _outcome(parse_model, text.encode("utf-8")) == expected
+    assert _outcome(parse_model, text) == expected
+
+
+def test_process_elements_under_two_tags_keep_document_order():
+    text = VARIANTS["prefixed"](serialize_model(parse_model(PRODUCT_XML, "m")))
+    text = text.replace("  </bpmn2:process>", '<process id="inner"/></bpmn2:process>')
+    text = text.replace("</bpmn2:definitions>", '<bpmn2:process id="p2"/><process id="p3"/></bpmn2:definitions>')
+    model, findings = _outcome(parse_model, text.encode("utf-8"))
+    assert [f.message for f in findings if f.code == "EXTRA-PROCESS"] == [
+        "additional process elements ignored: inner, p2, p3"
+    ]
+    assert (model, findings) == _outcome(oracles.parse_model_by_tree, text)
+
+
+def test_malformed_xml_wins_over_an_earlier_semantic_error():
+    text = serialize_model(parse_model(PRODUCT_XML, "m"))
+    text = VARIANTS["malformed-tail"](VARIANTS["node-without-id"](text))
+    message = _outcome(parse_model, text.encode("utf-8"))
+    assert "not well-formed XML" in message
+    assert message == _outcome(oracles.parse_model_by_tree, text)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.glob("*/*.bpmn")), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_fixture_bytes_parse_like_the_oracle(path):
+    assert _outcome(parse_model, path.read_bytes()) == _outcome(
+        oracles.parse_model_by_tree, path.read_text(encoding="utf-8")
+    )
+
+
+def test_bytes_are_decoded_as_declared():
+    text = wrap(MINIMAL.replace('<startEvent id="s"/>', '<startEvent id="s" name="Prüfung"/>'))
+    latin1 = ('<?xml version="1.0" encoding="ISO-8859-1"?>' + text).encode("latin-1")
+    utf16 = ('<?xml version="1.0" encoding="UTF-16"?>' + text).encode("utf-16")
+    expected = parse_model(text, "m")
+    assert parse_model(latin1, "m") == parse_model(utf16, "m") == expected
+    assert expected.node_map()["s"].name == "Prüfung"
+
+
+@pytest.mark.parametrize(
+    ("declaration", "body", "fragment"),
+    [
+        ("UTF-8", "Pr\xfcfung".encode("latin-1"), "not well-formed XML"),
+        ("Shift_JIS", b"x", "cannot decode XML (ValueError"),
+        ("no-such-codec", b"x", "cannot decode XML (LookupError"),
+    ],
+)
+def test_undecodable_bytes_are_parse_errors(declaration, body, fragment):
+    head, tail = wrap(MINIMAL).split("</process>")
+    source = f'<?xml version="1.0" encoding="{declaration}"?>{head}<task id="t" name="'.encode()
+    source += body + f'"/></process>{tail}'.encode()
+    with pytest.raises(ModelParseError, match=re.escape(fragment)):
+        parse_model(source, "m")

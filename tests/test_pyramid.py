@@ -135,6 +135,14 @@ class TestManifest:
             load_manifest(manifest_text(**overrides))
         assert err.value.code == code
 
+    def test_duplicate_ids_are_listed_once_in_sorted_order(self):
+        child = {"file": "x", "level": 1, "parent": {"model": "top", "node": "c"}}
+        ids = ["top", "b", "a", "c", "b", "a", "b"]
+        models = [{"id": "top", "file": "t", "level": 0}] + [dict(child, id=i) for i in ids[1:]]
+        with pytest.raises(ManifestError, match=r"duplicate model ids: a, b$") as err:
+            load_manifest(manifest_text(models=models))
+        assert err.value.code == "DUPLICATE-MODEL"
+
     def test_root_must_not_have_parent(self):
         text = manifest_text(
             models=[{"id": "top", "file": "a", "level": 0, "parent": {"model": "x", "node": "y"}}]
