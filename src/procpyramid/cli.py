@@ -17,7 +17,7 @@ import gc
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 from .bundle import Bundle, load_bundle, read_utf8
@@ -386,7 +386,10 @@ def _positive_days(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it takes
+    milliseconds and leaves cyclic garbage, and parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="procpyramid",
         description="Analyze a multi-level process model bundle around its milestones.",

@@ -163,15 +163,30 @@ def validate_counterparts(templates: Iterable[ReferenceProcess], partial: bool =
 
 
 def _lcs_matched(reference: list[str], actual: list[str]) -> list[tuple[int, int]]:
-    """Index pairs of one longest common subsequence (deterministic backtrack)."""
+    """Index pairs of one longest common subsequence (deterministic backtrack).
+
+    Bit-parallel LCS (Allison & Dix 1986, Hyyrö 2004) over both sequences
+    reversed: bit k of a row stands for reversed actual step k, and each
+    reversed reference step turns one row into the next. The LCS of
+    reference[i:] and actual[j:] is then the number of zero bits below
+    bit m - j in row n - i, so the forward walk reads the same table cells
+    as a full n x m table and picks the same pairs.
+    """
     n, m = len(reference), len(actual)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            if reference[i] == actual[j]:
-                dp[i][j] = dp[i + 1][j + 1] + 1
-            else:
-                dp[i][j] = max(dp[i + 1][j], dp[i][j + 1])
+    masks: dict[str, int] = {}
+    for k, step in enumerate(reversed(actual)):
+        masks[step] = masks.get(step, 0) | 1 << k
+    full = v = (1 << m) - 1
+    rows = [v]
+    for step in reversed(reference):
+        u = v & masks.get(step, 0)
+        v = ((v + u) | (v - u)) & full
+        rows.append(v)
+
+    def lcs(i: int, j: int) -> int:
+        low = m - j
+        return low - (rows[n - i] & ((1 << low) - 1)).bit_count()
+
     pairs: list[tuple[int, int]] = []
     i = j = 0
     while i < n and j < m:
@@ -179,7 +194,7 @@ def _lcs_matched(reference: list[str], actual: list[str]) -> list[tuple[int, int
             pairs.append((i, j))
             i += 1
             j += 1
-        elif dp[i + 1][j] >= dp[i][j + 1]:
+        elif lcs(i + 1, j) >= lcs(i, j + 1):
             i += 1
         else:
             j += 1
@@ -322,6 +337,14 @@ def _vv_pairs(
             yield ref, counterpart, bound_models(ref), bound_models(counterpart)
 
 
+def _nodes_by_model(graph: DependencyGraph) -> dict[str, list[str]]:
+    """Every model's nodes, in graph order."""
+    by_model: dict[str, list[str]] = {}
+    for node in graph.nodes:
+        by_model.setdefault(graph.model_id(node), []).append(node)
+    return by_model
+
+
 def _data_producers(graph: DependencyGraph) -> dict[str, list[str]]:
     """Each node's producers over the edges that carry real data."""
     pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
@@ -334,6 +357,7 @@ def check_vv_links(
     """Every right-side (verification) model must trace back to data produced
     by a model bound to its left-side counterpart."""
     producers = _data_producers(graph)
+    by_model = _nodes_by_model(graph)
     out: list[Finding] = []
     for ref, counterpart, right_models, left_models in _vv_pairs(pyramid, references):
         if not right_models:
@@ -345,9 +369,9 @@ def check_vv_links(
             )
             continue
         for rm in right_models:
-            reach = reachable(producers, [n for n in graph.nodes if graph.model_id(n) == rm])
+            reached = {graph.model_id(n) for n in reachable(producers, by_model.get(rm, ()))}
             for lm in left_models:
-                if not any(graph.model_id(n) == lm for n in reach):
+                if lm not in reached:
                     out.append(
                         finding(
                             "VV-UNLINKED",
@@ -377,22 +401,18 @@ def vv_iterations(
     threshold is applied.
     """
     producers = _data_producers(graph)
+    by_model = _nodes_by_model(graph)
     out: list[VvLinkStat] = []
     for _, _, right_models, left_models in _vv_pairs(pyramid, references):
         for rm in right_models:
-            reach = {
-                node: reachable(producers, [node])
-                for node in graph.nodes
-                if graph.model_id(node) == rm
-            }
+            upstream = Counter(
+                graph.model_id(n)
+                for node in by_model.get(rm, ())
+                for n in reachable(producers, [node])
+                if n != node
+            )
             for lm in left_models:
-                count = sum(
-                    1
-                    for node, up in reach.items()
-                    for n in up
-                    if n != node and graph.model_id(n) == lm
-                )
-                out.append(VvLinkStat(rm, lm, count))
+                out.append(VvLinkStat(rm, lm, upstream[lm]))
     return out
 
 

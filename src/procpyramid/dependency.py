@@ -40,7 +40,8 @@ class DependencyGraph:
     def model_id(self, node: str) -> str:
         """The model a node belongs to. Nodes that are no milestone (dangling
         gq7 references) are read as model:node."""
-        return self.model_of.get(node, node.split(":", 1)[0])
+        model = self.model_of.get(node)
+        return model if model is not None else node.split(":", 1)[0]
 
     def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """The consumers and the producers of every node, over every edge."""

@@ -2,18 +2,19 @@
 
 Stages that walk one model's flows build its `FlowIndex` (node map,
 successor and predecessor lists) once and pass it to every walk; the
-index is dropped when the stage returns. Each walk builds adjacency over
-the nodes it may visit (an anchor's cone, an event's segment), never over
-the whole model. Generic reachability and ordering come from `graph`; this
-module adds the node weights, anchors and segments of process flows.
+index is dropped when the stage returns. Longest paths come from one Kahn
+pass over the nodes a walk may visit: per model, one pass per anchor over
+the nodes it reaches gives every event's anchor candidates; per event, one
+pass over its segment gives its duration. Generic reachability comes from
+`graph`; this module adds the node weights, anchors and segments of
+process flows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .graph import adjacency, reachable, topological_order
+from .graph import adjacency, reachable
 from .model import ANCHOR_BEFORE_SOP, ELAPSED, FlowNode, ProcessModel
 
 
@@ -55,81 +56,71 @@ def timer_covered_events(index: FlowIndex) -> set[str]:
     }
 
 
-def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> bool:
+def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> set[str]:
     """Longest weighted paths over the flows inside members, in place.
 
-    Walks the members in topological order; each flow from a node with a
-    distance offers that distance plus the weight of the node it enters.
-    False when a cycle inside members stops the order.
+    One Kahn pass with a plain ready-stack. Each member starts with a
+    distance or is reachable inside members from one that does. Each flow
+    from a placed node offers its distance plus the weight of the node it
+    enters. Returns the members the order never placed: those on a cycle
+    inside members or downstream of one.
     """
-    nodes = index.nodes
-    adj = {k: [v for v in index.succ[k] if v in members] for k in members}
-    order = topological_order(adj)
-    if order is None:
-        return False
-    for cur in order:
-        base = dist.get(cur)
-        if base is not None:
-            for v in adj[cur]:
-                cand = base + node_weight(nodes[v])
-                if cand > dist.get(v, cand - 1):
-                    dist[v] = cand
-    return True
-
-
-def _cone_longest_path(index: FlowIndex, src: str, dst: str, allowed: set[str]) -> int | None:
-    """Longest weighted path src -> dst restricted to allowed nodes.
-
-    Every allowed node reaches dst inside allowed, as in an event's
-    upstream region, so the nodes src reaches are the src-to-dst cone.
-    The source contributes no weight; every later node on the path does.
-    None when a cycle lies inside the cone.
-    """
-    cone = reachable(index.succ, [src], allowed)
-    dist = {src: 0}
-    if not _longest_paths(index, cone, dist):
-        return None
-    return dist[dst]
-
-
-def anchor_candidates(index: FlowIndex, event_id: str) -> tuple[list[tuple[str, int]], bool]:
-    """Nearest upstream anchor timers and the SOP offset each one implies.
-
-    Returns (candidates, cyclic): candidates as (anchor node id, offset days)
-    sorted by anchor id, cyclic True when a flow cycle prevented at least one
-    path computation. An event carrying its own anchor timer is its sole
-    candidate with a zero-length path.
-    """
-    nodes, pred = index.nodes, index.pred
-    target = nodes[event_id]
-    if is_anchor(target):
-        return [(event_id, -target.timer.amount.days)], False
-
-    region = {event_id}
-    anchors: list[str] = []
-    queue = deque([event_id])
-    while queue:
-        cur = queue.popleft()
-        for p in pred[cur]:
-            if p in region:
+    nodes, succ = index.nodes, index.succ
+    indeg = dict.fromkeys(members, 0)
+    for k in members:
+        for v in succ[k]:
+            if v in indeg:
+                indeg[v] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    while ready:
+        cur = ready.pop()
+        base = dist[cur]
+        for v in succ[cur]:
+            if v not in indeg:
                 continue
-            region.add(p)
-            if is_anchor(nodes[p]):
-                anchors.append(p)
-                continue
-            queue.append(p)
+            cand = base + node_weight(nodes[v])
+            if cand > dist.get(v, cand - 1):
+                dist[v] = cand
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return {n for n, d in indeg.items() if d}
 
-    cyclic = False
-    out: list[tuple[str, int]] = []
-    for anchor in sorted(anchors):
-        allowed = region.difference(a for a in anchors if a != anchor)
-        dist = _cone_longest_path(index, anchor, event_id, allowed)
-        if dist is None:
-            cyclic = True
-            continue
+
+def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]], bool]]:
+    """Nearest upstream anchor timers of every event and the SOP offset each
+    one implies.
+
+    Maps each event to (candidates, cyclic): candidates as (anchor node id,
+    offset days) sorted by anchor id, cyclic True when a flow cycle
+    prevented at least one path computation. An event carrying its own
+    anchor timer is its sole candidate with a zero-length path.
+
+    A path from anchor a to event e whose inner nodes are no anchors is
+    what makes a a candidate of e, so each anchor takes one forward pass
+    over the non-anchor nodes it reaches (its members): one longest-path
+    Kahn pass from a, whose unplaced members sit behind a cycle, plus the
+    members downstream of a flow back into a. Those events are cyclic for
+    a; every other member event gets a's offset plus its longest path.
+    """
+    nodes, succ = index.nodes, index.succ
+    plain = {nid for nid, n in nodes.items() if not is_anchor(n)}
+    found: dict[str, list[tuple[str, int]]] = {nid: [] for nid, n in nodes.items() if n.is_event}
+    cyclic: set[str] = set()
+    for anchor in sorted(nodes.keys() - plain):
         amount = nodes[anchor].timer.amount.days
-        out.append((anchor, -amount + dist))
-    return out, cyclic
+        members = reachable(succ, [anchor], plain) - {anchor}
+        dist = {v: node_weight(nodes[v]) for v in succ[anchor] if v in members}
+        stuck = _longest_paths(index, members, dist)
+        back = [p for p in index.pred[anchor] if p == anchor or p in members]
+        stuck |= reachable(succ, back, members)
+        for e in members.intersection(found):
+            if e in stuck:
+                cyclic.add(e)
+            else:
+                found[e].append((anchor, -amount + dist[e]))
+        found[anchor] = [(anchor, -amount)]
+    return {e: (out, e in cyclic) for e, out in found.items()}
 
 
 def segment_nodes(index: FlowIndex, event_id: str) -> set[str]:
@@ -161,6 +152,6 @@ def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | No
     # Weights are non-negative, so starting every node at its own weight
     # leaves the longest path into it unchanged.
     dist = {n: node_weight(nodes[n]) for n in seg}
-    if not _longest_paths(index, seg, dist):
+    if _longest_paths(index, seg, dist):
         return None
     return dist[event_id]

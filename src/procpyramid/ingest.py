@@ -464,6 +464,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
     findings: list[Finding] = []
     flow = flowgraph.FlowIndex.of(model)
     covered = flowgraph.timer_covered_events(flow)
+    anchors = flowgraph.anchor_candidates(flow)
     objects = model.object_map()
     node_map = flow.nodes
 
@@ -471,7 +472,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
         if node.node_id not in covered:
             continue
         subject = f"{model.model_id}:{node.node_id}"
-        candidates, cyclic = flowgraph.anchor_candidates(flow, node.node_id)
+        candidates, cyclic = anchors[node.node_id]
         if len({offset for _, offset in candidates}) > 1:
             detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
             findings.append(

@@ -117,8 +117,11 @@ def load_manifest(text: str) -> Manifest:
             ):
                 raise _field_error(f"models[{i}].parent", "must hold model and node ids")
             parent_hint = (parent["model"], parent["node"])
+        listed = item.get("documents", [])
+        if not isinstance(listed, list):
+            raise _field_error(f"models[{i}].documents", "must be a list")
         documents = []
-        for j, doc in enumerate(item.get("documents", [])):
+        for j, doc in enumerate(listed):
             if not isinstance(doc, dict) or not isinstance(doc.get("path"), str):
                 raise _field_error(f"models[{i}].documents[{j}]", "must hold a path")
             documents.append(

@@ -113,7 +113,8 @@ def resolve_offsets(
         nodes = node_maps.get(ms.model_id)
         if nodes is None and ms.model_id in models:
             nodes = node_maps[ms.model_id] = models[ms.model_id].node_map()
-        if nodes is None or ms.event_node_id not in nodes:
+        event = nodes.get(ms.event_node_id) if nodes is not None else None
+        if event is None or not event.is_event:
             out.append(
                 finding("NO-ANCHOR", ms.milestone_id, "owning model or event not present in the pyramid")
             )
@@ -121,7 +122,7 @@ def resolve_offsets(
         anchors = ms.anchors
         if anchors is None:
             index = flowgraph.FlowIndex.of(models[ms.model_id])
-            anchors = flowgraph.anchor_candidates(index, ms.event_node_id)
+            anchors = flowgraph.anchor_candidates(index)[ms.event_node_id]
         candidates, cyclic = anchors
         if cyclic:
             out.append(

@@ -100,6 +100,30 @@ def lcs_exhaustive(a, b):
     return []
 
 
+def lcs_pairs_by_table(reference, actual):
+    """Index pairs of one longest common subsequence (deterministic backtrack)."""
+    n, m = len(reference), len(actual)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if reference[i] == actual[j]:
+                dp[i][j] = dp[i + 1][j + 1] + 1
+            else:
+                dp[i][j] = max(dp[i + 1][j], dp[i][j + 1])
+    pairs = []
+    i = j = 0
+    while i < n and j < m:
+        if reference[i] == actual[j]:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif dp[i + 1][j] >= dp[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
 def slot_scan(offset, boundaries):
     """Index of the slot containing offset, by scanning every interval.
 

@@ -329,10 +329,32 @@ class TestFatalPaths:
         assert cli.run(["--help"]) == 0
         assert cli.run(["validate", "--help"]) == 0
 
+    def test_parser_is_built_once_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.run(["validate", str(PARKPILOT_MANIFEST)]) == 0
+        assert cli.run(["validate", str(PARKPILOT_MANIFEST)]) == 0
+        assert cli.run(["validate"]) == 2
+        assert cli.run(["--help"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
     def test_missing_command_or_argument(self, capsys):
         assert cli.run([]) == 2
         assert cli.run(["validate"]) == 2
         assert cli.run(["no-such-command", "x.json"]) == 2
+
+    @pytest.mark.parametrize("value", [None, 5, True, 1.5], ids=["null", "int", "bool", "float"])
+    @pytest.mark.parametrize("command", ["validate", "report"])
+    def test_non_list_documents_is_a_bad_field(self, capsys, tmp_path, command, value):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["models"][1]["documents"] = value
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run([command, str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "fatal [BAD-FIELD]: manifest field 'models[1].documents': must be a list\n"
+        assert captured.out == ""
 
     def test_unexpected_exception_is_fatal(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -439,18 +461,17 @@ class TestStagesRunOnce:
         }
 
     def test_report_walks_each_anchor_once(self, capsys, monkeypatch):
-        events = Counter()
+        walked = []
         original = flowgraph.anchor_candidates
 
-        def counted(index, event_id):
-            events[event_id] += 1
-            return original(index, event_id)
+        def counted(index):
+            walked.append(index)
+            return original(index)
 
         monkeypatch.setattr(flowgraph, "anchor_candidates", counted)
         code, doc = run_json(capsys, ["report", str(PARKPILOT_MANIFEST)])
         assert code == 0
-        assert sum(events.values()) == doc["bundle"]["milestones"]
-        assert set(events.values()) == {1}
+        assert len(walked) == doc["bundle"]["models"]
 
     @pytest.mark.parametrize(
         "argv", [["conform"], ["impact", "--seed", "test-plan"]], ids=["conform", "impact"]

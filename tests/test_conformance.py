@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -15,7 +15,7 @@ from procpyramid import (
     load_reference,
     vv_iterations,
 )
-from procpyramid.conformance import ReferenceProcess, validate_counterparts
+from procpyramid.conformance import ReferenceProcess, _lcs_matched, validate_counterparts
 from procpyramid.dependency import (
     DECLARED_UNMATCHED,
     INFERRED_UNDECLARED,
@@ -236,6 +236,19 @@ class TestDiff:
         assert len(steps.matched) == len(oracles.lcs_exhaustive(ref, act))
         assert len(steps.matched) + len(steps.missing) == len(ref)
         assert steps.match_ratio == len(steps.matched) / len(ref)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_step_pairs_match_the_full_table(self, data):
+        """The bit-parallel alignment picks exactly the pairs the n x m table
+        backtrack picks, past one and two 64-bit words as well."""
+        names = st.sampled_from([f"s{k}" for k in range(data.draw(st.integers(1, 8), label="alphabet"))])
+        sides = []
+        for side in ("ref", "act"):
+            size = data.draw(st.sampled_from([0, 1, 2, 5, 20, 63, 64, 65, 130]), label=f"{side} size")
+            sides.append(data.draw(st.lists(names, min_size=size, max_size=size), label=side))
+        ref, act = sides
+        assert _lcs_matched(ref, act) == oracles.lcs_pairs_by_table(ref, act)
 
     @given(st.data())
     def test_steps_follow_flows_then_document_order(self, data):

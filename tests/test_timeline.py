@@ -137,6 +137,12 @@ class TestResolve:
         assert built[0].offsets == {"m:e": -80} == {"m:e": extracted[0].offsets["m:e"]}
         assert built[0].provenance["m:e"] == extracted[0].provenance["m:e"]
 
+        table, findings = resolve_offsets(one_model_pyramid(model), [milestone("m:t", name="t")])
+        assert table.offsets == {}
+        assert [(f.code, f.message) for f in findings] == [
+            ("NO-ANCHOR", "owning model or event not present in the pyramid")
+        ]
+
     def test_ambiguous_anchor(self):
         model = chain_model(
             "m",
@@ -334,7 +340,7 @@ def sparse_dags(draw):
 def test_longest_path_matches_exhaustive_oracle(drawn):
     model, weights = drawn
     last = model.nodes[-1].node_id
-    candidates, cyclic = anchor_candidates(FlowIndex.of(model), last)
+    candidates, cyclic = anchor_candidates(FlowIndex.of(model))[last]
     assert not cyclic
     assert len(candidates) == 1
 
@@ -401,17 +407,52 @@ CONVERGING_ANCHORS = chain_model(
 )
 
 
+def back_edge_model(exit_from):
+    """a -> x -> a, and the event e left from a or from x."""
+    return chain_model(
+        "m",
+        [node("a", "start-event", timer=anchor(100)), node("x", "task", days=5), node("e", "end-event")],
+        flows=[("a", "x"), ("x", "a"), (exit_from, "e")],
+    )
+
+
+THREE_ANCHORS_ONE_CYCLE = chain_model(
+    "m",
+    [
+        node("a1", "start-event", timer=anchor(200)),
+        node("t1", "task", days=4),
+        node("loop", "intermediate-event", timer=elapsed(1)),
+        node("a2", "intermediate-event", timer=anchor(150)),
+        node("t2", "task", days=6),
+        node("a3", "intermediate-event", timer=anchor(90)),
+        node("t3", "task", days=8),
+        node("t4", "task", days=30),
+        node("e", "intermediate-event"),
+        node("end", "end-event"),
+    ],
+    flows=[
+        ("a1", "t1"), ("t1", "loop"), ("loop", "t1"), ("loop", "a2"), ("loop", "t3"), ("a2", "t2"),
+        ("t2", "e"), ("a1", "a3"), ("a3", "t3"), ("t3", "e"), ("a1", "t4"), ("t4", "e"), ("e", "end"),
+    ],
+)
+
+
 @settings(max_examples=300)
 @example(CONVERGING_ANCHORS)
+@example(back_edge_model("a"))
+@example(back_edge_model("x"))
+@example(THREE_ANCHORS_ONE_CYCLE)
 @given(cyclic_flow_graphs())
 def test_flow_index_walks_match_per_event_cones(model):
     """anchor_candidates and segment_duration over one FlowIndex give exactly
     what the per-event cone walk over the whole model gave: candidate order,
     cycle flag and days."""
     index = FlowIndex.of(model)
+    candidates = anchor_candidates(index)
+    assert candidates.keys() == {event.node_id for event in model.events()}
     for event in model.events():
         expected = oracles.anchor_candidates_by_cones(model, event.node_id)
-        assert anchor_candidates(index, event.node_id) == expected
+        assert candidates[event.node_id] == expected
         expected_days = oracles.segment_duration_by_scan(model, event.node_id)
         segment = segment_nodes(index, event.node_id)
         assert segment_duration(index, event.node_id, segment) == expected_days
