@@ -56,6 +56,19 @@ class ImpactSet:
     crossed_levels: set[int]
 
 
+class _NameKeys(dict):
+    """Raw name -> canonical key under one alias table. A stage keeps one
+    for a call, so each distinct name is keyed once, not once per use."""
+
+    def __init__(self, aliases: dict[str, str] | None):
+        super().__init__()
+        self.table = compile_aliases(aliases)
+
+    def __missing__(self, name: str) -> str:
+        key = self[name] = canonical_key(name, self.table)
+        return key
+
+
 def infer_edges(
     milestones: Iterable[Milestone], aliases: dict[str, str] | None = None
 ) -> DependencyGraph:
@@ -67,14 +80,14 @@ def infer_edges(
     are found through an index from canonical input name to milestone, so
     only pairs that share a name or a declaration are examined.
     """
-    table = compile_aliases(aliases)
+    keys = _NameKeys(aliases)
     milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
     keyed: list[tuple[Milestone, frozenset[str], frozenset[str]]] = []
     positions: dict[str, list[int]] = {}
     readers: dict[str, list[int]] = {}
     for i, ms in enumerate(milestones):
-        outs = frozenset(canonical_key(n, table) for n in ms.gq.gq6_outputs)
-        ins = frozenset(canonical_key(n, table) for n in ms.gq.gq5_inputs)
+        outs = frozenset(keys[n] for n in ms.gq.gq6_outputs)
+        ins = frozenset(keys[n] for n in ms.gq.gq5_inputs)
         keyed.append((ms, outs, ins))
         positions.setdefault(ms.milestone_id, []).append(i)
         for name in ins:
@@ -212,11 +225,11 @@ def find_redundant(
     Producing the same object twice inside one model is taken as refinement
     and left alone.
     """
-    table = compile_aliases(aliases)
+    keys = _NameKeys(aliases)
     producers: dict[str, list[Milestone]] = {}
     for ms in sorted(milestones, key=lambda ms: ms.milestone_id):
         for name in ms.gq.gq6_outputs:
-            producers.setdefault(canonical_key(name, table), []).append(ms)
+            producers.setdefault(keys[name], []).append(ms)
 
     out: list[Finding] = []
     for key in sorted(producers):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from functools import lru_cache
-from xml.sax.saxutils import escape, quoteattr
 
 from . import flowgraph
 from .durations import Duration, parse_duration, parse_offset_days
@@ -121,6 +120,11 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     """Parse one process diagram from BPMN XML, given as text or as the
     file's bytes; bytes are decoded as their XML declaration says.
 
+    Each child of the process and of each flow node is looked at once. A
+    node's data-association refs are resolved once the whole process is
+    read: each distinct ref per node and direction once, in sorted order,
+    an unknown one becoming an UNRESOLVED-DATA-REF finding.
+
     Structural defects (malformed or undecodable XML, duplicate ids,
     dangling flows, missing start or end events) raise ModelParseError;
     everything else degrades to findings attached to the model.
@@ -144,23 +148,24 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     process = processes[0]
 
     nodes: list[FlowNode] = []
-    flows: list[tuple[str, str, str]] = []
+    flows: list[tuple[str, str]] = []
+    flow_elems: list[ET.Element] = []
     lanes: list[Lane] = []
     data_objects: list[DataObject] = []
     object_refs: dict[str, str] = {}
     call_targets: dict[str, str] = {}
     process_ext: dict[str, str] = {}
-    raw_io: dict[str, tuple[set[str], set[str]]] = {}
+    # nodes with data associations, in document order, with their raw refs
+    raw_io: list[tuple[FlowNode, list[str], list[str]]] = []
 
-    def parse_node(elem: ET.Element, node_tag: str) -> None:
-        kind = _NODE_TAGS[node_tag]
+    def parse_node(elem: ET.Element, node_tag: str, kind: str) -> None:
         node_id = elem.get("id")
         if not node_id:
             _fail(model_id, f"{node_tag} element without id")
         timer = None
         extensions: dict[str, str] = {}
-        ins: set[str] = set()
-        outs: set[str] = set()
+        ins: list[str] = []
+        outs: list[str] = []
         for child in elem:
             tag, ignorable = _tag(child.tag)
             if tag == "extensionElements":
@@ -172,11 +177,11 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
             elif tag == "dataInputAssociation":
                 ref = _assoc_ref(child, "sourceRef")
                 if ref:
-                    ins.add(ref)
+                    ins.append(ref)
             elif tag == "dataOutputAssociation":
                 ref = _assoc_ref(child, "targetRef")
                 if ref:
-                    outs.add(ref)
+                    outs.append(ref)
             elif not ignorable:
                 info.append(
                     finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
@@ -189,35 +194,28 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                 _fail(model_id, f"node {node_id!r}: {exc}")
         if kind == "call-activity":
             call_targets[node_id] = (elem.get("calledElement") or "").strip()
-        nodes.append(
-            FlowNode(
-                node_id=node_id,
-                kind=kind,
-                name=elem.get("name", ""),
-                duration=duration,
-                timer=timer,
-                extensions=extensions,
-            )
+        node = FlowNode(
+            node_id, kind, elem.get("name", ""), duration, timer, _NO_ITEMS, _NO_ITEMS, extensions
         )
-        raw_io[node_id] = (ins, outs)
+        nodes.append(node)
+        if ins or outs:
+            raw_io.append((node, ins, outs))
 
     for elem in process:
         tag, ignorable = _tag(elem.tag)
-        if tag in _NODE_TAGS:
-            parse_node(elem, tag)
+        kind = _NODE_TAGS.get(tag)
+        if kind is not None:
+            parse_node(elem, tag, kind)
         elif tag == "sequenceFlow":
-            flow_id = elem.get("id", f"flow{len(flows)}")
-            src, dst = elem.get("sourceRef", ""), elem.get("targetRef", "")
-            flows.append((flow_id, src, dst))
+            flows.append((elem.get("sourceRef", ""), elem.get("targetRef", "")))
+            flow_elems.append(elem)
         elif tag == "laneSet":
             for lane_el in elem:
                 if _tag(lane_el.tag)[0] != "lane":
                     continue
                 members = frozenset(
-                    (ref.text or "").strip()
-                    for ref in lane_el
-                    if _tag(ref.tag)[0] == "flowNodeRef" and (ref.text or "").strip()
-                )
+                    (ref.text or "").strip() for ref in lane_el if _tag(ref.tag)[0] == "flowNodeRef"
+                ) - {""}
                 lanes.append(
                     Lane(
                         lane_id=lane_el.get("id", f"lane{len(lanes)}"),
@@ -247,9 +245,10 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         if node.node_id in seen_ids:
             _fail(model_id, f"duplicate node id {node.node_id!r}")
         seen_ids.add(node.node_id)
-    for flow_id, src, dst in flows:
-        for end in (src, dst):
+    for i, flow in enumerate(flows):
+        for end in flow:
             if end not in seen_ids:
+                flow_id = flow_elems[i].get("id", f"flow{i}")
                 _fail(model_id, f"flow {flow_id!r} references unknown node {end!r}")
 
     starts = [n for n in nodes if n.kind == "start-event"]
@@ -260,33 +259,32 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
 
     known_objects = {d.object_id for d in data_objects}
 
-    def resolve_object(ref: str, node_id: str) -> str | None:
-        target = object_refs.get(ref, ref)
-        if target in known_objects:
-            return target
-        info.append(
-            finding(
-                "UNRESOLVED-DATA-REF",
-                f"{model_id}:{node_id}",
-                f"data association references unknown object {ref!r}",
-            )
-        )
-        return None
+    def resolve_objects(refs: list[str], node_id: str) -> frozenset[str]:
+        """The objects the distinct refs name; each unknown one is a finding."""
+        found = []
+        for ref in sorted(set(refs)) if len(refs) > 1 else refs:
+            target = object_refs.get(ref, ref)
+            if target in known_objects:
+                found.append(target)
+            else:
+                info.append(
+                    finding(
+                        "UNRESOLVED-DATA-REF",
+                        f"{model_id}:{node_id}",
+                        f"data association references unknown object {ref!r}",
+                    )
+                )
+        return frozenset(found) or _NO_ITEMS
 
-    for node in nodes:
-        ins, outs = raw_io[node.node_id]
-        node.inputs = frozenset(
-            r for r in (resolve_object(ref, node.node_id) for ref in sorted(ins)) if r
-        ) or _NO_ITEMS
-        node.outputs = frozenset(
-            r for r in (resolve_object(ref, node.node_id) for ref in sorted(outs)) if r
-        ) or _NO_ITEMS
+    for node, ins, outs in raw_io:
+        node.inputs = resolve_objects(ins, node.node_id)
+        node.outputs = resolve_objects(outs, node.node_id)
 
     return ProcessModel(
         model_id=model_id,
         name=process.get("name", ""),
         nodes=nodes,
-        flows=[(src, dst) for _, src, dst in flows],
+        flows=flows,
         lanes=lanes,
         data_objects=data_objects,
         call_targets=call_targets,
@@ -297,6 +295,9 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
 
 def serialize_model(model: ProcessModel) -> str:
     """Emit the model back as BPMN XML covering exactly the supported subset."""
+    # imported here: at module level it loads urllib, http, email and ssl
+    from xml.sax.saxutils import escape, quoteattr
+
     out = ['<?xml version="1.0" encoding="UTF-8"?>']
     out.append('<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">')
     name_attr = f" name={quoteattr(model.name)}" if model.name else ""

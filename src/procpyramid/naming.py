@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-import re
-
-_WS = re.compile(r"\s+")
-
 
 def normalize_name(name: str) -> str:
-    """Case-fold, trim, and collapse internal whitespace."""
-    return _WS.sub(" ", name.strip()).casefold()
+    """Case-fold, trim, and collapse each run of whitespace to one space.
+
+    `str.split()` with no argument uses the same Unicode whitespace test as
+    `str.strip()` and the `\\s` of `re`, without the cost of a regex.
+    """
+    return " ".join(name.split()).casefold()
 
 
 def compile_aliases(aliases: dict[str, str] | None) -> dict[str, str]:

@@ -5,6 +5,7 @@ Floyd-Warshall, linear scans. Keep these independent of the package
 internals so a bug cannot hide in both places at once.
 """
 
+import re
 import xml.etree.ElementTree as ET
 from collections import deque
 from itertools import combinations
@@ -163,6 +164,15 @@ def edges_brute_force(producers, consumers, declared):
             elif c in targets:
                 expected[(p, c)] = (frozenset(), "declared-unmatched")
     return expected
+
+
+_WS = re.compile(r"\s+")
+
+
+def normalize_name_by_regex(name):
+    """Name normalization as first written, with a regex: case-fold, trim,
+    and collapse internal whitespace."""
+    return _WS.sub(" ", name.strip()).casefold()
 
 
 def alias_walk(name, aliases):

@@ -1,7 +1,11 @@
 import gc
 import json
+import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -384,6 +388,17 @@ class TestFatalPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith("fatal [TEMPLATE]: reference template component-")
         assert captured.out == ""
+
+
+def test_importing_the_cli_loads_no_network_or_mail_modules():
+    """`xml.sax.saxutils` pulls in urllib, http, email and ssl; only
+    `serialize_model` needs it, so it is imported there."""
+    heavy = ["xml.sax.saxutils", "urllib.request", "http.client", "email", "ssl"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = f"import sys, procpyramid.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestCyclicGcPause:

@@ -93,7 +93,9 @@ class TestInference:
         )
         assert {(e.producer, e.consumer): (e.via, e.status) for e in graph.edges} == expected
 
-    spellings = st.sampled_from(["plan", "Plan ", "brief", "BRIEF", "report", "frame", "spec"])
+    spellings = st.sampled_from(
+        ["plan", "Plan ", "brief", "BRIEF", "report", "frame", "Frame\n", "spec", "\u3000spec", "SPEC\t"]
+    )
 
     @given(st.data())
     def test_aliased_edges_match_the_pairwise_scan_in_order(self, data):
@@ -289,6 +291,32 @@ class TestRedundant:
     def test_same_model_refinement_is_allowed(self):
         ms = [milestone("m:a", outputs=("plan",)), milestone("m:b", outputs=("plan",))]
         assert find_redundant(ms) == []
+
+    @given(st.data())
+    def test_aliased_findings_match_a_brute_force_grouping(self, data):
+        spellings = TestInference.spellings
+        aliases = data.draw(st.dictionaries(spellings, spellings, max_size=5), label="aliases")
+        count = data.draw(st.integers(min_value=0, max_value=8), label="count")
+        ms = []
+        for i in range(count):
+            outs = data.draw(st.frozensets(spellings, max_size=3), label=f"out {i}")
+            ms.append(milestone(f"m{i % 3}:e{i}", outputs=outs))
+
+        # Each raw output name counts once: a milestone with two spellings
+        # of one key is listed twice.
+        ordered = sorted(ms, key=lambda m: m.milestone_id)
+        keyed = [(m, oracles.alias_walk(n, aliases)) for m in ordered for n in m.gq.gq6_outputs]
+        expected = []
+        for key in sorted({k for _, k in keyed}):
+            group = [m for m, k in keyed if k == key]
+            models = {m.model_id for m in group}
+            if len(models) > 1:
+                who = ", ".join(m.milestone_id for m in group)
+                message = f"produced in {len(models)} different models by: {who}"
+                expected.append(("REDUNDANT-OUTPUT", key, message))
+
+        findings = find_redundant(data.draw(st.permutations(ms), label="order"), aliases)
+        assert [(f.code, f.subject, f.message) for f in findings] == expected
 
 
 class TestExport:

@@ -452,6 +452,17 @@ VARIANTS = {
         t, '<task id="tb"><extensionElements><entry key="duration" value="PT1H"/></extensionElements></task>'
     ),
     "malformed-tail": lambda t: t.replace("</definitions>", "<unclosed></definitions>"),
+    # a known and an unknown source each named twice (the second time as an
+    # attribute), and a target given as an attribute
+    "duplicate-associations": lambda t: _into_process(
+        t,
+        '<dataObject id="dd" name="dup"/><task id="td">'
+        "<dataInputAssociation><sourceRef>dd</sourceRef></dataInputAssociation>"
+        "<dataInputAssociation><sourceRef>ghost</sourceRef></dataInputAssociation>"
+        '<dataInputAssociation sourceRef=" dd "/>'
+        '<dataInputAssociation sourceRef="ghost"/>'
+        '<dataOutputAssociation targetRef="dd"/></task>',
+    ),
 }
 
 

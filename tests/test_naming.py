@@ -39,6 +39,27 @@ def test_normalize_is_idempotent(name):
     assert normalize_name(once) == once
 
 
+# Every character `str.isspace` accepts, one that looks like a space but is
+# not one (zero-width space), and letters whose case folding changes length.
+WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+NAME_ALPHABET = WHITESPACE + "\u200b" + "\xdf\u0130\ufb01" + "aZ"
+
+
+def test_the_alphabet_holds_every_whitespace_character():
+    assert {c for c in WHITESPACE} == {chr(cp) for cp in range(0x110000) if chr(cp).isspace()}
+
+
+@given(st.text(alphabet=NAME_ALPHABET, max_size=30))
+@example("\x1c a \u3000")
+@example("\u0130 \xdf")
+def test_normalize_matches_the_regex_form(name):
+    assert normalize_name(name) == oracles.normalize_name_by_regex(name)
+
+
 @given(st.dictionaries(st.sampled_from(RAW_NAMES), st.sampled_from(RAW_NAMES), max_size=8))
 @example({"a": "b", "b": "c", " C": "d"})
 @example({"a": "b", "B": "a"})
