@@ -20,7 +20,7 @@ INFERRED_UNDECLARED = "inferred-undeclared"
 DECLARED_UNMATCHED = "declared-unmatched"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DependencyEdge:
     """producer feeds consumer through the data objects in via."""
 
@@ -229,7 +229,10 @@ def find_redundant(
     producers: dict[str, list[Milestone]] = {}
     for ms in sorted(milestones, key=lambda ms: ms.milestone_id):
         for name in ms.gq.gq6_outputs:
-            producers.setdefault(keys[name], []).append(ms)
+            group = producers.setdefault(keys[name], [])
+            # a milestone with two spellings of one key is listed once
+            if not group or group[-1] is not ms:
+                group.append(ms)
 
     out: list[Finding] = []
     for key in sorted(producers):

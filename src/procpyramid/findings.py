@@ -67,7 +67,7 @@ CATALOG: dict[str, str] = {
 _RANK = {"error": 0, "warning": 1, "info": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Finding:
     """One diagnostic: a catalog code, a severity, a subject id, a message."""
 

@@ -9,6 +9,7 @@ recorded as info findings on the resulting model.
 from __future__ import annotations
 
 import re
+import sys
 import xml.etree.ElementTree as ET
 from functools import lru_cache
 
@@ -71,6 +72,8 @@ def _fail(model_id: str, message: str) -> None:
 
 
 def _parse_extensions(elem: ET.Element) -> dict[str, str]:
+    """Key/value entries; both are interned, as a bundle repeats a few keys
+    (and values such as task durations) on thousands of nodes."""
     entries: dict[str, str] = {}
     for child in elem:
         key = child.get("key")
@@ -79,7 +82,7 @@ def _parse_extensions(elem: ET.Element) -> dict[str, str]:
         value = child.get("value")
         if value is None:
             value = (child.text or "").strip()
-        entries[key] = value
+        entries[sys.intern(key)] = sys.intern(value)
     return entries
 
 
@@ -128,6 +131,11 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     Structural defects (malformed or undecodable XML, duplicate ids,
     dangling flows, missing start or end events) raise ModelParseError;
     everything else degrades to findings attached to the model.
+
+    The model keeps one object per repeated value: each flow end and lane
+    member naming a node is that node's `node_id`, each resolved data ref
+    is its object's `object_id`, and equal non-empty input and output sets
+    are one set.
     """
     try:
         root = ET.fromstring(source)
@@ -150,7 +158,8 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     nodes: list[FlowNode] = []
     flows: list[tuple[str, str]] = []
     flow_elems: list[ET.Element] = []
-    lanes: list[Lane] = []
+    # lane id, role name and raw member texts, until the node ids are known
+    raw_lanes: list[tuple[str, str, list[str]]] = []
     data_objects: list[DataObject] = []
     object_refs: dict[str, str] = {}
     call_targets: dict[str, str] = {}
@@ -213,15 +222,13 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
             for lane_el in elem:
                 if _tag(lane_el.tag)[0] != "lane":
                     continue
-                members = frozenset(
-                    (ref.text or "").strip() for ref in lane_el if _tag(ref.tag)[0] == "flowNodeRef"
-                ) - {""}
-                lanes.append(
-                    Lane(
-                        lane_id=lane_el.get("id", f"lane{len(lanes)}"),
-                        role_name=lane_el.get("name", ""),
-                        member_nodes=members,
-                    )
+                members = [
+                    text
+                    for ref in lane_el
+                    if _tag(ref.tag)[0] == "flowNodeRef" and (text := (ref.text or "").strip())
+                ]
+                raw_lanes.append(
+                    (lane_el.get("id", f"lane{len(raw_lanes)}"), lane_el.get("name", ""), members)
                 )
         elif tag == "dataObject":
             data_objects.append(
@@ -240,16 +247,19 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         elif not ignorable:
             info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
-    seen_ids: set[str] = set()
+    # node id -> the node's own id object, which every reference shares
+    node_ids: dict[str, str] = {}
     for node in nodes:
-        if node.node_id in seen_ids:
+        if node.node_id in node_ids:
             _fail(model_id, f"duplicate node id {node.node_id!r}")
-        seen_ids.add(node.node_id)
-    for i, flow in enumerate(flows):
-        for end in flow:
-            if end not in seen_ids:
-                flow_id = flow_elems[i].get("id", f"flow{i}")
-                _fail(model_id, f"flow {flow_id!r} references unknown node {end!r}")
+        node_ids[node.node_id] = node.node_id
+    for i, (src, dst) in enumerate(flows):
+        shared_src, shared_dst = node_ids.get(src), node_ids.get(dst)
+        if shared_src is None or shared_dst is None:
+            flow_id = flow_elems[i].get("id", f"flow{i}")
+            end = src if shared_src is None else dst
+            _fail(model_id, f"flow {flow_id!r} references unknown node {end!r}")
+        flows[i] = (shared_src, shared_dst)
 
     starts = [n for n in nodes if n.kind == "start-event"]
     if len(starts) != 1:
@@ -257,15 +267,23 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     if not any(n.kind == "end-event" for n in nodes):
         _fail(model_id, "no end event")
 
-    known_objects = {d.object_id for d in data_objects}
+    lanes = [
+        Lane(lane_id, role_name, frozenset([node_ids.get(m, m) for m in members]))
+        for lane_id, role_name, members in raw_lanes
+    ]
+
+    # object id -> the object's own id object, which every resolved ref shares
+    known_objects = {d.object_id: d.object_id for d in data_objects}
+    # one object per distinct non-empty input or output set
+    io_sets: dict[frozenset[str], frozenset[str]] = {}
 
     def resolve_objects(refs: list[str], node_id: str) -> frozenset[str]:
         """The objects the distinct refs name; each unknown one is a finding."""
         found = []
         for ref in sorted(set(refs)) if len(refs) > 1 else refs:
-            target = object_refs.get(ref, ref)
-            if target in known_objects:
-                found.append(target)
+            shared = known_objects.get(object_refs.get(ref, ref))
+            if shared is not None:
+                found.append(shared)
             else:
                 info.append(
                     finding(
@@ -274,7 +292,10 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                         f"data association references unknown object {ref!r}",
                     )
                 )
-        return frozenset(found) or _NO_ITEMS
+        if not found:
+            return _NO_ITEMS
+        items = frozenset(found)
+        return io_sets.setdefault(items, items)
 
     for node, ins, outs in raw_io:
         node.inputs = resolve_objects(ins, node.node_id)

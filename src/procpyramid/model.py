@@ -31,7 +31,7 @@ class TimerDef:
             raise ValueError(f"unknown timer mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowNode:
     node_id: str
     kind: str
@@ -53,14 +53,14 @@ class FlowNode:
         return self.kind in EVENT_KINDS
 
 
-@dataclass
+@dataclass(slots=True)
 class Lane:
     lane_id: str
     role_name: str
     member_nodes: frozenset[str] = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class DataObject:
     object_id: str
     name: str = ""

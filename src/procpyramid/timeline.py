@@ -17,7 +17,7 @@ if TYPE_CHECKING:
     from .pyramid import Pyramid
 
 
-@dataclass
+@dataclass(slots=True)
 class GqRecord:
     """Answers to the eight golden questions for one milestone.
 
@@ -36,7 +36,7 @@ class GqRecord:
     gq8_storage: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Milestone:
     """An event paired with a time symbol, plus its golden-question record."""
 

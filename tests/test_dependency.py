@@ -288,6 +288,16 @@ class TestRedundant:
         assert [(f.code, f.subject) for f in findings] == [("REDUNDANT-OUTPUT", "plan")]
         assert "m:a" in findings[0].message and "n:c" in findings[0].message
 
+    def test_two_spellings_of_one_key_list_their_milestone_once(self):
+        ms = [milestone("m:a", outputs=("plan", "Plan ")), milestone("n:b", outputs=("plan",))]
+        [found] = find_redundant(ms)
+        assert found.message == "produced in 2 different models by: m:a, n:b"
+
+    def test_two_spellings_of_one_key_list_their_milestone_once(self):
+        ms = [milestone("m:a", outputs=("plan", "Plan ")), milestone("n:b", outputs=("plan",))]
+        [found] = find_redundant(ms)
+        assert found.message == "produced in 2 different models by: m:a, n:b"
+
     def test_same_model_refinement_is_allowed(self):
         ms = [milestone("m:a", outputs=("plan",)), milestone("m:b", outputs=("plan",))]
         assert find_redundant(ms) == []
@@ -302,13 +312,13 @@ class TestRedundant:
             outs = data.draw(st.frozensets(spellings, max_size=3), label=f"out {i}")
             ms.append(milestone(f"m{i % 3}:e{i}", outputs=outs))
 
-        # Each raw output name counts once: a milestone with two spellings
-        # of one key is listed twice.
+        # A milestone is listed once per key, however many of its raw
+        # output names share that key.
         ordered = sorted(ms, key=lambda m: m.milestone_id)
-        keyed = [(m, oracles.alias_walk(n, aliases)) for m in ordered for n in m.gq.gq6_outputs]
+        keyed = [(m, {oracles.alias_walk(n, aliases) for n in m.gq.gq6_outputs}) for m in ordered]
         expected = []
-        for key in sorted({k for _, k in keyed}):
-            group = [m for m, k in keyed if k == key]
+        for key in sorted(set().union(*(keys for _, keys in keyed))):
+            group = [m for m, keys in keyed if key in keys]
             models = {m.model_id for m in group}
             if len(models) > 1:
                 who = ", ".join(m.milestone_id for m in group)

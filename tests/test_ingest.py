@@ -17,6 +17,8 @@ from procpyramid import (
     parse_model,
     serialize_model,
 )
+from procpyramid.dependency import DependencyEdge
+from procpyramid.findings import finding
 from procpyramid.ingest import _NO_ITEMS
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
@@ -169,6 +171,154 @@ class TestParse:
         )
         with pytest.raises(ModelParseError):
             parse_model(wrap(body), "m")
+
+
+# Two tasks in one lane: the first writes `draft`, the second reads it through
+# a reference and writes `final`. A lane names one member with surrounding
+# whitespace and one that is no node.
+SHARING_XML = wrap(
+    '<laneSet id="lanes"><lane id="crew" name="crew">'
+    "<flowNodeRef>start</flowNodeRef><flowNodeRef>\n  write \n</flowNodeRef>"
+    "<flowNodeRef>review</flowNodeRef><flowNodeRef>ghost</flowNodeRef>"
+    "<flowNodeRef>finish</flowNodeRef></lane></laneSet>"
+    '<dataObject id="draft" name="draft"/><dataObject id="final" name="final"/>'
+    '<dataObjectReference id="draft-ref" dataObjectRef="draft"/>'
+    '<startEvent id="start"/>'
+    '<task id="write"><extensionElements><entry key="duration" value="P5D"/></extensionElements>'
+    "<dataOutputAssociation><targetRef>draft</targetRef></dataOutputAssociation></task>"
+    '<task id="review"><extensionElements><entry key="duration" value="P5D"/></extensionElements>'
+    "<dataInputAssociation><sourceRef>draft-ref</sourceRef></dataInputAssociation>"
+    '<dataOutputAssociation targetRef="final"/></task>'
+    '<endEvent id="finish"/>'
+    '<sequenceFlow id="f1" sourceRef="start" targetRef="write"/>'
+    '<sequenceFlow id="f2" sourceRef="write" targetRef="review"/>'
+    '<sequenceFlow id="f3" sourceRef="review" targetRef="finish"/>'
+)
+
+SOURCE_IDS = ["sharing", "fragment", "product"]
+
+
+class TestSharing:
+    """A parsed model keeps one object per repeated id, ref and io set; the
+    values are those of a parse that shares nothing."""
+
+    @staticmethod
+    def ids(model):
+        return {n.node_id: n.node_id for n in model.nodes}
+
+    @pytest.mark.parametrize("source", [SHARING_XML, FRAGMENT_XML, PRODUCT_XML], ids=SOURCE_IDS)
+    def test_every_flow_end_is_its_nodes_id(self, source):
+        model = parse_model(source.encode("utf-8"), "m")
+        ids = self.ids(model)
+        assert model.flows
+        assert all(end is ids[end] for flow in model.flows for end in flow)
+
+    @pytest.mark.parametrize("source", [SHARING_XML, FRAGMENT_XML, PRODUCT_XML], ids=SOURCE_IDS)
+    def test_every_lane_member_naming_a_node_is_its_id(self, source):
+        model = parse_model(source.encode("utf-8"), "m")
+        ids = self.ids(model)
+        members = [m for lane in model.lanes for m in lane.member_nodes if m in ids]
+        assert members
+        assert all(m is ids[m] for m in members)
+
+    @pytest.mark.parametrize("source", [SHARING_XML, FRAGMENT_XML, PRODUCT_XML], ids=SOURCE_IDS)
+    def test_every_resolved_io_ref_is_its_objects_id(self, source):
+        model = parse_model(source.encode("utf-8"), "m")
+        objects = {d.object_id: d.object_id for d in model.data_objects}
+        refs = [r for n in model.nodes for items in (n.inputs, n.outputs) for r in items]
+        assert refs
+        assert all(r is objects[r] for r in refs)
+
+    @pytest.mark.parametrize("source", [SHARING_XML, FRAGMENT_XML], ids=SOURCE_IDS[:2])
+    def test_equal_io_sets_are_one_object(self, source):
+        model = parse_model(source.encode("utf-8"), "m")
+        first: dict[frozenset, frozenset] = {}
+        shared = 0
+        for items in (s for n in model.nodes for s in (n.inputs, n.outputs) if s):
+            shared += items in first
+            assert first.setdefault(items, items) is items
+        assert shared
+
+    def test_equal_extension_entries_are_one_object(self):
+        nm = parse_model(SHARING_XML, "m").node_map()
+        [(key_w, value_w)] = nm["write"].extensions.items()
+        [(key_r, value_r)] = nm["review"].extensions.items()
+        assert key_w is key_r and value_w is value_r
+
+    def test_record_classes_are_slotted(self):
+        model = parse_model(FRAGMENT_XML, "fragment")
+        milestones, _ = extract_milestones(model)
+        records = [
+            model.nodes[0],
+            model.lanes[0],
+            model.data_objects[0],
+            milestones[0],
+            milestones[0].gq,
+            finding("R1-UNREACHABLE", "m:n", "unreached"),
+            DependencyEdge("m:a", "m:b", frozenset({"x"}), "inferred-undeclared"),
+        ]
+        assert sorted(type(r).__name__ for r in records) == [
+            "DataObject", "DependencyEdge", "Finding", "FlowNode", "GqRecord", "Lane", "Milestone",
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            with pytest.raises((AttributeError, TypeError)):
+                record.extra = 1
+
+    def test_sharing_changes_no_value(self):
+        model = parse_model(SHARING_XML, "m")
+        assert model.lanes[0].member_nodes == frozenset({"start", "write", "review", "ghost", "finish"})
+        nm = model.node_map()
+        assert (nm["write"].inputs, nm["write"].outputs) == (frozenset(), frozenset({"draft"}))
+        assert (nm["review"].inputs, nm["review"].outputs) == (frozenset({"draft"}), frozenset({"final"}))
+        assert model.flows == [("start", "write"), ("write", "review"), ("review", "finish")]
+        assert model.parse_findings == []
+        assert _outcome(parse_model, SHARING_XML) == _outcome(oracles.parse_model_by_tree, SHARING_XML)
+
+    def test_a_member_naming_no_node_is_kept_verbatim(self):
+        model = parse_model(SHARING_XML.replace(">ghost<", "> ghost:1 <"), "m")
+        assert "ghost:1" in model.lanes[0].member_nodes
+        assert "ghost:1" not in self.ids(model)
+
+    def test_an_unknown_ref_is_still_one_finding(self):
+        source = SHARING_XML.replace(
+            "<sourceRef>draft-ref</sourceRef></dataInputAssociation>",
+            "<sourceRef>draft-ref</sourceRef></dataInputAssociation>"
+            "<dataInputAssociation><sourceRef>nowhere</sourceRef></dataInputAssociation>"
+            '<dataInputAssociation sourceRef=" nowhere "/>',
+        )
+        model = parse_model(source, "m")
+        assert [(f.code, f.subject, f.message) for f in model.parse_findings] == [
+            (
+                "UNRESOLVED-DATA-REF",
+                "m:review",
+                "data association references unknown object 'nowhere'",
+            )
+        ]
+        objects = {d.object_id: d.object_id for d in model.data_objects}
+        [ref] = model.node_map()["review"].inputs
+        assert ref is objects["draft"]
+
+    @pytest.mark.parametrize(
+        ("old", "new", "message"),
+        [
+            ('<endEvent id="finish"/>', '<endEvent id="finish"/><task id="write"/>',
+             "model 'm': duplicate node id 'write'"),
+            ('targetRef="review"', 'targetRef="reviews"',
+             "model 'm': flow 'f2' references unknown node 'reviews'"),
+            ('sourceRef="write" targetRef="review"', 'sourceRef="w" targetRef="r"',
+             "model 'm': flow 'f2' references unknown node 'w'"),
+            ('id="f2" sourceRef="write"', 'sourceRef="wrte"',
+             "model 'm': flow 'flow1' references unknown node 'wrte'"),
+        ],
+        ids=["duplicate-node", "unknown-target", "unknown-source-first", "flow-without-id"],
+    )
+    def test_structural_defects_keep_their_messages(self, old, new, message):
+        source = SHARING_XML.replace(old, new)
+        assert source != SHARING_XML
+        with pytest.raises(ModelParseError) as err:
+            parse_model(source, "m")
+        assert str(err.value) == message
 
 
 class TestWellformed:
