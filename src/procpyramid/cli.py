@@ -32,6 +32,7 @@ from .conformance import (
 )
 from .dependency import (
     DependencyGraph,
+    _NameKeys,
     check_temporal,
     cross_check_declared,
     find_redundant,
@@ -46,6 +47,7 @@ from .ingest import check_wellformed
 from .naming import normalize_name
 from .pyramid import assign_coordinates, check_connectivity
 from .timeline import (
+    Milestone,
     OffsetTable,
     build_reference_timeline,
     check_alignment,
@@ -203,8 +205,16 @@ class _Session:
         return table, merge_findings(f1, f2, f3)
 
     @cached_property
+    def name_keys(self) -> _NameKeys:
+        """The run's one name table: every stage that compares names keys
+        them through it, so each distinct name is keyed once per run."""
+        return _NameKeys(self.bundle.manifest.aliases)
+
+    @cached_property
     def graph(self) -> DependencyGraph:
-        return infer_edges(self.bundle.milestones, self.bundle.manifest.aliases)
+        return infer_edges(
+            self.bundle.milestones, self.bundle.manifest.aliases, name_keys=self.name_keys
+        )
 
     @cached_property
     def templates(self) -> list[ReferenceProcess]:
@@ -265,7 +275,7 @@ class _Session:
             findings,
             cross_check_declared(self.graph),
             check_temporal(self.graph, self.timing[0]),
-            find_redundant(bundle.milestones, bundle.manifest.aliases),
+            find_redundant(bundle.milestones, bundle.manifest.aliases, name_keys=self.name_keys),
         )
         return findings, payload
 
@@ -295,6 +305,9 @@ class _Session:
 
     def conform(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle, templates = self.bundle, self.templates
+        milestones_of: dict[str, list[Milestone]] = {}
+        for ms in bundle.milestones:
+            milestones_of.setdefault(ms.model_id, []).append(ms)
         extra: list[Finding] = []
         entries = []
         for ref in sorted(templates, key=lambda t: t.ref_id):
@@ -302,7 +315,13 @@ class _Session:
                 model = bundle.models[model_id]
                 if not ref.binds(model):
                     continue
-                report = diff(model, bundle.milestones, ref, bundle.manifest.aliases)
+                report = diff(
+                    model,
+                    milestones_of.get(model_id, []),
+                    ref,
+                    bundle.manifest.aliases,
+                    name_keys=self.name_keys,
+                )
                 entries.append(
                     {
                         "model": model_id,

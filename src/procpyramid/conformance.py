@@ -9,12 +9,13 @@ from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from . import flowgraph
-from .dependency import DECLARED_UNMATCHED, DependencyGraph
+from .dependency import DECLARED_UNMATCHED, DependencyGraph, _NameKeys
 from .errors import TemplateError
 from .findings import Finding, finding, sort_findings
 from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
-from .naming import canonical_key, compile_aliases, normalize_name
+# canonical_key stays bound here: perfbench/tracing.py wraps this attribute
+from .naming import canonical_key, normalize_name  # noqa: F401
 from .timeline import Milestone
 
 if TYPE_CHECKING:
@@ -245,7 +246,7 @@ def _set_diff(aspect: str, reference: frozenset[str], actual: frozenset[str]) ->
     )
 
 
-def _model_steps(model: ProcessModel, table: dict[str, str]) -> list[str]:
+def _model_steps(model: ProcessModel, keys: _NameKeys) -> list[str]:
     """Task names in flow order: topological where possible, document order
     to break ties and on cycles."""
     doc_rank = {n.node_id: i for i, n in enumerate(model.nodes)}
@@ -254,33 +255,27 @@ def _model_steps(model: ProcessModel, table: dict[str, str]) -> list[str]:
     if order is None:
         order = [n.node_id for n in model.nodes]
     node_map = flow.nodes
-    return [
-        canonical_key(node_map[nid].name or nid, table)
-        for nid in order
-        if node_map[nid].kind == "task"
-    ]
+    return [keys[node_map[nid].name or nid] for nid in order if node_map[nid].kind == "task"]
 
 
 def _model_aspects(
-    model: ProcessModel, milestones: Iterable[Milestone], table: dict[str, str]
+    model: ProcessModel, milestones: Iterable[Milestone], keys: _NameKeys
 ) -> tuple[list[str], frozenset[str], frozenset[str], frozenset[str]]:
-    roles = {
-        canonical_key(lane.role_name, table) for lane in model.lanes if lane.role_name.strip()
-    }
+    roles = {keys[lane.role_name] for lane in model.lanes if lane.role_name.strip()}
     tools: set[str] = set()
     for ms in milestones:
         if ms.model_id == model.model_id:
-            tools.update(canonical_key(t, table) for t in ms.gq.gq3_tools)
+            tools.update(keys[t] for t in ms.gq.gq3_tools)
     methods: set[str] = set()
     sources = [model.extensions] + [n.extensions for n in model.nodes]
     for ext in sources:
         for raw in ext.get("methods", "").split(","):
             if raw.strip():
-                methods.add(canonical_key(raw, table))
+                methods.add(keys[raw])
         for raw in ext.get("tools", "").split(","):
             if raw.strip():
-                tools.add(canonical_key(raw, table))
-    return _model_steps(model, table), frozenset(roles), frozenset(methods), frozenset(tools)
+                tools.add(keys[raw])
+    return _model_steps(model, keys), frozenset(roles), frozenset(methods), frozenset(tools)
 
 
 def diff(
@@ -289,23 +284,26 @@ def diff(
     reference: ReferenceProcess,
     aliases: dict[str, str] | None = None,
     major_threshold: float = 0.5,
+    *,
+    name_keys: _NameKeys | None = None,
 ) -> DeviationReport:
     """Diff one model against one reference process over four aspects.
 
     Steps are aligned by longest common subsequence over normalized names;
     roles, methods, and tools compare as sets. Fully matched everywhere is
-    conforming; any aspect below the threshold is a major deviation.
+    conforming; any aspect below the threshold is a major deviation. Tools
+    come from the model and from those of `milestones` that belong to it.
+    `name_keys`, when given, is a name table built from the same aliases and
+    shared across calls (ValueError if its aliases differ); otherwise the
+    call builds its own.
     """
-    table = compile_aliases(aliases)
-    steps, roles, methods, tools = _model_aspects(model, milestones, table)
-    ref_steps = [canonical_key(s, table) for s in reference.steps]
+    keys = _NameKeys.of(aliases, name_keys)
+    steps, roles, methods, tools = _model_aspects(model, milestones, keys)
     aspects = {
-        "steps": _step_diff(ref_steps, steps),
-        "roles": _set_diff("roles", frozenset(canonical_key(r, table) for r in reference.roles), roles),
-        "methods": _set_diff(
-            "methods", frozenset(canonical_key(x, table) for x in reference.methods), methods
-        ),
-        "tools": _set_diff("tools", frozenset(canonical_key(t, table) for t in reference.tools), tools),
+        "steps": _step_diff([keys[s] for s in reference.steps], steps),
+        "roles": _set_diff("roles", frozenset(keys[r] for r in reference.roles), roles),
+        "methods": _set_diff("methods", frozenset(keys[x] for x in reference.methods), methods),
+        "tools": _set_diff("tools", frozenset(keys[t] for t in reference.tools), tools),
     }
     ratios = [a.match_ratio for a in aspects.values()]
     if all(r == 1.0 for r in ratios):

@@ -57,20 +57,41 @@ class ImpactSet:
 
 
 class _NameKeys(dict):
-    """Raw name -> canonical key under one alias table. A stage keeps one
-    for a call, so each distinct name is keyed once, not once per use."""
+    """Raw name -> canonical key under one alias table.
+
+    One table serves every stage that compares names in a run, so each
+    distinct name is keyed once. A name that is its own key maps to itself:
+    the table holds no second copy of the string.
+    """
 
     def __init__(self, aliases: dict[str, str] | None):
         super().__init__()
+        self.aliases = dict(aliases or {})
         self.table = compile_aliases(aliases)
 
+    @classmethod
+    def of(cls, aliases: dict[str, str] | None, name_keys: _NameKeys | None) -> _NameKeys:
+        """The table a call keys through: `name_keys` when given, which must
+        have been built from these aliases, or else a fresh one."""
+        if name_keys is None:
+            return cls(aliases)
+        if name_keys.aliases != (aliases or {}):
+            raise ValueError("name_keys was built from a different alias table")
+        return name_keys
+
     def __missing__(self, name: str) -> str:
-        key = self[name] = canonical_key(name, self.table)
+        key = canonical_key(name, self.table)
+        if key == name:
+            key = name
+        self[name] = key
         return key
 
 
 def infer_edges(
-    milestones: Iterable[Milestone], aliases: dict[str, str] | None = None
+    milestones: Iterable[Milestone],
+    aliases: dict[str, str] | None = None,
+    *,
+    name_keys: _NameKeys | None = None,
 ) -> DependencyGraph:
     """Build the milestone dependency graph.
 
@@ -78,54 +99,63 @@ def infer_edges(
     after alias normalization, or where a consumer is declared in gq7. The
     edge status records whether data flow and declaration agree. Consumers
     are found through an index from canonical input name to milestone, so
-    only pairs that share a name or a declaration are examined.
+    only pairs that share a name or a declaration are examined. `name_keys`,
+    when given, is a table built from the same aliases and shared with other
+    stages (ValueError if its aliases differ); otherwise the call builds its
+    own.
     """
-    keys = _NameKeys(aliases)
+    keys = _NameKeys.of(aliases, name_keys)
     milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
-    keyed: list[tuple[Milestone, frozenset[str], frozenset[str]]] = []
     positions: dict[str, list[int]] = {}
-    readers: dict[str, list[int]] = {}
+    # canonical input key -> the index of its one reader, or a list of the
+    # indexes once a second milestone reads it; each milestone once per key.
+    # Most keys have one reader, and a bare int for those keeps the index
+    # smaller than a list per key would.
+    readers: dict[str, int | list[int]] = {}
     for i, ms in enumerate(milestones):
-        outs = frozenset(keys[n] for n in ms.gq.gq6_outputs)
-        ins = frozenset(keys[n] for n in ms.gq.gq5_inputs)
-        keyed.append((ms, outs, ins))
         positions.setdefault(ms.milestone_id, []).append(i)
-        for name in ins:
-            readers.setdefault(name, []).append(i)
+        for name in ms.gq.gq5_inputs:
+            key = keys[name]
+            seen = readers.setdefault(key, i)
+            if seen == i:
+                continue
+            if type(seen) is int:
+                readers[key] = [seen, i]
+            elif seen[-1] != i:
+                seen.append(i)
 
     known = set(positions)
     nodes = set(known)
     edges: list[DependencyEdge] = []
-    for producer, outs, _ in keyed:
+    for producer in milestones:
+        pid = producer.milestone_id
         declared = producer.gq.gq7_consumers
-        reached: set[int] = set()
-        for name in outs:
-            reached.update(readers.get(name, ()))
+        # reached consumer index -> the keys it reads from this producer
+        via_of: dict[int, set[str]] = {}
+        for name in producer.gq.gq6_outputs:
+            key = keys[name]
+            found = readers.get(key, ())
+            for j in (found,) if type(found) is int else found:
+                via_of.setdefault(j, set()).add(key)
         for ref in declared & known:
-            reached.update(positions[ref])
-        for j in sorted(reached):
-            consumer, _, ins = keyed[j]
-            if producer.milestone_id == consumer.milestone_id:
+            for j in positions[ref]:
+                via_of.setdefault(j, set())
+        for j in sorted(via_of):
+            cid = milestones[j].milestone_id
+            if cid == pid:
                 continue
-            via = outs & ins
-            is_declared = consumer.milestone_id in declared
+            via = via_of[j]
             if via:
-                status = DECLARED_AND_MATCHED if is_declared else INFERRED_UNDECLARED
-                edges.append(
-                    DependencyEdge(producer.milestone_id, consumer.milestone_id, via, status)
-                )
+                status = DECLARED_AND_MATCHED if cid in declared else INFERRED_UNDECLARED
+                edges.append(DependencyEdge(pid, cid, frozenset(via), status))
             else:
-                edges.append(
-                    DependencyEdge(
-                        producer.milestone_id, consumer.milestone_id, frozenset(), DECLARED_UNMATCHED
-                    )
-                )
+                edges.append(DependencyEdge(pid, cid, frozenset(), DECLARED_UNMATCHED))
         # declared consumers that are no known milestone still yield an edge,
         # so the broken promise stays visible in the graph
         for ref in sorted(declared - known):
-            if ref != producer.milestone_id:
+            if ref != pid:
                 nodes.add(ref)
-                edges.append(DependencyEdge(producer.milestone_id, ref, frozenset(), DECLARED_UNMATCHED))
+                edges.append(DependencyEdge(pid, ref, frozenset(), DECLARED_UNMATCHED))
 
     edges.sort(key=lambda e: (e.producer, e.consumer))
     return DependencyGraph(
@@ -218,25 +248,36 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
 
 
 def find_redundant(
-    milestones: Iterable[Milestone], aliases: dict[str, str] | None = None
+    milestones: Iterable[Milestone],
+    aliases: dict[str, str] | None = None,
+    *,
+    name_keys: _NameKeys | None = None,
 ) -> list[Finding]:
     """Flag data objects produced by milestones in more than one model.
 
     Producing the same object twice inside one model is taken as refinement
-    and left alone.
+    and left alone. `name_keys` is shared as in `infer_edges`.
     """
-    keys = _NameKeys(aliases)
-    producers: dict[str, list[Milestone]] = {}
+    keys = _NameKeys.of(aliases, name_keys)
+    first: dict[str, Milestone] = {}
+    # only keys with a second producer get a list; a milestone with two
+    # spellings of one key is listed once
+    shared: dict[str, list[Milestone]] = {}
     for ms in sorted(milestones, key=lambda ms: ms.milestone_id):
         for name in ms.gq.gq6_outputs:
-            group = producers.setdefault(keys[name], [])
-            # a milestone with two spellings of one key is listed once
-            if not group or group[-1] is not ms:
+            key = keys[name]
+            producer = first.setdefault(key, ms)
+            if producer is ms:
+                continue
+            group = shared.get(key)
+            if group is None:
+                shared[key] = [producer, ms]
+            elif group[-1] is not ms:
                 group.append(ms)
 
     out: list[Finding] = []
-    for key in sorted(producers):
-        group = producers[key]
+    for key in sorted(shared):
+        group = shared[key]
         models = {ms.model_id for ms in group}
         if len(models) > 1:
             who = ", ".join(ms.milestone_id for ms in group)

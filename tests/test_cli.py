@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
-from procpyramid import cli, flowgraph
+from procpyramid import cli, conformance, dependency, flowgraph
 from procpyramid.findings import finding
 
 
@@ -474,6 +474,29 @@ class TestStagesRunOnce:
             "infer_edges": 1,
             "load_reference": len(templates),
         }
+
+    def test_report_keys_each_name_once(self, capsys, monkeypatch):
+        """One name table per run: across dependency inference, the
+        redundancy check and every conformance diff, no name is keyed twice
+        and the alias table is compiled once."""
+        names, compiled = [], []
+
+        def recording(fn, log):
+            def recorded(first, *rest):
+                log.append(first)
+                return fn(first, *rest)
+
+            return recorded
+
+        for module in (dependency, conformance):
+            monkeypatch.setattr(module, "canonical_key", recording(module.canonical_key, names))
+            if hasattr(module, "compile_aliases"):
+                monkeypatch.setattr(module, "compile_aliases", recording(module.compile_aliases, compiled))
+        code, doc = run_json(capsys, ["report", str(PARKPILOT_MANIFEST)])
+        assert code == 0 and doc["conformance"] and doc["dependencies"]["edges"]
+        keyed = Counter(names)
+        assert keyed and [name for name, n in keyed.items() if n > 1] == []
+        assert len(compiled) == 1
 
     def test_report_walks_each_anchor_once(self, capsys, monkeypatch):
         walked = []

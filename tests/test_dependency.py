@@ -3,22 +3,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import milestone, stub_pyramid
+from conftest import chain_model, milestone, node, stub_pyramid
 from procpyramid import (
     OffsetTable,
     UnknownSeedError,
     check_temporal,
     cross_check_declared,
+    diff,
     find_redundant,
     impact,
     infer_edges,
 )
+from procpyramid.conformance import ReferenceProcess
 from procpyramid.dependency import (
     DECLARED_AND_MATCHED,
     DECLARED_UNMATCHED,
     INFERRED_UNDECLARED,
     DependencyEdge,
     DependencyGraph,
+    _NameKeys,
     graph_to_dot,
     graph_to_json,
 )
@@ -293,11 +296,6 @@ class TestRedundant:
         [found] = find_redundant(ms)
         assert found.message == "produced in 2 different models by: m:a, n:b"
 
-    def test_two_spellings_of_one_key_list_their_milestone_once(self):
-        ms = [milestone("m:a", outputs=("plan", "Plan ")), milestone("n:b", outputs=("plan",))]
-        [found] = find_redundant(ms)
-        assert found.message == "produced in 2 different models by: m:a, n:b"
-
     def test_same_model_refinement_is_allowed(self):
         ms = [milestone("m:a", outputs=("plan",)), milestone("m:b", outputs=("plan",))]
         assert find_redundant(ms) == []
@@ -327,6 +325,110 @@ class TestRedundant:
 
         findings = find_redundant(data.draw(st.permutations(ms), label="order"), aliases)
         assert [(f.code, f.subject, f.message) for f in findings] == expected
+
+
+class TestSharedNameKeys:
+    """A name table shared across calls gives the values a fresh one gives."""
+
+    spellings = TestInference.spellings
+    aliases = st.one_of(
+        st.just({"plan": "brief", "Brief": "report", "REPORT ": "frame"}),  # a chain
+        st.just({"plan": "brief", "Brief ": "PLAN", "spec": "plan"}),  # a cycle, entered from spec
+        st.dictionaries(spellings, spellings, max_size=5),
+    )
+
+    def milestones(self, data, label):
+        count = data.draw(st.integers(min_value=0, max_value=6), label=f"{label} count")
+        ids = [f"m{i % 3}:e{i}" for i in range(count)]
+        names = st.frozensets(self.spellings, max_size=3)
+        return [
+            milestone(
+                mid,
+                inputs=data.draw(names, label=f"{label} in {mid}"),
+                outputs=data.draw(names, label=f"{label} out {mid}"),
+                consumers=data.draw(st.frozensets(st.sampled_from(ids + ["x:ghost"]), max_size=2)),
+                tools=data.draw(names, label=f"{label} tools {mid}"),
+            )
+            for mid in ids
+        ]
+
+    def model_and_reference(self, data, label):
+        steps = data.draw(st.lists(self.spellings, max_size=5), label=f"{label} tasks")
+        tools = ", ".join(data.draw(st.lists(self.spellings, max_size=2), label=f"{label} ext"))
+        nodes = [node(f"t{i}", "task", name=n, days=1) for i, n in enumerate(steps)]
+        model = chain_model("m0", nodes, extensions={"tools": tools, "methods": tools})
+        names = st.frozensets(self.spellings, max_size=3)
+        reference = ReferenceProcess(
+            "ref",
+            "ref",
+            steps=data.draw(st.lists(self.spellings, min_size=1, max_size=5), label=f"{label} steps"),
+            roles=data.draw(names, label=f"{label} roles"),
+            methods=data.draw(names, label=f"{label} methods"),
+            tools=data.draw(names, label=f"{label} tools"),
+        )
+        return model, reference
+
+    @given(st.data())
+    def test_a_filled_table_changes_no_value(self, data):
+        aliases = data.draw(self.aliases, label="aliases")
+        shared = _NameKeys(aliases)
+        # fill the table through other calls first
+        other = self.milestones(data, "other")
+        infer_edges(other, aliases, name_keys=shared)
+        find_redundant(other, aliases, name_keys=shared)
+        model, reference = self.model_and_reference(data, "other")
+        diff(model, other, reference, aliases, name_keys=shared)
+
+        ms = self.milestones(data, "this")
+        model, reference = self.model_and_reference(data, "this")
+        calls = {
+            "edges": lambda **kw: infer_edges(ms, aliases, **kw),
+            "redundant": lambda **kw: find_redundant(ms, aliases, **kw),
+            "diff": lambda **kw: diff(model, ms, reference, aliases, **kw),
+        }
+        for name in data.draw(st.permutations(sorted(calls)), label="order"):
+            assert calls[name](name_keys=shared) == calls[name](), name
+        for raw, key in shared.items():
+            assert key == oracles.alias_walk(raw, aliases)
+
+    def test_a_name_that_is_its_own_key_is_stored_as_itself(self):
+        keys = _NameKeys({"pp plan": "park pilot plan"})
+        own = "".join(["park pilot ", "plan"])
+        assert keys[own] is own
+        assert keys.get(own) is own
+        padded = "Park  Pilot Plan "
+        assert keys[padded] == "park pilot plan" and keys[padded] is not padded
+        assert keys["PP plan"] == "park pilot plan"
+
+    def test_a_table_from_other_aliases_is_refused(self):
+        ms = [milestone("m:a", outputs=("pp plan",)), milestone("n:b", inputs=("plan",))]
+        model = chain_model("m", [node("t", "task", name="plan", days=1)])
+        reference = ReferenceProcess("ref", "ref", steps=["pp plan"])
+        aliases = {"pp plan": "plan"}
+        calls = [
+            lambda keys: infer_edges(ms, aliases, name_keys=keys),
+            lambda keys: find_redundant(ms, aliases, name_keys=keys),
+            lambda keys: diff(model, ms, reference, aliases, name_keys=keys),
+        ]
+        for call in calls:
+            for other in ({}, {"pp plan": "brief"}):
+                with pytest.raises(ValueError, match="different alias table"):
+                    call(_NameKeys(other))
+            assert call(_NameKeys(dict(aliases))) == call(None)
+        # no aliases and an empty table are the same table
+        assert infer_edges(ms, None, name_keys=_NameKeys({})) == infer_edges(ms)
+        # a table keeps the aliases it was built from, not the caller's dict
+        keys = _NameKeys(aliases)
+        aliases["plan"] = "brief"
+        with pytest.raises(ValueError, match="different alias table"):
+            infer_edges(ms, aliases, name_keys=keys)
+
+    def test_edges_carry_the_milestones_own_strings(self):
+        out, read = "".join(["pl", "an"]), "".join(["pla", "n"])
+        ms = [milestone("m:a", outputs=(out,)), milestone("n:b", inputs=(read,))]
+        [edge] = infer_edges(ms).edges
+        [via] = edge.via
+        assert via is out or via is read
 
 
 class TestExport:

@@ -370,6 +370,25 @@ class TestWellformed:
         assert codes.count("R4-NO-TIMER") == 1  # only the start is uncovered
 
 
+class TestLanes:
+    """A node's lane is the first lane that lists it."""
+
+    def two_lane_model(self):
+        return chain_model(
+            "m",
+            [node("s", "start-event", timer=anchor(30)), node("e", "end-event")],
+            lanes=[Lane("blank", "  ", frozenset({"e"})), Lane("crew", "crew", frozenset({"s", "e"}))],
+        )
+
+    def test_a_later_lane_with_a_role_does_not_lift_r3(self):
+        findings = check_wellformed(self.two_lane_model())
+        assert [(f.code, f.subject) for f in findings] == [("R3-NO-ROLE", "m:e")]
+
+    def test_a_later_lane_with_a_role_does_not_answer_gq2(self):
+        milestones, _ = extract_milestones(self.two_lane_model())
+        assert {ms.milestone_id: ms.gq.gq2_role for ms in milestones} == {"m:s": "crew", "m:e": ""}
+
+
 class TestMilestones:
     def test_fragment_extraction(self):
         model = parse_model(FRAGMENT_XML, "fragment")

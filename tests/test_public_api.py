@@ -1,6 +1,13 @@
-"""The public API is exactly the names below; growing it is a reviewed change."""
+"""The public API is exactly the names below; growing it is a reviewed change.
+The module attributes the benchmark tracer wraps must keep resolving too."""
+
+import importlib
+from pathlib import Path
 
 import procpyramid
+from procpyramid.model import ProcessModel
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 PUBLIC = [
     "AspectDiff", "Bundle", "DataObject", "DependencyEdge", "DependencyGraph",
@@ -23,3 +30,18 @@ def test_all_is_pinned():
     assert len(PUBLIC) == 58
     assert procpyramid.__all__ == PUBLIC
 
+
+def test_every_attribute_the_tracer_wraps_resolves(monkeypatch):
+    """`perfbench/tracing.py` replaces these attributes where the program
+    calls them; a refactor that renames or drops one fails here instead of
+    crashing a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    assert Path(tracing.__file__).resolve().parent == PERFBENCH
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in tracing.SPANS
+        if not callable(getattr(importlib.import_module(f"procpyramid.{module}"), attr, None))
+    ]
+    assert missing == []
+    assert callable(ProcessModel.node_map)
