@@ -212,9 +212,7 @@ class _Session:
 
     @cached_property
     def graph(self) -> DependencyGraph:
-        return infer_edges(
-            self.bundle.milestones, self.bundle.manifest.aliases, name_keys=self.name_keys
-        )
+        return infer_edges(self.bundle.milestones, self.name_keys)
 
     @cached_property
     def templates(self) -> list[ReferenceProcess]:
@@ -275,7 +273,7 @@ class _Session:
             findings,
             cross_check_declared(self.graph),
             check_temporal(self.graph, self.timing[0]),
-            find_redundant(bundle.milestones, bundle.manifest.aliases, name_keys=self.name_keys),
+            find_redundant(bundle.milestones, self.name_keys),
         )
         return findings, payload
 
@@ -315,13 +313,7 @@ class _Session:
                 model = bundle.models[model_id]
                 if not ref.binds(model):
                     continue
-                report = diff(
-                    model,
-                    milestones_of.get(model_id, []),
-                    ref,
-                    bundle.manifest.aliases,
-                    name_keys=self.name_keys,
-                )
+                report = diff(model, milestones_of.get(model_id, []), ref, self.name_keys)
                 entries.append(
                     {
                         "model": model_id,

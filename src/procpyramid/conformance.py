@@ -22,6 +22,8 @@ if TYPE_CHECKING:
     from .pyramid import Pyramid
 
 SIDES = ("left", "right", "none")
+# an aspect whose match ratio falls below this is a major deviation
+MAJOR_THRESHOLD = 0.5
 
 
 @dataclass
@@ -81,7 +83,8 @@ def load_reference(text: str) -> list[ReferenceProcess]:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # as in pyramid.load_manifest: deep nesting and over-long integers too
         raise TemplateError(f"reference template is not valid JSON ({exc})")
     items = raw if isinstance(raw, list) else [raw]
     templates: list[ReferenceProcess] = []
@@ -282,22 +285,17 @@ def diff(
     model: ProcessModel,
     milestones: Iterable[Milestone],
     reference: ReferenceProcess,
-    aliases: dict[str, str] | None = None,
-    major_threshold: float = 0.5,
-    *,
-    name_keys: _NameKeys | None = None,
+    aliases: dict[str, str] | _NameKeys | None = None,
 ) -> DeviationReport:
     """Diff one model against one reference process over four aspects.
 
     Steps are aligned by longest common subsequence over normalized names;
     roles, methods, and tools compare as sets. Fully matched everywhere is
-    conforming; any aspect below the threshold is a major deviation. Tools
-    come from the model and from those of `milestones` that belong to it.
-    `name_keys`, when given, is a name table built from the same aliases and
-    shared across calls (ValueError if its aliases differ); otherwise the
-    call builds its own.
+    conforming; any aspect below `MAJOR_THRESHOLD` is a major deviation.
+    Tools come from the model and from those of `milestones` that belong to
+    it. `aliases` may be a shared table, as in `dependency.infer_edges`.
     """
-    keys = _NameKeys.of(aliases, name_keys)
+    keys = _NameKeys.of(aliases)
     steps, roles, methods, tools = _model_aspects(model, milestones, keys)
     aspects = {
         "steps": _step_diff([keys[s] for s in reference.steps], steps),
@@ -308,7 +306,7 @@ def diff(
     ratios = [a.match_ratio for a in aspects.values()]
     if all(r == 1.0 for r in ratios):
         verdict = "conforming"
-    elif any(r < major_threshold for r in ratios):
+    elif any(r < MAJOR_THRESHOLD for r in ratios):
         verdict = "major-deviation"
     else:
         verdict = "minor-deviation"

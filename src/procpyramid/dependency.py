@@ -66,18 +66,13 @@ class _NameKeys(dict):
 
     def __init__(self, aliases: dict[str, str] | None):
         super().__init__()
-        self.aliases = dict(aliases or {})
         self.table = compile_aliases(aliases)
 
     @classmethod
-    def of(cls, aliases: dict[str, str] | None, name_keys: _NameKeys | None) -> _NameKeys:
-        """The table a call keys through: `name_keys` when given, which must
-        have been built from these aliases, or else a fresh one."""
-        if name_keys is None:
-            return cls(aliases)
-        if name_keys.aliases != (aliases or {}):
-            raise ValueError("name_keys was built from a different alias table")
-        return name_keys
+    def of(cls, aliases: dict[str, str] | _NameKeys | None) -> _NameKeys:
+        """The table a call keys through: `aliases` itself when it is already
+        a table, or else a fresh one built from the alias dict."""
+        return aliases if isinstance(aliases, cls) else cls(aliases)
 
     def __missing__(self, name: str) -> str:
         key = canonical_key(name, self.table)
@@ -88,10 +83,7 @@ class _NameKeys(dict):
 
 
 def infer_edges(
-    milestones: Iterable[Milestone],
-    aliases: dict[str, str] | None = None,
-    *,
-    name_keys: _NameKeys | None = None,
+    milestones: Iterable[Milestone], aliases: dict[str, str] | _NameKeys | None = None
 ) -> DependencyGraph:
     """Build the milestone dependency graph.
 
@@ -99,12 +91,11 @@ def infer_edges(
     after alias normalization, or where a consumer is declared in gq7. The
     edge status records whether data flow and declaration agree. Consumers
     are found through an index from canonical input name to milestone, so
-    only pairs that share a name or a declaration are examined. `name_keys`,
-    when given, is a table built from the same aliases and shared with other
-    stages (ValueError if its aliases differ); otherwise the call builds its
-    own.
+    only pairs that share a name or a declaration are examined. `aliases`
+    is the manifest's alias dict, or a `_NameKeys` table built from it and
+    shared with other stages.
     """
-    keys = _NameKeys.of(aliases, name_keys)
+    keys = _NameKeys.of(aliases)
     milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
     positions: dict[str, list[int]] = {}
     # canonical input key -> the index of its one reader, or a list of the
@@ -248,17 +239,14 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
 
 
 def find_redundant(
-    milestones: Iterable[Milestone],
-    aliases: dict[str, str] | None = None,
-    *,
-    name_keys: _NameKeys | None = None,
+    milestones: Iterable[Milestone], aliases: dict[str, str] | _NameKeys | None = None
 ) -> list[Finding]:
     """Flag data objects produced by milestones in more than one model.
 
     Producing the same object twice inside one model is taken as refinement
-    and left alone. `name_keys` is shared as in `infer_edges`.
+    and left alone. `aliases` may be a shared table, as in `infer_edges`.
     """
-    keys = _NameKeys.of(aliases, name_keys)
+    keys = _NameKeys.of(aliases)
     first: dict[str, Milestone] = {}
     # only keys with a second producer get a list; a milestone with two
     # spellings of one key is listed once

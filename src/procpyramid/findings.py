@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 SEVERITIES = ("error", "warning", "info")
 
-# Default severity per finding code. Checks may not emit a code that is
+# Severity per finding code. Checks may not emit a code that is
 # absent from this catalog.
 CATALOG: dict[str, str] = {
     # model ingestion
@@ -84,13 +84,11 @@ class Finding:
         return (_RANK[self.severity], self.code, self.subject, self.message)
 
 
-def finding(code: str, subject: str, message: str, severity: str | None = None) -> Finding:
-    """Build a Finding, defaulting the severity from the catalog."""
-    if severity is None:
-        if code not in CATALOG:
-            raise ValueError(f"finding code {code!r} is not in the catalog")
-        severity = CATALOG[code]
-    return Finding(code=code, severity=severity, subject=subject, message=message)
+def finding(code: str, subject: str, message: str) -> Finding:
+    """Build a Finding with the severity the catalog gives its code."""
+    if code not in CATALOG:
+        raise ValueError(f"finding code {code!r} is not in the catalog")
+    return Finding(code=code, severity=CATALOG[code], subject=subject, message=message)
 
 
 def sort_findings(items: list[Finding]) -> list[Finding]:

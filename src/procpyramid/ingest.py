@@ -12,6 +12,8 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from . import flowgraph
 from .durations import Duration, parse_duration, parse_offset_days
@@ -47,6 +49,9 @@ _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
 # Most name sets (node inputs and outputs, gq lists) are empty; they share
 # this one instead of 216 bytes each.
 _NO_ITEMS: frozenset[str] = frozenset()
+# Most nodes have no extension entry once `duration` is parsed out; they
+# share this one, read-only so that no caller's write reaches every node.
+_NO_EXTENSIONS: Mapping[str, str] = MappingProxyType({})
 
 
 @lru_cache(maxsize=1024)
@@ -198,13 +203,14 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         duration = None
         if "duration" in extensions:
             try:
-                duration = _duration(extensions["duration"])
+                duration = _duration(extensions.pop("duration"))
             except ValueError as exc:
                 _fail(model_id, f"node {node_id!r}: {exc}")
         if kind == "call-activity":
             call_targets[node_id] = (elem.get("calledElement") or "").strip()
         node = FlowNode(
-            node_id, kind, elem.get("name", ""), duration, timer, _NO_ITEMS, _NO_ITEMS, extensions
+            node_id, kind, elem.get("name", ""), duration, timer, _NO_ITEMS, _NO_ITEMS,
+            extensions or _NO_EXTENSIONS,
         )
         nodes.append(node)
         if ins or outs:
@@ -324,7 +330,7 @@ def serialize_model(model: ProcessModel) -> str:
     name_attr = f" name={quoteattr(model.name)}" if model.name else ""
     out.append(f"  <process id={quoteattr(model.model_id)}{name_attr}>")
 
-    def emit_extensions(pad: str, entries: dict[str, str]) -> None:
+    def emit_extensions(pad: str, entries: Mapping[str, str]) -> None:
         if not entries:
             return
         out.append(f"{pad}<extensionElements>")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .durations import Duration
 from .findings import Finding
@@ -40,7 +41,7 @@ class FlowNode:
     timer: TimerDef | None = None
     inputs: frozenset[str] = frozenset()
     outputs: frozenset[str] = frozenset()
-    extensions: dict[str, str] = field(default_factory=dict)
+    extensions: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:

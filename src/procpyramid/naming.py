@@ -51,12 +51,3 @@ def canonical_key(name: str, table: dict[str, str] | None = None) -> str:
     normalized form."""
     key = normalize_name(name)
     return table.get(key, key) if table else key
-
-
-def resolve_alias(name: str, aliases: dict[str, str] | None) -> str:
-    """Map one name through a raw manifest alias table to its canonical form.
-
-    Compiles the table for this one lookup; code that resolves many names
-    compiles once with `compile_aliases` and calls `canonical_key`.
-    """
-    return canonical_key(name, compile_aliases(aliases))

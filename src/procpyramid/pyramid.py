@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .durations import Duration
 from .errors import ManifestError
@@ -15,19 +15,11 @@ from .model import ProcessModel
 
 
 @dataclass
-class DocumentRef:
-    path: str
-    kind: str = ""
-    description: str = ""
-
-
-@dataclass
 class LevelEntry:
     model_id: str
     file: str
     level: int
     parent_hint: tuple[str, str] | None = None
-    documents: list[DocumentRef] = field(default_factory=list)
 
 
 @dataclass
@@ -84,7 +76,9 @@ def load_manifest(text: str) -> Manifest:
     """Parse and validate a bundle manifest from JSON text."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # beyond JSONDecodeError: nesting past the recursion limit, and
+        # integers longer than sys.get_int_max_str_digits()
         raise ManifestError(f"manifest is not valid JSON ({exc})")
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -117,25 +111,14 @@ def load_manifest(text: str) -> Manifest:
             ):
                 raise _field_error(f"models[{i}].parent", "must hold model and node ids")
             parent_hint = (parent["model"], parent["node"])
-        listed = item.get("documents", [])
-        if not isinstance(listed, list):
+        # documents are checked for shape and then dropped: no stage reads them
+        documents = item.get("documents", [])
+        if not isinstance(documents, list):
             raise _field_error(f"models[{i}].documents", "must be a list")
-        documents = []
-        for j, doc in enumerate(listed):
+        for j, doc in enumerate(documents):
             if not isinstance(doc, dict) or not isinstance(doc.get("path"), str):
                 raise _field_error(f"models[{i}].documents[{j}]", "must hold a path")
-            documents.append(
-                DocumentRef(
-                    path=doc["path"],
-                    kind=doc.get("kind", ""),
-                    description=doc.get("description", ""),
-                )
-            )
-        entries.append(
-            LevelEntry(
-                model_id=model_id, file=file_, level=level, parent_hint=parent_hint, documents=documents
-            )
-        )
+        entries.append(LevelEntry(model_id=model_id, file=file_, level=level, parent_hint=parent_hint))
 
     dupes = sorted(i for i, n in Counter(e.model_id for e in entries).items() if n > 1)
     if dupes:
@@ -202,30 +185,26 @@ def load_manifest(text: str) -> Manifest:
 
 
 def build_pyramid(
-    manifest: Manifest, models: Mapping[str, ProcessModel] | Iterable[ProcessModel]
+    manifest: Manifest, models: Mapping[str, ProcessModel]
 ) -> tuple[Pyramid, list[Finding]]:
     """Place parsed models at their declared levels.
 
     Parsed models missing from the manifest are flagged as orphans; manifest
     entries without a parsed model are flagged missing. A missing root is
-    fatal because nothing can hang together without it.
+    fatal because nothing can hang together without it. `models` maps each
+    model id to its parsed model.
     """
-    if isinstance(models, Mapping):
-        model_map = dict(models)
-    else:
-        model_map = {m.model_id: m for m in models}
-
     out: list[Finding] = []
     entry_map = manifest.entry_map()
-    for model_id in sorted(model_map):
+    for model_id in sorted(models):
         if model_id not in entry_map:
             out.append(finding("ORPHAN-MODEL", model_id, "parsed model is not listed in the manifest"))
-    if manifest.root_model not in model_map:
+    if manifest.root_model not in models:
         raise ManifestError(f"root model {manifest.root_model!r} is missing from the bundle")
 
     levels: dict[int, list[ProcessModel]] = {}
     for entry in manifest.entries:
-        model = model_map.get(entry.model_id)
+        model = models.get(entry.model_id)
         if model is None:
             out.append(
                 finding(

@@ -535,7 +535,7 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
         duration = None
         if "duration" in extensions:
             try:
-                duration = parse_duration(extensions["duration"])
+                duration = parse_duration(extensions.pop("duration"))
             except ValueError as exc:
                 _fail(model_id, f"node {node_id!r}: {exc}")
         if kind == "call-activity":

@@ -11,6 +11,8 @@ import random
 import resource
 import time
 
+import pytest
+
 import oracles
 from conftest import PARKPILOT_MANIFEST, PARKPILOT_SEVERED, FIG7_MANIFEST, milestone, stub_pyramid
 from procpyramid import (
@@ -399,3 +401,80 @@ def test_criterion_9_scale_smoke(tmp_path):
     print(
         f"criterion 9 (200 models / 10k nodes): PASS in {elapsed:.2f}s, peak {peak_kb / 1024:.0f} MB"
     )
+
+
+def build_tree_bundle(root_dir, parent_of):
+    """One small model per id, parents listed before their children: a timer
+    start, one one-day task, a call activity per child and an end event.
+    Each end hands the model's artifact to its children's starts, at the
+    same offset, so the bundle is clean at any depth and width."""
+    children = {mid: [] for mid in parent_of}
+    level = {}
+    for mid, parent in parent_of.items():
+        level[mid] = 0 if parent is None else level[parent] + 1
+        if parent is not None:
+            children[parent].append(mid)
+    depth = max(level.values())
+    entries = []
+    for mid, parent in parent_of.items():
+        kids = children[mid]
+        end_ext = {"gq3": "board"}
+        if kids:
+            end_ext["gq7"] = ", ".join(f"{kid}:start" for kid in kids)
+        else:
+            end_ext["terminal"] = "true"
+        nodes = [
+            FlowNode(
+                "start", "start-event", name=f"{mid} start",
+                timer=TimerDef(amount=Duration(depth - level[mid] + 1)),
+                inputs=frozenset({"oin"}), outputs=frozenset({"o0"}),
+                extensions={"gq3": "board", "gq4": "P0D", "gq7": f"{mid}:end"},
+            ),
+            FlowNode(
+                "t0", "task", name=f"{mid} work", duration=Duration(1),
+                inputs=frozenset({"o0"}), outputs=frozenset({"o1"}),
+            ),
+            *(FlowNode(f"c{k}", "call-activity", name=f"call {kid}") for k, kid in enumerate(kids)),
+            FlowNode("end", "end-event", name=f"{mid} end", extensions=end_ext),
+        ]
+        model = ProcessModel(
+            model_id=mid, name=mid, nodes=nodes,
+            flows=[(a.node_id, b.node_id) for a, b in zip(nodes, nodes[1:])],
+            lanes=[Lane("l0", "crew", frozenset(n.node_id for n in nodes))],
+            data_objects=[
+                DataObject("oin", name=f"{parent} artifact" if parent else "demand", storage_ref="s"),
+                DataObject("o0", name=f"{mid} step", storage_ref="s"),
+                DataObject("o1", name=f"{mid} artifact", storage_ref="s"),
+            ],
+            call_targets={f"c{k}": kid for k, kid in enumerate(kids)},
+        )
+        (root_dir / f"{mid}.bpmn").write_text(serialize_model(model), encoding="utf-8")
+        entry = {"id": mid, "file": f"{mid}.bpmn", "level": level[mid]}
+        if parent is not None:
+            entry["parent"] = {"model": parent, "node": f"c{children[parent].index(mid)}"}
+        entries.append(entry)
+    path = root_dir / "manifest.json"
+    path.write_text(json.dumps({"root": next(iter(parent_of)), "models": entries}), encoding="utf-8")
+    return path
+
+
+CHAIN = {f"m{i}": f"m{i - 1}" if i else None for i in range(5000)}
+FLAT = {"root": None, **{f"c{i}": "root" for i in range(2000)}}
+
+
+@pytest.mark.parametrize(
+    ("parent_of", "depth"), [(CHAIN, 4999), (FLAT, 1)], ids=["deep-5000-chain", "wide-2000-children"]
+)
+def test_criterion_9_deep_and_wide(tmp_path, parent_of, depth):
+    manifest = build_tree_bundle(tmp_path, parent_of)
+    out = tmp_path / "report.json"
+
+    started = time.perf_counter()
+    code = cli.run(["report", str(manifest), "--json", "--out", str(out)])
+    elapsed = time.perf_counter() - started
+
+    assert code == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    models = len(parent_of)
+    assert doc["bundle"] == {"models": models, "milestones": 2 * models, "maxConnectedDepth": depth}
+    print(f"criterion 9 ({models} models, depth {depth}): PASS in {elapsed:.2f}s")

@@ -360,6 +360,43 @@ class TestFatalPaths:
         assert captured.err == "fatal [BAD-FIELD]: manifest field 'models[1].documents': must be a list\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "raw", ["[" * 200000 + "]" * 200000, "9" * 5000], ids=["deep-array", "long-integer"]
+    )
+    @pytest.mark.parametrize(
+        ("name", "command", "code"),
+        [("manifest.json", "validate", "MANIFEST"), ("refs/vmodel.json", "conform", "TEMPLATE")],
+        ids=["manifest", "template"],
+    )
+    def test_json_past_the_decoder_limits_is_an_input_fatal(
+        self, capsys, tmp_path, name, command, code, raw
+    ):
+        # json.loads raises RecursionError for deep nesting and a plain
+        # ValueError for an integer longer than sys.get_int_max_str_digits()
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        target = tmp_path / name
+        doc = json.loads(target.read_text(encoding="utf-8"))
+        (doc[0] if isinstance(doc, list) else doc)["probe"] = "@raw"
+        target.write_text(json.dumps(doc).replace('"@raw"', raw), encoding="utf-8")
+        assert cli.run([command, str(tmp_path / "manifest.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"fatal [{code}]: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("entry", [{"kind": "notes"}, {"path": 5}, "docs/a.md"])
+    def test_a_document_without_a_path_is_a_bad_field(self, capsys, tmp_path, entry):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["models"][1]["documents"] = [{"path": "docs/a.md"}, entry]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(["validate", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "fatal [BAD-FIELD]: manifest field 'models[1].documents[1]': must hold a path\n"
+        )
+        assert captured.out == ""
+
     def test_unexpected_exception_is_fatal(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("stage blew up")

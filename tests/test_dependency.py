@@ -372,22 +372,23 @@ class TestSharedNameKeys:
     def test_a_filled_table_changes_no_value(self, data):
         aliases = data.draw(self.aliases, label="aliases")
         shared = _NameKeys(aliases)
+        assert _NameKeys.of(shared) is shared
         # fill the table through other calls first
         other = self.milestones(data, "other")
-        infer_edges(other, aliases, name_keys=shared)
-        find_redundant(other, aliases, name_keys=shared)
+        infer_edges(other, shared)
+        find_redundant(other, shared)
         model, reference = self.model_and_reference(data, "other")
-        diff(model, other, reference, aliases, name_keys=shared)
+        diff(model, other, reference, shared)
 
         ms = self.milestones(data, "this")
         model, reference = self.model_and_reference(data, "this")
         calls = {
-            "edges": lambda **kw: infer_edges(ms, aliases, **kw),
-            "redundant": lambda **kw: find_redundant(ms, aliases, **kw),
-            "diff": lambda **kw: diff(model, ms, reference, aliases, **kw),
+            "edges": lambda names: infer_edges(ms, names),
+            "redundant": lambda names: find_redundant(ms, names),
+            "diff": lambda names: diff(model, ms, reference, names),
         }
         for name in data.draw(st.permutations(sorted(calls)), label="order"):
-            assert calls[name](name_keys=shared) == calls[name](), name
+            assert calls[name](shared) == calls[name](aliases), name
         for raw, key in shared.items():
             assert key == oracles.alias_walk(raw, aliases)
 
@@ -399,29 +400,6 @@ class TestSharedNameKeys:
         padded = "Park  Pilot Plan "
         assert keys[padded] == "park pilot plan" and keys[padded] is not padded
         assert keys["PP plan"] == "park pilot plan"
-
-    def test_a_table_from_other_aliases_is_refused(self):
-        ms = [milestone("m:a", outputs=("pp plan",)), milestone("n:b", inputs=("plan",))]
-        model = chain_model("m", [node("t", "task", name="plan", days=1)])
-        reference = ReferenceProcess("ref", "ref", steps=["pp plan"])
-        aliases = {"pp plan": "plan"}
-        calls = [
-            lambda keys: infer_edges(ms, aliases, name_keys=keys),
-            lambda keys: find_redundant(ms, aliases, name_keys=keys),
-            lambda keys: diff(model, ms, reference, aliases, name_keys=keys),
-        ]
-        for call in calls:
-            for other in ({}, {"pp plan": "brief"}):
-                with pytest.raises(ValueError, match="different alias table"):
-                    call(_NameKeys(other))
-            assert call(_NameKeys(dict(aliases))) == call(None)
-        # no aliases and an empty table are the same table
-        assert infer_edges(ms, None, name_keys=_NameKeys({})) == infer_edges(ms)
-        # a table keeps the aliases it was built from, not the caller's dict
-        keys = _NameKeys(aliases)
-        aliases["plan"] = "brief"
-        with pytest.raises(ValueError, match="different alias table"):
-            infer_edges(ms, aliases, name_keys=keys)
 
     def test_edges_carry_the_milestones_own_strings(self):
         out, read = "".join(["pl", "an"]), "".join(["pla", "n"])

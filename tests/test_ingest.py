@@ -107,6 +107,27 @@ class TestParse:
         assert empty
         assert all(s is _NO_ITEMS for s in empty)
 
+    def test_a_duration_only_node_keeps_no_extension_entries(self):
+        body = (
+            '<startEvent id="s"/>'
+            '<task id="a"><extensionElements><entry key="duration" value="P2W"/></extensionElements></task>'
+            '<task id="b"><extensionElements><entry key="duration" value="P3D"/></extensionElements></task>'
+            '<endEvent id="e"/>'
+            '<sequenceFlow id="f1" sourceRef="s" targetRef="a"/>'
+            '<sequenceFlow id="f2" sourceRef="a" targetRef="b"/>'
+            '<sequenceFlow id="f3" sourceRef="b" targetRef="e"/>'
+        )
+        model = parse_model(wrap(body), "m")
+        nm = model.node_map()
+        assert (nm["a"].duration, nm["b"].duration) == (Duration(14), Duration(3))
+        empty = nm["a"].extensions
+        assert empty == {}
+        assert all(n.extensions is empty for n in model.nodes)
+        with pytest.raises(TypeError):
+            empty["duration"] = "P1D"
+        again = parse_model(serialize_model(model), "m").node_map()
+        assert (again["a"].duration, again["a"].extensions) == (Duration(14), {})
+
     def test_unsupported_elements_are_reported_not_fatal(self):
         model = parse_model(wrap('<subProcess id="sub"/>' + MINIMAL), "m")
         assert [f.code for f in model.parse_findings] == ["UNSUPPORTED-ELEMENT"]
@@ -184,9 +205,11 @@ SHARING_XML = wrap(
     '<dataObject id="draft" name="draft"/><dataObject id="final" name="final"/>'
     '<dataObjectReference id="draft-ref" dataObjectRef="draft"/>'
     '<startEvent id="start"/>'
-    '<task id="write"><extensionElements><entry key="duration" value="P5D"/></extensionElements>'
+    '<task id="write"><extensionElements><entry key="duration" value="P5D"/>'
+    '<entry key="methods" value="peer review"/></extensionElements>'
     "<dataOutputAssociation><targetRef>draft</targetRef></dataOutputAssociation></task>"
-    '<task id="review"><extensionElements><entry key="duration" value="P5D"/></extensionElements>'
+    '<task id="review"><extensionElements><entry key="duration" value="P5D"/>'
+    '<entry key="methods" value="peer review"/></extensionElements>'
     "<dataInputAssociation><sourceRef>draft-ref</sourceRef></dataInputAssociation>"
     '<dataOutputAssociation targetRef="final"/></task>'
     '<endEvent id="finish"/>'

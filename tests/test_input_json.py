@@ -15,6 +15,11 @@ from conftest import PARKPILOT_MANIFEST
 from procpyramid import cli
 
 JSON_FILES = ("manifest.json", "refs/vmodel.json")
+# Values json.dumps cannot write and json.loads refuses beyond JSONDecodeError:
+# nesting past the recursion limit, and an integer longer than
+# sys.get_int_max_str_digits(). They enter the document as marker strings,
+# longer than any drawn text, that are swapped for the raw JSON once dumped.
+RAW = {"<raw:deep-array>": "[" * 200000 + "]" * 200000, "<raw:long-integer>": "7" * 5000}
 REPLACEMENTS = st.one_of(
     st.none(),
     st.integers(-3, 3),
@@ -23,7 +28,15 @@ REPLACEMENTS = st.one_of(
     st.text(max_size=8),
     st.just([]),
     st.just({}),
+    st.sampled_from(sorted(RAW)),
 )
+
+
+def dumped(document) -> str:
+    text = json.dumps(document)
+    for marker, raw in RAW.items():
+        text = text.replace(json.dumps(marker), raw)
+    return text
 
 
 def json_paths(value, path=()):
@@ -70,7 +83,7 @@ def test_no_traceback_for_any_json_value(json_bundle):
         document = replaced(documents[name], path, data.draw(REPLACEMENTS))
         target = bundle / name
         original = target.read_bytes()
-        target.write_text(json.dumps(document), encoding="utf-8")
+        target.write_text(dumped(document), encoding="utf-8")
         try:
             for command in ("validate", "report"):
                 out, err = io.StringIO(), io.StringIO()

@@ -2,7 +2,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
-from procpyramid.naming import canonical_key, compile_aliases, normalize_name, resolve_alias
+from procpyramid.naming import canonical_key, compile_aliases, normalize_name
 
 # a few names, some spelled in more than one way
 RAW_NAMES = ["a", "A", " a", "b", "B ", "c", "C", "d", "e  e", "E e"]
@@ -15,15 +15,15 @@ def test_normalize_collapses_case_and_whitespace():
 
 def test_alias_chain_follows_to_fixpoint():
     table = {"a": "b", "B": "c"}
-    assert resolve_alias("A", table) == "c"
-    assert resolve_alias("b", table) == "c"
-    assert resolve_alias("c", table) == "c"
+    assert canonical_key("A", compile_aliases(table)) == "c"
+    assert canonical_key("b", compile_aliases(table)) == "c"
+    assert canonical_key("c", compile_aliases(table)) == "c"
 
 
 def test_alias_cycle_terminates():
     table = {"a": "b", "b": "a"}
-    assert resolve_alias("a", table) in ("a", "b")
-    assert resolve_alias("zz", table) == "zz"
+    assert canonical_key("a", compile_aliases(table)) in ("a", "b")
+    assert canonical_key("zz", compile_aliases(table)) == "zz"
 
 
 def test_canonical_key_without_aliases_is_normalization():
@@ -71,4 +71,3 @@ def test_compiled_table_matches_the_per_name_walk(aliases):
     for name in RAW_NAMES:
         expected = oracles.alias_walk(name, aliases)
         assert canonical_key(name, compiled) == expected
-        assert resolve_alias(name, aliases) == expected

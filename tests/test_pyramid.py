@@ -55,7 +55,7 @@ class TestManifest:
         assert manifest.aliases == {"a": "b"}
         assert manifest.reference_templates == ["refs/x.json"]
 
-    def test_documents_are_read(self):
+    def test_documents_are_checked_and_dropped(self):
         text = manifest_text(
             models=[
                 {
@@ -67,8 +67,7 @@ class TestManifest:
             ]
         )
         entry = load_manifest(text).entry_map()["top"]
-        assert entry.documents[0].path == "docs/a.md"
-        assert entry.documents[0].kind == "notes"
+        assert not hasattr(entry, "documents")
 
     @pytest.mark.parametrize(
         "overrides,code",
@@ -170,9 +169,9 @@ class TestAssembly:
         with pytest.raises(ManifestError):
             build_pyramid(manifest, {"mid": stub_model("mid")})
 
-    def test_accepts_iterable_of_models(self):
+    def test_places_each_model_at_its_level(self):
         manifest = load_manifest(manifest_text())
-        pyramid, findings = build_pyramid(manifest, [stub_model("top"), stub_model("mid")])
+        pyramid, findings = build_pyramid(manifest, {"top": stub_model("top"), "mid": stub_model("mid")})
         assert findings == []
         assert pyramid.level_map() == {"top": 0, "mid": 1}
         assert pyramid.depth() == 1
