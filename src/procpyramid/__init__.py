@@ -39,7 +39,6 @@ from .pyramid import (
     LevelEntry,
     Manifest,
     Pyramid,
-    VerticalLink,
     assign_coordinates,
     build_pyramid,
     check_connectivity,
@@ -88,7 +87,6 @@ __all__ = [
     "TemplateError",
     "TimerDef",
     "UnknownSeedError",
-    "VerticalLink",
     "VvLinkStat",
     "assign_coordinates",
     "build_pyramid",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,22 +19,18 @@ from .timeline import Milestone
 class Bundle:
     manifest: Manifest
     pyramid: Pyramid
-    models: dict[str, ProcessModel]
     milestones: list[Milestone]
     findings: list[Finding] = field(default_factory=list)
     root_dir: Path = Path(".")
 
-    def milestone_map(self) -> dict[str, Milestone]:
-        return {ms.milestone_id: ms for ms in self.milestones}
-
     def labels(self) -> dict[str, str]:
         """Reporting label per milestone: the display name when it is unique
-        across the bundle, the full id otherwise."""
-        counts: dict[str, int] = {}
-        for ms in self.milestones:
-            counts[ms.name] = counts.get(ms.name, 0) + 1
+        across the bundle and is no milestone's id, the full id otherwise, so
+        no two milestones share a label."""
+        counts = Counter(ms.name for ms in self.milestones)
+        ids = {ms.milestone_id for ms in self.milestones}
         return {
-            ms.milestone_id: ms.name if counts[ms.name] == 1 else ms.milestone_id
+            ms.milestone_id: ms.name if counts[ms.name] == 1 and ms.name not in ids else ms.milestone_id
             for ms in self.milestones
         }
 
@@ -117,12 +114,11 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
 
     pyramid, build_findings = build_pyramid(manifest, models)
     pyramid, link_findings = link_levels(pyramid)
-    milestones, extract_findings = collect_milestones(models)
+    milestones, extract_findings = collect_milestones(pyramid.models)
 
     return Bundle(
         manifest=manifest,
         pyramid=pyramid,
-        models=models,
         milestones=milestones,
         findings=merge_findings(load_findings, build_findings, link_findings, extract_findings),
         root_dir=base,

@@ -228,15 +228,15 @@ class _Session:
     def validate(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle = self.bundle
         groups = [bundle.findings]
-        for model_id in sorted(bundle.models):
-            groups.append(bundle.models[model_id].parse_findings)
-            groups.append(check_wellformed(bundle.models[model_id]))
+        for model in bundle.pyramid.models.values():
+            groups.append(model.parse_findings)
+            groups.append(check_wellformed(model))
         connectivity, depth = check_connectivity(bundle.pyramid)
         groups += [connectivity, self.timing[1]]
         groups.extend(check_gq(ms) for ms in bundle.milestones)
         payload = {
             "bundle": {
-                "models": len(bundle.models),
+                "models": len(bundle.pyramid.models),
                 "milestones": len(bundle.milestones),
                 "maxConnectedDepth": depth,
             }
@@ -290,7 +290,7 @@ class _Session:
         return list(self.bundle.findings), payload
 
     def _resolve_seed(self, seed: str) -> str:
-        if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.model_map():
+        if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.models:
             return seed
         matches = [
             ms.milestone_id
@@ -309,8 +309,7 @@ class _Session:
         extra: list[Finding] = []
         entries = []
         for ref in sorted(templates, key=lambda t: t.ref_id):
-            for model_id in sorted(bundle.models):
-                model = bundle.models[model_id]
+            for model_id, model in bundle.pyramid.models.items():
                 if not ref.binds(model):
                     continue
                 report = diff(model, milestones_of.get(model_id, []), ref, self.name_keys)

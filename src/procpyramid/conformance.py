@@ -322,10 +322,9 @@ def _vv_pairs(
     right-side template whose counterpart is known, by template id."""
     references = sorted(references, key=lambda r: r.ref_id)
     by_id = {r.ref_id: r for r in references}
-    model_map = pyramid.model_map()
 
     def bound_models(ref: ReferenceProcess) -> list[str]:
-        return sorted(mid for mid, m in model_map.items() if ref.binds(m))
+        return sorted(mid for mid, m in pyramid.models.items() if ref.binds(m))
 
     for ref in references:
         counterpart = by_id.get(ref.counterpart or "")

@@ -206,7 +206,7 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
 
 def _expand_seed(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> set[str]:
     node_set = set(graph.nodes)
-    if pyramid is not None and seed in pyramid.model_map():
+    if pyramid is not None and seed in pyramid.models:
         members = {n for n in node_set if graph.model_id(n) == seed}
         if members:
             return members
@@ -230,7 +230,7 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
 
     crossed: set[int] = set()
     if pyramid is not None:
-        level_of = pyramid.level_map()
+        level_of = pyramid.level_of
         for node in seeds | set(downstream) | set(upstream):
             model_id = graph.model_id(node)
             if model_id in level_of:
@@ -320,7 +320,7 @@ def graph_to_json(
     names: dict[str, str] | None = None,
 ) -> dict:
     """JSON-ready edge list with level metadata on every edge."""
-    level_of = pyramid.level_map() if pyramid is not None else {}
+    level_of = pyramid.level_of if pyramid is not None else {}
 
     def level(node: str) -> int | None:
         return level_of.get(graph.model_id(node))

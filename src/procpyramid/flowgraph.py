@@ -13,12 +13,13 @@ process flows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import adjacency, reachable
-from .model import ANCHOR_BEFORE_SOP, ELAPSED, FlowNode, ProcessModel
+from .model import ANCHOR_BEFORE_SOP, ELAPSED, EVENT_KINDS, FlowNode, ProcessModel
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class FlowIndex:
     """One model's node map and successor and predecessor lists."""
 
@@ -30,6 +31,12 @@ class FlowIndex:
     def of(cls, model: ProcessModel) -> FlowIndex:
         nodes = model.node_map()
         return cls(nodes, *adjacency(nodes, model.flows))
+
+    @cached_property
+    def inner(self) -> set[str]:
+        """The ids of the nodes that are not events. Built on first use:
+        only segment walks read it."""
+        return {nid for nid, n in self.nodes.items() if n.kind not in EVENT_KINDS}
 
 
 def node_weight(node: FlowNode) -> int:
@@ -126,17 +133,7 @@ def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]]
 def segment_nodes(index: FlowIndex, event_id: str) -> set[str]:
     """The process segment owned by an event: upstream nodes reachable
     backwards without crossing another event. Includes the event itself."""
-    nodes, pred = index.nodes, index.pred
-    seg = {event_id}
-    stack = [event_id]
-    while stack:
-        cur = stack.pop()
-        for p in pred[cur]:
-            if p in seg or nodes[p].is_event:
-                continue
-            seg.add(p)
-            stack.append(p)
-    return seg
+    return reachable(index.pred, [event_id], index.inner)
 
 
 def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | None:

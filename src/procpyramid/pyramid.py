@@ -10,7 +10,7 @@ from typing import Mapping
 from .durations import Duration
 from .errors import ManifestError
 from .findings import Finding, finding, sort_findings
-from .graph import adjacency, reachable
+from .graph import reachable
 from .model import ProcessModel
 
 
@@ -19,7 +19,6 @@ class LevelEntry:
     model_id: str
     file: str
     level: int
-    parent_hint: tuple[str, str] | None = None
 
 
 @dataclass
@@ -38,34 +37,19 @@ class Manifest:
         return {e.model_id: e for e in self.entries}
 
 
-@dataclass(frozen=True)
-class VerticalLink:
-    parent_model: str
-    call_node: str
-    child_model: str
-
-
 @dataclass
 class Pyramid:
-    """Models placed at their levels, plus the links that join the levels."""
+    """Models placed at their levels, and the call links that join them.
+
+    `build_pyramid` fills `models` (in id order) and `level_of`; `children`
+    holds every placed model's linked child ids, in link order: empty
+    lists until `link_levels` fills it.
+    """
 
     root_model: str
-    levels: dict[int, list[ProcessModel]] = field(default_factory=dict)
-    vertical_links: list[VerticalLink] = field(default_factory=list)
-
-    def model_map(self) -> dict[str, ProcessModel]:
-        return {m.model_id: m for models in self.levels.values() for m in models}
-
-    def level_map(self) -> dict[str, int]:
-        return {m.model_id: lvl for lvl, models in self.levels.items() for m in models}
-
-    def children(self) -> dict[str, list[str]]:
-        """Every model's linked child models, in link order."""
-        links = ((link.parent_model, link.child_model) for link in self.vertical_links)
-        return adjacency(self.level_map(), links)[0]
-
-    def depth(self) -> int:
-        return max(self.levels) if self.levels else 0
+    models: dict[str, ProcessModel] = field(default_factory=dict)
+    level_of: dict[str, int] = field(default_factory=dict)
+    children: dict[str, list[str]] = field(default_factory=dict)
 
 
 def _field_error(name: str, detail: str, code: str = "BAD-FIELD") -> ManifestError:
@@ -91,6 +75,9 @@ def load_manifest(text: str) -> Manifest:
         raise _field_error("models", "required non-empty list")
 
     entries: list[LevelEntry] = []
+    # parent hints are checked below and then dropped: the call activities
+    # alone link the levels
+    parent_of: dict[str, str] = {}
     for i, item in enumerate(models):
         if not isinstance(item, dict):
             raise _field_error(f"models[{i}]", "must be an object")
@@ -101,7 +88,6 @@ def load_manifest(text: str) -> Manifest:
             raise _field_error(f"models[{i}].file", "required string")
         if not isinstance(level, int) or isinstance(level, bool) or level < 0:
             raise _field_error(f"models[{i}].level", "required non-negative integer")
-        parent_hint = None
         if "parent" in item and item["parent"] is not None:
             parent = item["parent"]
             if (
@@ -110,7 +96,7 @@ def load_manifest(text: str) -> Manifest:
                 or not isinstance(parent.get("node"), str)
             ):
                 raise _field_error(f"models[{i}].parent", "must hold model and node ids")
-            parent_hint = (parent["model"], parent["node"])
+            parent_of[model_id] = parent["model"]
         # documents are checked for shape and then dropped: no stage reads them
         documents = item.get("documents", [])
         if not isinstance(documents, list):
@@ -118,7 +104,7 @@ def load_manifest(text: str) -> Manifest:
         for j, doc in enumerate(documents):
             if not isinstance(doc, dict) or not isinstance(doc.get("path"), str):
                 raise _field_error(f"models[{i}].documents[{j}]", "must hold a path")
-        entries.append(LevelEntry(model_id=model_id, file=file_, level=level, parent_hint=parent_hint))
+        entries.append(LevelEntry(model_id=model_id, file=file_, level=level))
 
     dupes = sorted(i for i, n in Counter(e.model_id for e in entries).items() if n > 1)
     if dupes:
@@ -138,21 +124,19 @@ def load_manifest(text: str) -> Manifest:
         )
 
     entry_map = {e.model_id: e for e in entries}
-    for e in entries:
-        if e.level == 0 and e.parent_hint is not None:
-            raise _field_error(f"models[{e.model_id}].parent", "the root has no parent")
-        if e.parent_hint is not None:
-            parent = entry_map.get(e.parent_hint[0])
-            if parent is None:
-                raise _field_error(
-                    f"models[{e.model_id}].parent", f"unknown model {e.parent_hint[0]!r}", "BAD-PARENT"
-                )
-            if parent.level != e.level - 1:
-                raise _field_error(
-                    f"models[{e.model_id}].parent",
-                    f"parent must sit one level up, found level {parent.level}",
-                    "BAD-PARENT",
-                )
+    for model_id, parent_id in parent_of.items():
+        level = entry_map[model_id].level
+        if level == 0:
+            raise _field_error(f"models[{model_id}].parent", "the root has no parent")
+        parent = entry_map.get(parent_id)
+        if parent is None:
+            raise _field_error(f"models[{model_id}].parent", f"unknown model {parent_id!r}", "BAD-PARENT")
+        if parent.level != level - 1:
+            raise _field_error(
+                f"models[{model_id}].parent",
+                f"parent must sit one level up, found level {parent.level}",
+                "BAD-PARENT",
+            )
 
     step = raw.get("referenceStepDays", 30)
     if not isinstance(step, int) or isinstance(step, bool) or step <= 0:
@@ -202,7 +186,7 @@ def build_pyramid(
     if manifest.root_model not in models:
         raise ManifestError(f"root model {manifest.root_model!r} is missing from the bundle")
 
-    levels: dict[int, list[ProcessModel]] = {}
+    level_of: dict[str, int] = {}
     for entry in manifest.entries:
         model = models.get(entry.model_id)
         if model is None:
@@ -214,11 +198,15 @@ def build_pyramid(
                 )
             )
             continue
-        levels.setdefault(entry.level, []).append(model)
-    for level in levels:
-        levels[level].sort(key=lambda m: m.model_id)
+        level_of[entry.model_id] = entry.level
 
-    pyramid = Pyramid(root_model=manifest.root_model, levels=levels)
+    placed = sorted(level_of)
+    pyramid = Pyramid(
+        root_model=manifest.root_model,
+        models={m: models[m] for m in placed},
+        level_of={m: level_of[m] for m in placed},
+        children={m: [] for m in placed},
+    )
     return pyramid, sort_findings(out)
 
 
@@ -229,16 +217,15 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
     than one parent are reported for information only.
     """
     out: list[Finding] = []
-    level_of = pyramid.level_map()
-    model_map = pyramid.model_map()
-    links: list[VerticalLink] = []
+    models, level_of = pyramid.models, pyramid.level_of
+    children: dict[str, list[str]] = {model_id: [] for model_id in models}
+    parents_of: dict[str, set[str]] = {}
 
-    for model_id in sorted(model_map):
-        model = model_map[model_id]
+    for model_id, model in models.items():
         for call_node in sorted(model.call_targets):
             target = model.call_targets[call_node]
             subject = f"{model_id}:{call_node}"
-            if not target or target not in model_map:
+            if not target or target not in models:
                 out.append(
                     finding("UNRESOLVED-CALL", subject, f"call activity targets unknown model {target!r}")
                 )
@@ -253,11 +240,9 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
                     )
                 )
                 continue
-            links.append(VerticalLink(parent_model=model_id, call_node=call_node, child_model=target))
+            children[model_id].append(target)
+            parents_of.setdefault(target, set()).add(model_id)
 
-    parents_of: dict[str, set[str]] = {}
-    for link in links:
-        parents_of.setdefault(link.child_model, set()).add(link.parent_model)
     for child in sorted(parents_of):
         if len(parents_of[child]) > 1:
             out.append(
@@ -267,11 +252,11 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
                     "called from several parents: " + ", ".join(sorted(parents_of[child])),
                 )
             )
-    for model_id in sorted(model_map):
+    for model_id in models:
         if level_of[model_id] > 0 and model_id not in parents_of:
             out.append(finding("UNLINKED-CHILD", model_id, "no parent call activity reaches this model"))
 
-    pyramid.vertical_links = links
+    pyramid.children = children
     return pyramid, sort_findings(out)
 
 
@@ -281,9 +266,9 @@ def check_connectivity(pyramid: Pyramid) -> tuple[list[Finding], int]:
     Returns the findings and the maximum connected depth (deepest level
     reachable from the root).
     """
-    level_of = pyramid.level_map()
+    level_of = pyramid.level_of
     roots = [pyramid.root_model] if pyramid.root_model in level_of else []
-    seen = reachable(pyramid.children(), roots)
+    seen = reachable(pyramid.children, roots)
     out = [
         finding("DISCONNECTED", model_id, f"model at level {level_of[model_id]} is not reachable from the root")
         for model_id in sorted(level_of)
@@ -300,15 +285,13 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
     vertical links from the root (ties by model id), with unreachable models
     appended in (level, id) order; complexity counts flow nodes.
     """
-    model_map = pyramid.model_map()
-    level_of = pyramid.level_map()
-    children = pyramid.children()
+    models, level_of, children = pyramid.models, pyramid.level_of, pyramid.children
 
     order: list[str] = []
     seen: set[str] = set()
     # a stack, not recursion, so chains deeper than the recursion limit work;
     # children are pushed in reverse so that they pop in id order
-    stack = [pyramid.root_model] if pyramid.root_model in model_map else []
+    stack = [pyramid.root_model] if pyramid.root_model in models else []
     while stack:
         model_id = stack.pop()
         if model_id in seen:
@@ -316,12 +299,12 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
         seen.add(model_id)
         order.append(model_id)
         stack.extend(sorted(set(children[model_id]), reverse=True))
-    for model_id in sorted(model_map, key=lambda m: (level_of[m], m)):
+    for model_id in sorted(models, key=lambda m: (level_of[m], m)):
         if model_id not in seen:
             seen.add(model_id)
             order.append(model_id)
 
     return {
-        model_id: (level_of[model_id], position, len(model_map[model_id].nodes))
+        model_id: (level_of[model_id], position, len(models[model_id].nodes))
         for position, model_id in enumerate(order)
     }

@@ -83,10 +83,6 @@ class ReferenceTimeline:
     boundaries: list[int]
     assignments: dict[str, int]
 
-    @property
-    def slot_count(self) -> int:
-        return len(self.boundaries) - 1
-
 
 def resolve_offsets(
     pyramid: Pyramid, milestones: Iterable[Milestone], sop_label: str = "SOP"
@@ -101,7 +97,7 @@ def resolve_offsets(
     """
     table = OffsetTable()
     out: list[Finding] = []
-    models = pyramid.model_map()
+    models = pyramid.models
     node_maps: dict[str, dict[str, FlowNode]] = {}
     sop_key = normalize_name(sop_label)
 
@@ -249,7 +245,6 @@ def check_alignment(
     """
     milestones = list(milestones)
     by_id = {ms.milestone_id: ms for ms in milestones}
-    levels = pyramid.level_map()
     out: list[Finding] = []
     pairs: set[tuple[str, str]] = set()
 
@@ -265,7 +260,7 @@ def check_alignment(
             other = by_id.get(ref)
             if other is None:
                 continue
-            if levels.get(other.model_id) != levels.get(ms.model_id):
+            if pyramid.level_of.get(other.model_id) != pyramid.level_of.get(ms.model_id):
                 pairs.add((min(ms.milestone_id, ref), max(ms.milestone_id, ref)))
 
     for a, b in sorted(pairs):

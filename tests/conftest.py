@@ -16,7 +16,6 @@ from procpyramid import (
     ProcessModel,
     Pyramid,
     TimerDef,
-    VerticalLink,
 )
 from procpyramid.model import ELAPSED
 
@@ -152,10 +151,13 @@ def stub_pyramid(
     """A pyramid built directly from model ids and parent->child pairs."""
     if root is None:
         root = levels[0][0]
+    level_of = dict(sorted((mid, lvl) for lvl, ids in levels.items() for mid in ids))
+    children: dict[str, list[str]] = {mid: [] for mid in level_of}
+    for parent, child in links:
+        children[parent].append(child)
     return Pyramid(
         root_model=root,
-        levels={lvl: [stub_model(mid) for mid in sorted(ids)] for lvl, ids in levels.items()},
-        vertical_links=[
-            VerticalLink(parent_model=p, call_node=f"call_{c}", child_model=c) for p, c in links
-        ],
+        models={mid: stub_model(mid) for mid in level_of},
+        level_of=level_of,
+        children=children,
     )

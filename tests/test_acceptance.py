@@ -96,7 +96,7 @@ def test_criterion_3_twelve_slot_grid():
     assert max(table.offsets.values()) == 0
 
     grid = build_reference_timeline(table, 30)
-    assert grid.slot_count == 12
+    assert len(grid.boundaries) - 1 == 12
     assert sorted(grid.assignments) == sorted(table.offsets)
     for mid, offset in table.offsets.items():
         slot = grid.assignments[mid]

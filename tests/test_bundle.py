@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -15,7 +16,7 @@ def parkpilot():
 class TestParkpilotBundle:
     def test_loads_without_findings(self, parkpilot):
         assert parkpilot.findings == []
-        assert sorted(parkpilot.models) == [
+        assert list(parkpilot.pyramid.models) == [
             "function-chart",
             "park-pilot-test",
             "pep",
@@ -26,16 +27,29 @@ class TestParkpilotBundle:
         assert parkpilot.root_dir == PARKPILOT_MANIFEST.parent
 
     def test_pyramid_chain_is_fully_linked(self, parkpilot):
-        links = {
-            (l.parent_model, l.child_model) for l in parkpilot.pyramid.vertical_links
+        assert parkpilot.pyramid.children == {
+            "function-chart": ["test-plan"],
+            "park-pilot-test": [],
+            "pep": ["function-chart"],
+            "product-process": ["pep"],
+            "test-plan": ["park-pilot-test"],
         }
-        assert links == {
-            ("product-process", "pep"),
-            ("pep", "function-chart"),
-            ("function-chart", "test-plan"),
-            ("test-plan", "park-pilot-test"),
-        }
-        assert parkpilot.pyramid.depth() == 4
+        assert max(parkpilot.pyramid.level_of.values()) == 4
+
+    def test_hints_naming_no_node_still_load(self, parkpilot, tmp_path):
+        """A manifest's parent hint is checked for its model and level only;
+        the call activities alone link the levels."""
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / "manifest.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        hinted = [entry for entry in doc["models"] if "parent" in entry]
+        for entry in hinted:
+            entry["parent"]["node"] = "no-such-node"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        bundle = load_bundle(path)
+        assert len(hinted) == 4
+        assert bundle.findings == []
+        assert bundle.pyramid.children == parkpilot.pyramid.children
 
     def test_labels_prefer_unique_names(self, parkpilot):
         labels = parkpilot.labels()
@@ -43,7 +57,7 @@ class TestParkpilotBundle:
         assert labels["park-pilot-test:e4"] == "Park pilot approved"
 
     def test_declared_consumers_resolve_to_ids(self, parkpilot):
-        by_id = parkpilot.milestone_map()
+        by_id = {ms.milestone_id: ms for ms in parkpilot.milestones}
         e0 = by_id["product-process:e0"]
         assert e0.gq.gq7_consumers == frozenset({"pep:s1", "product-process:e0end"})
         e2 = by_id["function-chart:e2"]
@@ -99,14 +113,14 @@ class TestDegradedLoads:
         codes = sorted(f.code for f in bundle.findings)
         assert "MODEL-PARSE-ERROR" in codes
         assert "MISSING-MODEL" in codes
-        assert sorted(bundle.models) == ["root"]
+        assert list(bundle.pyramid.models) == ["root"]
 
     def test_garbage_model_degrades_to_findings(self, tmp_path):
         (tmp_path / "broken.bpmn").write_text("<definitions", encoding="utf-8")
         bundle = load_bundle(self.write_bundle(tmp_path, child_file="broken.bpmn"))
         parse_errors = [f for f in bundle.findings if f.code == "MODEL-PARSE-ERROR"]
         assert [f.subject for f in parse_errors] == ["child"]
-        assert "child" not in bundle.models
+        assert "child" not in bundle.pyramid.models
 
     def test_missing_root_model_stays_fatal(self, tmp_path):
         manifest = {
@@ -126,10 +140,17 @@ class TestLabels:
             milestone("n:b", name="Review"),
             milestone("n:c", name="Handover"),
         ]
-        bundle = Bundle(
-            manifest=parkpilot.manifest,
-            pyramid=parkpilot.pyramid,
-            models={},
-            milestones=ms,
-        )
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=ms)
         assert bundle.labels() == {"m:a": "m:a", "n:b": "n:b", "n:c": "Handover"}
+
+    def test_a_name_equal_to_another_id_falls_back_to_its_id(self, parkpilot):
+        ms = [
+            milestone("m:s", name="X"),
+            milestone("m:i", name="X"),
+            milestone("m:e", name="m:s"),
+            milestone("m:f", name="m:f"),
+        ]
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=ms)
+        labels = bundle.labels()
+        assert labels == {"m:s": "m:s", "m:i": "m:i", "m:e": "m:e", "m:f": "m:f"}
+        assert len(set(labels.values())) == len(ms)

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
-from procpyramid import cli, conformance, dependency, flowgraph
+from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED, anchor, chain_model, node
+from procpyramid import cli, conformance, dependency, flowgraph, serialize_model
 from procpyramid.findings import finding
 
 
@@ -135,6 +135,33 @@ class TestTimeline:
         out = capsys.readouterr().out
         assert "milestone offsets:" in out
         assert "grid: 1 slots of 30d from -90d to -60d" in out
+
+    def test_a_name_equal_to_another_milestone_id_keeps_every_offset(self, capsys, tmp_path):
+        """m:e is named like m:s's id, while m:s shares its name with m:i;
+        no two milestones may share a label, or an offset is lost."""
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", name="X", timer=anchor(90)),
+                node("t1", "task", days=10),
+                node("i", "intermediate-event", name="X"),
+                node("t2", "task", days=20),
+                node("e", "end-event", name="m:s"),
+            ],
+        )
+        (tmp_path / "m.bpmn").write_text(serialize_model(model), encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"root": "m", "models": [{"id": "m", "file": "m.bpmn", "level": 0}]}),
+            encoding="utf-8",
+        )
+        _, deps = run_json(capsys, ["deps", str(manifest)])
+        by_id = {n["id"]: n for n in deps["dependencies"]["nodes"]}
+        assert {i: n["offset"] for i, n in by_id.items()} == {"m:s": -90, "m:i": -80, "m:e": -60}
+        _, doc = run_json(capsys, ["timeline", str(manifest)])
+        offsets = doc["timeline"]["offsets"]
+        assert sorted(offsets.values()) == [-90, -80, -60]
+        assert offsets == {by_id[i]["name"]: n["offset"] for i, n in by_id.items()}
 
 
 class TestDeps:

@@ -15,7 +15,7 @@ PUBLIC = [
     "FlowNode", "GqRecord", "ImpactSet", "Lane", "LevelEntry", "Manifest",
     "ManifestError", "Milestone", "ModelParseError", "OffsetTable", "ProcessModel",
     "Pyramid", "PyramidError", "ReferenceProcess", "ReferenceTimeline", "TemplateError",
-    "TimerDef", "UnknownSeedError", "VerticalLink", "VvLinkStat", "assign_coordinates",
+    "TimerDef", "UnknownSeedError", "VvLinkStat", "assign_coordinates",
     "build_pyramid", "build_reference_timeline", "check_alignment", "check_connectivity",
     "check_gq", "check_milestone_retention", "check_temporal", "check_vv_links",
     "check_wellformed", "cross_check_declared", "diff", "extract_milestones",
@@ -27,7 +27,7 @@ PUBLIC = [
 
 
 def test_all_is_pinned():
-    assert len(PUBLIC) == 57
+    assert len(PUBLIC) == 56
     assert procpyramid.__all__ == PUBLIC
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import stub_model, stub_pyramid
 from procpyramid import (
+    LevelEntry,
     ManifestError,
     assign_coordinates,
     build_pyramid,
@@ -37,7 +38,7 @@ class TestManifest:
         assert manifest.alignment_tolerance == 0
         assert manifest.aliases == {}
         assert manifest.reference_templates == []
-        assert manifest.entry_map()["mid"].parent_hint == ("top", "c1")
+        assert manifest.entry_map()["mid"] == LevelEntry(model_id="mid", file="mid.bpmn", level=1)
 
     def test_settings_are_read(self):
         manifest = load_manifest(
@@ -162,7 +163,7 @@ class TestAssembly:
         models = {"top": stub_model("top"), "stray": stub_model("stray")}
         pyramid, findings = build_pyramid(manifest, models)
         assert sorted(f.code for f in findings) == ["MISSING-MODEL", "ORPHAN-MODEL"]
-        assert pyramid.model_map().keys() == {"top", "stray"} - {"stray"}
+        assert list(pyramid.models) == ["top"]
 
     def test_missing_root_is_fatal(self):
         manifest = load_manifest(manifest_text())
@@ -173,38 +174,33 @@ class TestAssembly:
         manifest = load_manifest(manifest_text())
         pyramid, findings = build_pyramid(manifest, {"top": stub_model("top"), "mid": stub_model("mid")})
         assert findings == []
-        assert pyramid.level_map() == {"top": 0, "mid": 1}
-        assert pyramid.depth() == 1
+        assert pyramid.level_of == {"mid": 1, "top": 0}
+        assert list(pyramid.models) == list(pyramid.level_of) == ["mid", "top"]
+        assert pyramid.children == {"mid": [], "top": []}
 
 
 def linked_pyramid():
     levels = {0: ["root"], 1: ["a", "b"], 2: ["c"]}
     links = [("root", "a"), ("root", "b"), ("a", "c")]
     pyramid = stub_pyramid(levels, links)
-    for model in pyramid.levels[0]:
-        model.call_targets = {"call_a": "a", "call_b": "b"}
-    pyramid.levels[1][0].call_targets = {"call_c": "c"}
+    pyramid.models["root"].call_targets = {"call_a": "a", "call_b": "b"}
+    pyramid.models["a"].call_targets = {"call_c": "c"}
     return pyramid
 
 
 class TestLinking:
     def test_clean_linking(self):
         pyramid = linked_pyramid()
-        pyramid.vertical_links = []
+        pyramid.children = {}
         pyramid, findings = link_levels(pyramid)
         assert findings == []
-        assert {(l.parent_model, l.child_model) for l in pyramid.vertical_links} == {
-            ("root", "a"),
-            ("root", "b"),
-            ("a", "c"),
-        }
+        assert pyramid.children == {"a": ["c"], "b": [], "c": [], "root": ["a", "b"]}
 
     def test_unresolved_and_skip_and_multiparent(self):
         pyramid = stub_pyramid({0: ["root"], 1: ["a", "b"], 2: ["c"]}, [])
-        root = pyramid.levels[0][0]
-        root.call_targets = {"c1": "a", "c2": "", "c3": "ghost", "c4": "c"}
-        pyramid.levels[1][0].call_targets = {"c5": "c"}
-        pyramid.levels[1][1].call_targets = {"c6": "c"}
+        pyramid.models["root"].call_targets = {"c1": "a", "c2": "", "c3": "ghost", "c4": "c"}
+        pyramid.models["a"].call_targets = {"c5": "c"}
+        pyramid.models["b"].call_targets = {"c6": "c"}
         pyramid, findings = link_levels(pyramid)
         codes = sorted(f.code for f in findings)
         assert codes == [
@@ -214,11 +210,7 @@ class TestLinking:
             "UNRESOLVED-CALL",
             "UNRESOLVED-CALL",
         ]
-        assert {(l.parent_model, l.child_model) for l in pyramid.vertical_links} == {
-            ("root", "a"),
-            ("a", "c"),
-            ("b", "c"),
-        }
+        assert pyramid.children == {"a": ["c"], "b": ["c"], "c": [], "root": ["a"]}
 
     def test_unlinked_child(self):
         pyramid = stub_pyramid({0: ["root"], 1: ["a"]}, [])

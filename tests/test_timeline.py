@@ -18,7 +18,7 @@ from procpyramid.flowgraph import FlowIndex, anchor_candidates, segment_duration
 
 
 def one_model_pyramid(model):
-    return Pyramid(root_model=model.model_id, levels={0: [model]})
+    return Pyramid(root_model=model.model_id, models={model.model_id: model}, level_of={model.model_id: 0})
 
 
 def offsets_for(model, sop_label="SOP"):
@@ -232,7 +232,7 @@ class TestGrid:
         grid = build_reference_timeline(OffsetTable(offsets={"a": -60}), step=30)
         assert grid.boundaries == [-60, -30]
         assert grid.assignments == {"a": 0}
-        assert grid.slot_count == 1
+        assert len(grid.boundaries) - 1 == 1
 
     def test_boundary_offsets(self):
         grid = build_reference_timeline(OffsetTable(offsets={"a": -60, "b": 0, "c": -1}), step=30)
