@@ -46,8 +46,11 @@ _TAG_FOR_KIND = {v: k for k, v in _NODE_TAGS.items()}
 _IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
 _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
 
-# Most name sets (node inputs and outputs, gq lists) are empty; they share
-# this one instead of 216 bytes each.
+# The name sets that are tested for membership or combined (gq3, gq7,
+# alignsWith) are mostly empty; they share this one instead of 216 bytes
+# each. Node inputs and outputs and gq5/gq6 are sorted tuples instead, as
+# nothing tests them for membership: a 1-tuple costs 48 bytes, and an empty
+# one is the shared `()`.
 _NO_ITEMS: frozenset[str] = frozenset()
 # Most nodes have no extension entry once `duration` is parsed out; they
 # share this one, read-only so that no caller's write reaches every node.
@@ -209,8 +212,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         if kind == "call-activity":
             call_targets[node_id] = (elem.get("calledElement") or "").strip()
         node = FlowNode(
-            node_id, kind, elem.get("name", ""), duration, timer, _NO_ITEMS, _NO_ITEMS,
-            extensions or _NO_EXTENSIONS,
+            node_id, kind, elem.get("name", ""), duration, timer, (), (), extensions or _NO_EXTENSIONS,
         )
         nodes.append(node)
         if ins or outs:
@@ -279,12 +281,17 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     ]
 
     # object id -> the object's own id object, which every resolved ref shares
-    known_objects = {d.object_id: d.object_id for d in data_objects}
-    # one object per distinct non-empty input or output set
-    io_sets: dict[frozenset[str], frozenset[str]] = {}
+    known_objects: dict[str, str] = {}
+    for obj in data_objects:
+        if obj.object_id in known_objects:
+            _fail(model_id, f"duplicate data object id {obj.object_id!r}")
+        known_objects[obj.object_id] = obj.object_id
+    # one object per distinct non-empty input or output tuple
+    io_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
 
-    def resolve_objects(refs: list[str], node_id: str) -> frozenset[str]:
-        """The objects the distinct refs name; each unknown one is a finding."""
+    def resolve_objects(refs: list[str], node_id: str) -> tuple[str, ...]:
+        """The sorted distinct ids of the objects the refs name; each
+        unknown distinct ref is a finding."""
         found = []
         for ref in sorted(set(refs)) if len(refs) > 1 else refs:
             shared = known_objects.get(object_refs.get(ref, ref))
@@ -299,8 +306,9 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                     )
                 )
         if not found:
-            return _NO_ITEMS
-        items = frozenset(found)
+            return ()
+        # two refs may name one object, through a dataObjectReference
+        items = tuple(sorted(set(found))) if len(found) > 1 else tuple(found)
         return io_sets.setdefault(items, items)
 
     for node, ins, outs in raw_io:
@@ -443,12 +451,13 @@ def _split_list(value: str) -> frozenset[str]:
 
 
 def _parse_storage(value: str) -> dict[str, str]:
-    """gq8 entries `name=location`, separated by `,` or `;`."""
+    """gq8 entries `name=location`, separated by `,` or `;`. An entry with
+    an empty name or an empty location is skipped."""
     entries: dict[str, str] = {}
     for pair in re.split(r"[,;]", value):
         if "=" in pair:
             key, loc = pair.split("=", 1)
-            if key.strip():
+            if key.strip() and loc.strip():
                 entries[key.strip()] = loc.strip()
     return entries
 
@@ -537,8 +546,8 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             gq2_role=ext.get("gq2", lane.role_name.strip() if lane else ""),
             gq3_tools=_split_list(ext.get("gq3", "")),
             gq4_duration=gq4,
-            gq5_inputs=gq5,
-            gq6_outputs=gq6,
+            gq5_inputs=tuple(sorted(gq5)),
+            gq6_outputs=tuple(sorted(gq6)),
             gq7_consumers=_split_list(ext.get("gq7", "")),
             gq8_storage=storage,
         )

@@ -39,8 +39,9 @@ class FlowNode:
     name: str = ""
     duration: Duration | None = None
     timer: TimerDef | None = None
-    inputs: frozenset[str] = frozenset()
-    outputs: frozenset[str] = frozenset()
+    # sorted distinct data object ids
+    inputs: tuple[str, ...] = ()
+    outputs: tuple[str, ...] = ()
     extensions: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):

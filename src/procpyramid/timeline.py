@@ -23,15 +23,16 @@ class GqRecord:
 
     gq1 owning process, gq2 responsible role, gq3 tools, gq4 process
     duration, gq5 inputs, gq6 outputs, gq7 consumers, gq8 storage location
-    per data object. Empty values mean unanswered.
+    per data object. Empty values mean unanswered. gq5 and gq6 are sorted
+    distinct names.
     """
 
     gq1_process: str = ""
     gq2_role: str = ""
     gq3_tools: frozenset[str] = frozenset()
     gq4_duration: Duration | None = None
-    gq5_inputs: frozenset[str] = frozenset()
-    gq6_outputs: frozenset[str] = frozenset()
+    gq5_inputs: tuple[str, ...] = ()
+    gq6_outputs: tuple[str, ...] = ()
     gq7_consumers: frozenset[str] = frozenset()
     gq8_storage: dict[str, str] = field(default_factory=dict)
 
@@ -200,8 +201,9 @@ def check_gq(milestone: Milestone) -> list[Finding]:
         if missing[k]:
             out.append(finding(f"GQ{k}-UNANSWERED", subject, questions[k]))
     if gq.gq8_storage:
+        # a set: a name that is both an input and an output is listed once
         uncovered = sorted(
-            name for name in gq.gq5_inputs | gq.gq6_outputs if name not in gq.gq8_storage
+            {name for name in (*gq.gq5_inputs, *gq.gq6_outputs) if name not in gq.gq8_storage}
         )
         if uncovered:
             out.append(

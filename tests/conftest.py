@@ -56,8 +56,8 @@ def node(
         name=node_id if name is None else name,
         duration=Duration(days) if days is not None else None,
         timer=timer,
-        inputs=frozenset(inputs),
-        outputs=frozenset(outputs),
+        inputs=tuple(sorted(set(inputs))),
+        outputs=tuple(sorted(set(outputs))),
         extensions=dict(ext or {}),
     )
 
@@ -121,8 +121,8 @@ def milestone(
         gq2_role=role,
         gq3_tools=frozenset(tools),
         gq4_duration=Duration(duration_days) if duration_days is not None else None,
-        gq5_inputs=frozenset(inputs),
-        gq6_outputs=frozenset(outputs),
+        gq5_inputs=tuple(sorted(set(inputs))),
+        gq6_outputs=tuple(sorted(set(outputs))),
         gq7_consumers=frozenset(consumers),
         gq8_storage=dict(storage) if storage is not None else {n: f"store://{n}" for n in names},
     )

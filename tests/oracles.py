@@ -405,11 +405,6 @@ _NODE_TAGS = {
 _IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
 _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
 
-# Most name sets (node inputs and outputs, gq lists) are empty; they share
-# this one instead of 216 bytes each.
-_NO_ITEMS: frozenset[str] = frozenset()
-
-
 def _local(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
@@ -611,7 +606,11 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
     if not any(n.kind == "end-event" for n in nodes):
         _fail(model_id, "no end event")
 
-    known_objects = {d.object_id for d in data_objects}
+    known_objects: set[str] = set()
+    for obj in data_objects:
+        if obj.object_id in known_objects:
+            _fail(model_id, f"duplicate data object id {obj.object_id!r}")
+        known_objects.add(obj.object_id)
 
     def resolve_object(ref: str, node_id: str) -> str | None:
         target = object_refs.get(ref, ref)
@@ -628,12 +627,12 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
 
     for node in nodes:
         ins, outs = raw_io[node.node_id]
-        node.inputs = frozenset(
-            r for r in (resolve_object(ref, node.node_id) for ref in sorted(ins)) if r
-        ) or _NO_ITEMS
-        node.outputs = frozenset(
-            r for r in (resolve_object(ref, node.node_id) for ref in sorted(outs)) if r
-        ) or _NO_ITEMS
+        node.inputs = tuple(sorted(
+            {r for r in (resolve_object(ref, node.node_id) for ref in sorted(ins)) if r}
+        ))
+        node.outputs = tuple(sorted(
+            {r for r in (resolve_object(ref, node.node_id) for ref in sorted(outs)) if r}
+        ))
 
     return ProcessModel(
         model_id=model_id,

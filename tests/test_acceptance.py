@@ -74,9 +74,9 @@ def test_criterion_2_single_omission_coverage():
         elif k == 4:
             ms.gq.gq4_duration = None
         elif k == 5:
-            ms.gq.gq5_inputs = frozenset()
+            ms.gq.gq5_inputs = ()
         elif k == 6:
-            ms.gq.gq6_outputs = frozenset()
+            ms.gq.gq6_outputs = ()
         elif k == 7:
             ms.gq.gq7_consumers = frozenset()
         elif k == 8:
@@ -336,14 +336,14 @@ def build_scale_bundle(root_dir):
                 FlowNode(
                     "start", "start-event", name=f"{mid} start",
                     timer=TimerDef(amount=Duration(anchors[lvl])),
-                    inputs=frozenset({"oin"}), outputs=frozenset({"o0"}),
+                    inputs=("oin",), outputs=("o0",),
                     extensions={"gq3": "board", "gq4": "P0D", "gq7": f"{mid}:end"},
                 )
             ]
             nodes += [
                 FlowNode(
                     f"t{j}", "task", name=f"{mid} work {j}", duration=Duration(1),
-                    inputs=frozenset({f"o{j}"}), outputs=frozenset({f"o{j + 1}"}),
+                    inputs=(f"o{j}",), outputs=(f"o{j + 1}",),
                 )
                 for j in range(task_count)
             ]
@@ -427,12 +427,12 @@ def build_tree_bundle(root_dir, parent_of):
             FlowNode(
                 "start", "start-event", name=f"{mid} start",
                 timer=TimerDef(amount=Duration(depth - level[mid] + 1)),
-                inputs=frozenset({"oin"}), outputs=frozenset({"o0"}),
+                inputs=("oin",), outputs=("o0",),
                 extensions={"gq3": "board", "gq4": "P0D", "gq7": f"{mid}:end"},
             ),
             FlowNode(
                 "t0", "task", name=f"{mid} work", duration=Duration(1),
-                inputs=frozenset({"o0"}), outputs=frozenset({"o1"}),
+                inputs=("o0",), outputs=("o1",),
             ),
             *(FlowNode(f"c{k}", "call-activity", name=f"call {kid}") for k, kid in enumerate(kids)),
             FlowNode("end", "end-event", name=f"{mid} end", extensions=end_ext),

@@ -12,6 +12,7 @@ from procpyramid import (
     Duration,
     Lane,
     ModelParseError,
+    check_gq,
     check_wellformed,
     extract_milestones,
     parse_model,
@@ -19,7 +20,6 @@ from procpyramid import (
 )
 from procpyramid.dependency import DependencyEdge
 from procpyramid.findings import finding
-from procpyramid.ingest import _NO_ITEMS
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
 PRODUCT_XML = (FIXTURES / "parkpilot" / "product-process.bpmn").read_text(encoding="utf-8")
@@ -57,8 +57,8 @@ class TestParse:
         assert nm["s_start"].timer.amount == Duration(90)
         assert nm["s_start"].timer.mode == "anchor-before-sop"
         assert nm["t_build"].duration == Duration(10)
-        assert nm["t_build"].inputs == frozenset({"d_plan"})
-        assert nm["t_build"].outputs == frozenset({"d_build"})
+        assert nm["t_build"].inputs == ("d_plan",)
+        assert nm["t_build"].outputs == ("d_build",)
         assert nm["e_ps"].extensions["gq7"] == "Fragment complete"
         assert model.extensions["methods"] == "physical sampling"
         assert [lane.role_name for lane in model.lanes] == ["development"]
@@ -87,7 +87,7 @@ class TestParse:
             '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>'
         )
         model = parse_model(wrap(body), "m")
-        assert model.node_map()["t"].inputs == frozenset({"d1"})
+        assert model.node_map()["t"].inputs == ("d1",)
 
     def test_unresolved_data_ref_degrades_to_warning(self):
         body = (
@@ -99,13 +99,13 @@ class TestParse:
         )
         model = parse_model(wrap(body), "m")
         assert [f.code for f in model.parse_findings] == ["UNRESOLVED-DATA-REF"]
-        assert model.node_map()["t"].inputs == frozenset()
+        assert model.node_map()["t"].inputs == ()
 
-    def test_empty_inputs_and_outputs_share_one_set(self):
+    def test_inputs_and_outputs_are_sorted_distinct_tuples(self):
         model = parse_model(PRODUCT_XML, "product")
-        empty = [s for n in model.nodes for s in (n.inputs, n.outputs) if not s]
-        assert empty
-        assert all(s is _NO_ITEMS for s in empty)
+        items = [s for n in model.nodes for s in (n.inputs, n.outputs)]
+        assert any(not s for s in items) and any(s for s in items)
+        assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in items)
 
     def test_a_duration_only_node_keeps_no_extension_entries(self):
         body = (
@@ -255,7 +255,7 @@ class TestSharing:
     @pytest.mark.parametrize("source", [SHARING_XML, FRAGMENT_XML], ids=SOURCE_IDS[:2])
     def test_equal_io_sets_are_one_object(self, source):
         model = parse_model(source.encode("utf-8"), "m")
-        first: dict[frozenset, frozenset] = {}
+        first: dict[tuple, tuple] = {}
         shared = 0
         for items in (s for n in model.nodes for s in (n.inputs, n.outputs) if s):
             shared += items in first
@@ -292,8 +292,8 @@ class TestSharing:
         model = parse_model(SHARING_XML, "m")
         assert model.lanes[0].member_nodes == frozenset({"start", "write", "review", "ghost", "finish"})
         nm = model.node_map()
-        assert (nm["write"].inputs, nm["write"].outputs) == (frozenset(), frozenset({"draft"}))
-        assert (nm["review"].inputs, nm["review"].outputs) == (frozenset({"draft"}), frozenset({"final"}))
+        assert (nm["write"].inputs, nm["write"].outputs) == ((), ("draft",))
+        assert (nm["review"].inputs, nm["review"].outputs) == (("draft",), ("final",))
         assert model.flows == [("start", "write"), ("write", "review"), ("review", "finish")]
         assert model.parse_findings == []
         assert _outcome(parse_model, SHARING_XML) == _outcome(oracles.parse_model_by_tree, SHARING_XML)
@@ -322,6 +322,18 @@ class TestSharing:
         [ref] = model.node_map()["review"].inputs
         assert ref is objects["draft"]
 
+    def test_refs_naming_one_object_give_one_id_in_sorted_order(self):
+        # `z-ref` sorts after `final` but names `draft`; `draft` is named twice
+        source = SHARING_XML.replace(
+            "<sourceRef>draft-ref</sourceRef></dataInputAssociation>",
+            "<sourceRef>z-ref</sourceRef></dataInputAssociation>"
+            '<dataInputAssociation sourceRef="final"/><dataInputAssociation sourceRef="draft"/>',
+        ).replace("<startEvent", '<dataObjectReference id="z-ref" dataObjectRef="draft"/><startEvent')
+        model = parse_model(source, "m")
+        assert model.node_map()["review"].inputs == ("draft", "final")
+        assert model.parse_findings == []
+        assert _outcome(parse_model, source) == _outcome(oracles.parse_model_by_tree, source)
+
     @pytest.mark.parametrize(
         ("old", "new", "message"),
         [
@@ -333,8 +345,16 @@ class TestSharing:
              "model 'm': flow 'f2' references unknown node 'w'"),
             ('id="f2" sourceRef="write"', 'sourceRef="wrte"',
              "model 'm': flow 'flow1' references unknown node 'wrte'"),
+            # `review` outputs `final`: two objects under one id must not
+            # silently become one
+            ('<dataObject id="final" name="final"/>',
+             '<dataObject id="final" name="A"/><dataObject id="final" name="B"/>',
+             "model 'm': duplicate data object id 'final'"),
         ],
-        ids=["duplicate-node", "unknown-target", "unknown-source-first", "flow-without-id"],
+        ids=[
+            "duplicate-node", "unknown-target", "unknown-source-first", "flow-without-id",
+            "duplicate-object",
+        ],
     )
     def test_structural_defects_keep_their_messages(self, old, new, message):
         source = SHARING_XML.replace(old, new)
@@ -428,16 +448,16 @@ class TestMilestones:
         assert ps.gq.gq2_role == "development"
         assert ps.gq.gq3_tools == frozenset({"sample workshop"})
         assert ps.gq.gq4_duration == Duration(30)
-        assert ps.gq.gq5_inputs == frozenset({"sample plan", "sample build"})
-        assert ps.gq.gq6_outputs == frozenset({"sample build", "sample report"})
+        assert ps.gq.gq5_inputs == ("sample build", "sample plan")
+        assert ps.gq.gq6_outputs == ("sample build", "sample report")
         assert ps.gq.gq7_consumers == frozenset({"Fragment complete"})
         assert ps.gq.gq8_storage["sample report"] == "pdm://fragment/sample-report"
 
         done = by_id["fragment:e_done"]
         assert done.terminal
         assert done.kind == "end"
-        assert done.gq.gq5_inputs == frozenset({"sample report"})
-        assert done.gq.gq6_outputs == frozenset({"release note"})
+        assert done.gq.gq5_inputs == ("sample report",)
+        assert done.gq.gq6_outputs == ("release note",)
         assert done.gq.gq8_storage["release note"] == "pdm://fragment/release-note"
 
     def test_uncovered_events_yield_no_milestone(self):
@@ -461,15 +481,15 @@ class TestMilestones:
                 node(
                     "e",
                     "end-event",
-                    ext={"gq4": "P99D", "gq5": "a, b", "gq6": "c", "gq8": "a=x;b=y;c=z"},
+                    ext={"gq4": "P99D", "gq5": "b, a, b", "gq6": "c", "gq8": "a=x;b=y;c=z"},
                 ),
             ],
             data_objects=[DataObject("d", "thing", storage_ref="loc://d")],
         )
         ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
         assert ms.gq.gq4_duration == Duration(99)
-        assert ms.gq.gq5_inputs == frozenset({"a", "b"})
-        assert ms.gq.gq6_outputs == frozenset({"c"})
+        assert ms.gq.gq5_inputs == ("a", "b")
+        assert ms.gq.gq6_outputs == ("c",)
         assert ms.gq.gq8_storage == {"thing": "loc://d", "a": "x", "b": "y", "c": "z"}
 
     def test_documented_annotation_forms(self):
@@ -483,6 +503,27 @@ class TestMilestones:
         ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
         assert ms.gq.gq8_storage == {"a": "x", "b": "y", "c": "z"}
         assert ms.declared_offset == -60
+
+    @pytest.mark.parametrize(
+        "gq8, storage, codes",
+        [
+            ("A= ", {}, ["GQ8-UNANSWERED"]),
+            ("A=loc://a; B=", {"A": "loc://a"}, ["GQ8-INCOMPLETE"]),
+        ],
+    )
+    def test_a_gq8_entry_with_an_empty_location_is_unanswered(self, gq8, storage, codes):
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", timer=anchor(30)),
+                node("t", "task", days=5, outputs=("a", "b")),
+                node("e", "end-event", ext={"gq8": gq8}),
+            ],
+            data_objects=[DataObject("a", "A"), DataObject("b", "B")],
+        )
+        ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
+        assert ms.gq.gq8_storage == storage
+        assert [f.code for f in check_gq(ms) if f.code.startswith("GQ8")] == codes
 
     @pytest.mark.parametrize(
         "key, value", [("declaredOffset", "banana"), ("declaredOffset", "P"), ("gq4", "banana")]
@@ -516,7 +557,7 @@ class TestMilestones:
             data_objects=[DataObject("d9", "  ")],
         )
         ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
-        assert ms.gq.gq5_inputs == frozenset({"m:d9"})
+        assert ms.gq.gq5_inputs == ("m:d9",)
 
     def test_ambiguous_anchor_is_flagged(self):
         model = chain_model(
@@ -644,6 +685,9 @@ VARIANTS = {
         t, '<task id="tb"><extensionElements><entry key="duration" value="PT1H"/></extensionElements></task>'
     ),
     "malformed-tail": lambda t: t.replace("</definitions>", "<unclosed></definitions>"),
+    "duplicate-data-object": lambda t: _into_process(
+        t, '<dataObject id="dz" name="A"/><dataObject id="dz" name="B"/>'
+    ),
     # a known and an unknown source each named twice (the second time as an
     # attribute), and a target given as an attribute
     "duplicate-associations": lambda t: _into_process(

@@ -220,6 +220,18 @@ class TestGq:
         assert [f.code for f in check_gq(ms)] == ["GQ8-INCOMPLETE"]
         assert "b" in check_gq(ms)[0].message
 
+    def test_gq8_incomplete_lists_an_input_that_is_also_an_output_once(self):
+        ms = milestone(
+            "m:e",
+            inputs=("a", "x"),
+            outputs=("x",),
+            consumers=("m:x",),
+            storage={"a": "loc://a"},
+        )
+        assert [(f.code, f.message) for f in check_gq(ms)] == [
+            ("GQ8-INCOMPLETE", "no storage location for: x")
+        ]
+
 
 class TestGrid:
     def test_rejects_bad_input(self):
