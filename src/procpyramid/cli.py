@@ -41,6 +41,7 @@ from .dependency import (
     impact,
     infer_edges,
 )
+from .durations import render_offset
 from .errors import PyramidError, TemplateError, UnknownSeedError
 from .findings import Finding, error_count, finding, merge_findings, summarize
 from .ingest import check_wellformed
@@ -248,7 +249,7 @@ class _Session:
         labels = self.labels
         section: dict = {
             "offsets": {labels[m]: d for m, d in table.offsets.items()},
-            "renderings": {labels[m]: table.render(m) for m in table.offsets},
+            "renderings": {labels[m]: render_offset(d) for m, d in table.offsets.items()},
             "provenance": {labels[m]: p for m, p in table.provenance.items()},
             "grid": None,
         }

@@ -32,7 +32,6 @@ class ReferenceProcess:
     method, and tool expectations, bound to models by id or name pattern."""
 
     ref_id: str
-    name: str
     side: str = "none"
     counterpart: str | None = None
     steps: list[str] = field(default_factory=list)
@@ -55,7 +54,6 @@ class ReferenceProcess:
 
 @dataclass
 class AspectDiff:
-    aspect: str
     matched: list[str]
     missing: list[str]
     extra: list[str]
@@ -65,8 +63,6 @@ class AspectDiff:
 
 @dataclass
 class DeviationReport:
-    model_id: str
-    ref_id: str
     aspects: dict[str, AspectDiff]
     verdict: str
 
@@ -125,7 +121,6 @@ def load_reference(text: str) -> list[ReferenceProcess]:
         templates.append(
             ReferenceProcess(
                 ref_id=ref_id,
-                name=item.get("name", ref_id),
                 side=side,
                 counterpart=counterpart,
                 steps=steps,
@@ -230,7 +225,6 @@ def _step_diff(reference: list[str], actual: list[str]) -> AspectDiff:
     ]
     ratio = len(matched) / len(reference) if reference else 1.0
     return AspectDiff(
-        aspect="steps",
         matched=matched,
         missing=missing,
         extra=extra,
@@ -239,13 +233,13 @@ def _step_diff(reference: list[str], actual: list[str]) -> AspectDiff:
     )
 
 
-def _set_diff(aspect: str, reference: frozenset[str], actual: frozenset[str]) -> AspectDiff:
+def _set_diff(reference: frozenset[str], actual: frozenset[str]) -> AspectDiff:
     matched = sorted(reference & actual)
     missing = sorted(reference - actual)
     extra = sorted(actual - reference)
     ratio = len(matched) / len(reference) if reference else 1.0
     return AspectDiff(
-        aspect=aspect, matched=matched, missing=missing, extra=extra, reordered=[], match_ratio=ratio
+        matched=matched, missing=missing, extra=extra, reordered=[], match_ratio=ratio
     )
 
 
@@ -299,9 +293,9 @@ def diff(
     steps, roles, methods, tools = _model_aspects(model, milestones, keys)
     aspects = {
         "steps": _step_diff([keys[s] for s in reference.steps], steps),
-        "roles": _set_diff("roles", frozenset(keys[r] for r in reference.roles), roles),
-        "methods": _set_diff("methods", frozenset(keys[x] for x in reference.methods), methods),
-        "tools": _set_diff("tools", frozenset(keys[t] for t in reference.tools), tools),
+        "roles": _set_diff(frozenset(keys[r] for r in reference.roles), roles),
+        "methods": _set_diff(frozenset(keys[x] for x in reference.methods), methods),
+        "tools": _set_diff(frozenset(keys[t] for t in reference.tools), tools),
     }
     ratios = [a.match_ratio for a in aspects.values()]
     if all(r == 1.0 for r in ratios):
@@ -310,9 +304,7 @@ def diff(
         verdict = "major-deviation"
     else:
         verdict = "minor-deviation"
-    return DeviationReport(
-        model_id=model.model_id, ref_id=reference.ref_id, aspects=aspects, verdict=verdict
-    )
+    return DeviationReport(aspects=aspects, verdict=verdict)
 
 
 def _vv_pairs(

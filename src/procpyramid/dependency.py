@@ -144,9 +144,8 @@ def infer_edges(
         # declared consumers that are no known milestone still yield an edge,
         # so the broken promise stays visible in the graph
         for ref in sorted(declared - known):
-            if ref != pid:
-                nodes.add(ref)
-                edges.append(DependencyEdge(pid, ref, frozenset(), DECLARED_UNMATCHED))
+            nodes.add(ref)
+            edges.append(DependencyEdge(pid, ref, frozenset(), DECLARED_UNMATCHED))
 
     edges.sort(key=lambda e: (e.producer, e.consumer))
     return DependencyGraph(
@@ -204,9 +203,9 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
     return sort_findings(out)
 
 
-def _expand_seed(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> set[str]:
+def _expand_seed(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> set[str]:
     node_set = set(graph.nodes)
-    if pyramid is not None and seed in pyramid.models:
+    if seed in pyramid.models:
         members = {n for n in node_set if graph.model_id(n) == seed}
         if members:
             return members
@@ -216,7 +215,7 @@ def _expand_seed(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> 
     raise UnknownSeedError(f"seed {seed!r} matches no milestone and no model")
 
 
-def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> ImpactSet:
+def impact(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> ImpactSet:
     """Everything a change at the seed can touch, in both directions.
 
     The seed may be a milestone id or a model id (which expands to all of
@@ -229,12 +228,11 @@ def impact(graph: DependencyGraph, pyramid: Pyramid | None, seed: str) -> Impact
     upstream = bfs_layers(producers, seeds)
 
     crossed: set[int] = set()
-    if pyramid is not None:
-        level_of = pyramid.level_of
-        for node in seeds | set(downstream) | set(upstream):
-            model_id = graph.model_id(node)
-            if model_id in level_of:
-                crossed.add(level_of[model_id])
+    level_of = pyramid.level_of
+    for node in seeds | set(downstream) | set(upstream):
+        model_id = graph.model_id(node)
+        if model_id in level_of:
+            crossed.add(level_of[model_id])
     return ImpactSet(seed=seed, downstream=downstream, upstream=upstream, crossed_levels=crossed)
 
 
@@ -279,8 +277,7 @@ def find_redundant(
     return sort_findings(out)
 
 
-def graph_to_dot(graph: DependencyGraph, table: OffsetTable | None = None,
-                 names: dict[str, str] | None = None) -> str:
+def graph_to_dot(graph: DependencyGraph, table: OffsetTable, names: dict[str, str]) -> str:
     """Render the dependency graph as Graphviz DOT.
 
     Node labels read name@offset; edge style encodes the match status
@@ -297,8 +294,8 @@ def graph_to_dot(graph: DependencyGraph, table: OffsetTable | None = None,
 
     lines = ["digraph dependencies {", "  rankdir=LR;"]
     for node in graph.nodes:
-        label = (names or {}).get(node, node)
-        if table is not None and node in table.offsets:
+        label = names.get(node, node)
+        if node in table.offsets:
             label = f"{label}@{table.offsets[node]}d"
         else:
             label = f"{label}@?"
@@ -314,13 +311,10 @@ def graph_to_dot(graph: DependencyGraph, table: OffsetTable | None = None,
 
 
 def graph_to_json(
-    graph: DependencyGraph,
-    table: OffsetTable | None = None,
-    pyramid: Pyramid | None = None,
-    names: dict[str, str] | None = None,
+    graph: DependencyGraph, table: OffsetTable, pyramid: Pyramid, names: dict[str, str]
 ) -> dict:
     """JSON-ready edge list with level metadata on every edge."""
-    level_of = pyramid.level_of if pyramid is not None else {}
+    level_of = pyramid.level_of
 
     def level(node: str) -> int | None:
         return level_of.get(graph.model_id(node))
@@ -328,9 +322,9 @@ def graph_to_json(
     nodes = [
         {
             "id": node,
-            "name": (names or {}).get(node, node),
+            "name": names.get(node, node),
             "level": level(node),
-            "offset": table.offsets.get(node) if table is not None else None,
+            "offset": table.offsets.get(node),
         }
         for node in graph.nodes
     ]

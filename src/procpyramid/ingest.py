@@ -29,7 +29,7 @@ from .model import (
     ProcessModel,
     TimerDef,
 )
-from .timeline import GqRecord, Milestone
+from .timeline import GqRecord, Milestone, ambiguous_anchor
 
 _NODE_TAGS = {
     "startEvent": "start-event",
@@ -462,19 +462,6 @@ def _parse_storage(value: str) -> dict[str, str]:
     return entries
 
 
-def _object_names(
-    model: ProcessModel, objects: dict[str, DataObject], object_ids: set[str]
-) -> frozenset[str]:
-    names = set()
-    for oid in object_ids:
-        obj = objects.get(oid)
-        if obj is not None and obj.name.strip():
-            names.add(obj.name.strip())
-        else:
-            names.add(f"{model.model_id}:{oid}")
-    return frozenset(names)
-
-
 def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: list[Finding]):
     """The parsed extension entry, or None when it is absent or does not
     parse; the latter is reported as BAD-ANNOTATION."""
@@ -502,7 +489,15 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
     flow = flowgraph.FlowIndex.of(model)
     covered = flowgraph.timer_covered_events(flow)
     anchors = flowgraph.anchor_candidates(flow)
-    objects = model.object_map()
+    # each data object's gq5/gq6 label (its stripped name, or model:id when
+    # that is blank) and gq8 location (its stripped storageRef; "" is none)
+    objects = {
+        obj.object_id: (
+            obj.name.strip() or f"{model.model_id}:{obj.object_id}",
+            (obj.storage_ref or "").strip(),
+        )
+        for obj in model.data_objects
+    }
     node_map = flow.nodes
 
     for node in model.events():
@@ -510,11 +505,9 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             continue
         subject = f"{model.model_id}:{node.node_id}"
         candidates, cyclic = anchors[node.node_id]
-        if len({offset for _, offset in candidates}) > 1:
-            detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
-            findings.append(
-                finding("AMBIGUOUS-ANCHOR", subject, f"conflicting anchors on converging paths: {detail}")
-            )
+        ambiguous = ambiguous_anchor(subject, candidates)
+        if ambiguous is not None:
+            findings.append(ambiguous)
 
         ext = node.extensions
         seg = flowgraph.segment_nodes(flow, node.node_id)
@@ -529,15 +522,15 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             days = flowgraph.segment_duration(flow, node.node_id, seg)
             gq4 = Duration(days) if days is not None else None
 
-        gq5 = _split_list(ext["gq5"]) if "gq5" in ext else _object_names(model, objects, seg_inputs)
-        gq6 = _split_list(ext["gq6"]) if "gq6" in ext else _object_names(model, objects, seg_outputs)
+        # a ref to no declared object (a hand-built model) has no location
+        derived = {
+            oid: objects.get(oid) or (f"{model.model_id}:{oid}", "")
+            for oid in sorted(seg_inputs | seg_outputs)
+        }
+        gq5 = _split_list(ext["gq5"]) if "gq5" in ext else {derived[oid][0] for oid in seg_inputs}
+        gq6 = _split_list(ext["gq6"]) if "gq6" in ext else {derived[oid][0] for oid in seg_outputs}
 
-        storage: dict[str, str] = {}
-        for oid in sorted(seg_inputs | seg_outputs):
-            obj = objects.get(oid)
-            if obj is not None and obj.storage_ref:
-                key = obj.name.strip() or f"{model.model_id}:{oid}"
-                storage[key] = obj.storage_ref
+        storage = {label: location for label, location in derived.values() if location}
         storage.update(_parse_storage(ext.get("gq8", "")))
 
         lane = model.lane_of(node.node_id)

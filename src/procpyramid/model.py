@@ -86,9 +86,6 @@ class ProcessModel:
     def node_map(self) -> dict[str, FlowNode]:
         return {n.node_id: n for n in self.nodes}
 
-    def object_map(self) -> dict[str, DataObject]:
-        return {d.object_id: d for d in self.data_objects}
-
     def lane_of(self, node_id: str) -> Lane | None:
         for lane in self.lanes:
             if node_id in lane.member_nodes:

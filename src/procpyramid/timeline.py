@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import flowgraph
-from .durations import Duration, render_offset
+from .durations import Duration
 from .errors import EmptyTimelineError
 from .findings import Finding, finding, sort_findings
 from .model import FlowNode
@@ -68,9 +68,6 @@ class OffsetTable:
     offsets: dict[str, int] = field(default_factory=dict)
     provenance: dict[str, str] = field(default_factory=dict)
 
-    def render(self, milestone_id: str) -> str:
-        return render_offset(self.offsets[milestone_id])
-
 
 @dataclass
 class ReferenceTimeline:
@@ -83,6 +80,15 @@ class ReferenceTimeline:
     step: int
     boundaries: list[int]
     assignments: dict[str, int]
+
+
+def ambiguous_anchor(subject: str, candidates: Sequence[tuple[str, int]]) -> Finding | None:
+    """The AMBIGUOUS-ANCHOR finding for an event whose anchor candidates
+    give more than one distinct offset, or None when they agree."""
+    if len({offset for _, offset in candidates}) <= 1:
+        return None
+    detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
+    return finding("AMBIGUOUS-ANCHOR", subject, f"conflicting anchors on converging paths: {detail}")
 
 
 def resolve_offsets(
@@ -126,19 +132,12 @@ def resolve_offsets(
                 finding("FLOW-CYCLE", ms.milestone_id, "flow cycle on the path from the anchor timer")
             )
             continue
-        offsets = sorted({off for _, off in candidates})
-        if not offsets:
+        if not candidates:
             out.append(finding("NO-ANCHOR", ms.milestone_id, "no anchor timer on any incoming path"))
             continue
-        if len(offsets) > 1:
-            detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
-            out.append(
-                finding(
-                    "AMBIGUOUS-ANCHOR",
-                    ms.milestone_id,
-                    f"conflicting anchors on converging paths: {detail}",
-                )
-            )
+        ambiguous = ambiguous_anchor(ms.milestone_id, candidates)
+        if ambiguous is not None:
+            out.append(ambiguous)
             continue
         anchor_id, offset = candidates[0]
         amount = nodes[anchor_id].timer.amount.days

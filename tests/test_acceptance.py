@@ -22,6 +22,7 @@ from procpyramid import (
     Lane,
     OffsetTable,
     ProcessModel,
+    Pyramid,
     ReferenceProcess,
     TimerDef,
     check_connectivity,
@@ -135,7 +136,7 @@ def test_criterion_4_dependency_oracle_equivalence():
             graph.nodes, [(e.producer, e.consumer) for e in graph.edges]
         )
         seed = rng.choice(ids)
-        result = impact(graph, None, seed)
+        result = impact(graph, Pyramid(""), seed)
         assert set(result.downstream) == {b for a, b in closure if a == seed} - {seed}
         assert set(result.upstream) == {a for a, b in closure if b == seed} - {seed}
 
@@ -223,7 +224,7 @@ def test_criterion_6_temporal_soundness():
 def test_criterion_7_conformance_fixed_point_and_lcs():
     steps = ["frame goals", "draft design", "review design", "build rig", "trial run", "sign off"]
     ref = ReferenceProcess(
-        "shape", "shape", steps=steps, roles=frozenset({"crew"}),
+        "shape", steps=steps, roles=frozenset({"crew"}),
         methods=frozenset({"inspection"}), tools=frozenset({"bench"}),
     )
     nodes = [
@@ -247,7 +248,7 @@ def test_criterion_7_conformance_fixed_point_and_lcs():
             model_id="m", name="m", nodes=tasks,
             flows=[(a.node_id, b.node_id) for a, b in zip(tasks, tasks[1:])],
         )
-        return diff(m, [], ReferenceProcess("r", "r", steps=list(ref_steps))).aspects["steps"]
+        return diff(m, [], ReferenceProcess("r", steps=list(ref_steps))).aspects["steps"]
 
     fixed_pairs = [
         ("abcabcabcabcabc", "cbacbacbacba"),

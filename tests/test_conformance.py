@@ -34,13 +34,17 @@ class TestLoad:
     def test_single_object_and_defaults(self):
         (ref,) = load_reference(json.dumps(template()))
         assert ref.ref_id == "t1"
-        assert ref.name == "t1"
         assert ref.side == "none"
         assert ref.counterpart is None
         assert ref.steps == ["plan"]
         assert ref.roles == frozenset()
         assert ref.binding_model == "m"
         assert ref.binding_pattern is None
+
+    def test_name_is_accepted_and_ignored(self):
+        names = ({}, {"name": "Plan"}, {"name": 7})
+        loaded = [load_reference(json.dumps(template(**name))) for name in names]
+        assert loaded[0] == loaded[1] == loaded[2]
 
     def test_list_with_counterpart(self):
         refs = load_reference(
@@ -111,21 +115,21 @@ class TestBinding:
         )
 
     def test_model_id_is_exact(self):
-        ref = ReferenceProcess("r", "r", steps=["x"], binding_model="m")
+        ref = ReferenceProcess("r", steps=["x"], binding_model="m")
         assert ref.binds(self.model())
         assert not ref.binds(self.model(model_id="m2"))
 
     def test_name_pattern_is_case_blind_glob(self):
-        ref = ReferenceProcess("r", "r", steps=["x"], binding_pattern="*park pilot*")
+        ref = ReferenceProcess("r", steps=["x"], binding_pattern="*park pilot*")
         assert ref.binds(self.model(name="PARK  PILOT test"))
         assert not ref.binds(self.model(name="bench test"))
 
     def test_pattern_also_tries_the_id(self):
-        ref = ReferenceProcess("r", "r", steps=["x"], binding_pattern="pp-*")
+        ref = ReferenceProcess("r", steps=["x"], binding_pattern="pp-*")
         assert ref.binds(self.model(model_id="pp-07", name="something else"))
 
     def test_no_binding_binds_nothing(self):
-        assert not ReferenceProcess("r", "r", steps=["x"]).binds(self.model())
+        assert not ReferenceProcess("r", steps=["x"]).binds(self.model())
 
 
 def task_chain(names, model_id="m", **kwargs):
@@ -136,7 +140,7 @@ def task_chain(names, model_id="m", **kwargs):
 class TestDiff:
     def reference(self, **overrides):
         fields = dict(
-            ref_id="ref", name="ref", steps=["draft plan", "review plan"],
+            ref_id="ref", steps=["draft plan", "review plan"],
             roles=frozenset({"crew"}),
         )
         fields.update(overrides)
@@ -148,7 +152,6 @@ class TestDiff:
         ref = self.reference(tools=frozenset({"Workbench"}))
         report = diff(model, ms, ref)
         assert report.verdict == "conforming"
-        assert report.model_id == "m" and report.ref_id == "ref"
         for aspect in report.aspects.values():
             assert aspect.match_ratio == 1.0
             assert aspect.missing == [] and aspect.extra == [] and aspect.reordered == []
@@ -231,7 +234,7 @@ class TestDiff:
         act=st.lists(st.sampled_from("abcd"), max_size=8),
     )
     def test_step_matching_is_a_true_lcs(self, ref, act):
-        report = diff(task_chain(act), [], ReferenceProcess("r", "r", steps=list(ref)))
+        report = diff(task_chain(act), [], ReferenceProcess("r", steps=list(ref)))
         steps = report.aspects["steps"]
         assert len(steps.matched) == len(oracles.lcs_exhaustive(ref, act))
         assert len(steps.matched) + len(steps.missing) == len(ref)
@@ -266,7 +269,7 @@ class TestDiff:
             edges.append(edges[0][::-1])
         kinds = {n: data.draw(st.sampled_from(["task", "exclusive-gateway"]), label=n) for n in ids}
         model = chain_model("m", [node(n, kinds[n], days=1) for n in ids], flows=edges)
-        report = diff(model, [], ReferenceProcess("r", "r", steps=["none of these"]))
+        report = diff(model, [], ReferenceProcess("r", steps=["none of these"]))
         order = oracles.priority_topological_order(ids, edges) or ids
         assert report.aspects["steps"].extra == [n for n in order if kinds[n] == "task"]
 
@@ -278,7 +281,7 @@ class TestDiff:
         ],
     )
     def test_step_matching_on_longer_adversarial_sequences(self, ref, act):
-        report = diff(task_chain(list(act)), [], ReferenceProcess("r", "r", steps=list(ref)))
+        report = diff(task_chain(list(act)), [], ReferenceProcess("r", steps=list(ref)))
         matched = report.aspects["steps"].matched
         assert len(matched) == len(oracles.lcs_exhaustive(list(ref), list(act)))
 
@@ -288,9 +291,9 @@ def vv_setup(edges):
     nodes = sorted({n for e in edges for n in (e.producer, e.consumer)} | {"lm:a", "rm:b"})
     graph = DependencyGraph(nodes=nodes, edges=list(edges))
     refs = [
-        ReferenceProcess("design", "design", side="left", steps=["x"], binding_model="lm"),
+        ReferenceProcess("design", side="left", steps=["x"], binding_model="lm"),
         ReferenceProcess(
-            "verify", "verify", side="right", counterpart="design", steps=["x"],
+            "verify", side="right", counterpart="design", steps=["x"],
             binding_model="rm",
         ),
     ]
@@ -336,7 +339,7 @@ class TestVvLinks:
 
     def test_left_and_unpaired_templates_are_ignored(self):
         pyramid, graph, _ = vv_setup([])
-        refs = [ReferenceProcess("design", "design", side="left", steps=["x"], binding_model="lm")]
+        refs = [ReferenceProcess("design", side="left", steps=["x"], binding_model="lm")]
         assert check_vv_links(pyramid, graph, refs) == []
 
 
@@ -373,7 +376,7 @@ class TestIterationCounts:
 
     def test_left_only_templates_yield_no_rows(self):
         pyramid, graph, _ = vv_setup([])
-        refs = [ReferenceProcess("design", "design", side="left", steps=["x"], binding_model="lm")]
+        refs = [ReferenceProcess("design", side="left", steps=["x"], binding_model="lm")]
         assert vv_iterations(pyramid, graph, refs) == []
 
     @given(st.data())

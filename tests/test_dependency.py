@@ -6,6 +6,7 @@ import oracles
 from conftest import chain_model, milestone, node, stub_pyramid
 from procpyramid import (
     OffsetTable,
+    Pyramid,
     UnknownSeedError,
     check_temporal,
     cross_check_declared,
@@ -236,10 +237,10 @@ def diamond_graph():
 class TestImpact:
     def test_layers_are_ordered(self):
         graph = diamond_graph()
-        result = impact(graph, None, "p0:a")
+        result = impact(graph, Pyramid(""), "p0:a")
         assert result.downstream == ["p1:b", "p1:c", "p2:d"]
         assert result.upstream == []
-        result = impact(graph, None, "p2:d")
+        result = impact(graph, Pyramid(""), "p2:d")
         assert result.upstream == ["p1:b", "p1:c", "p0:a"]
 
     def test_model_seed_expands_and_excludes_itself(self):
@@ -251,7 +252,7 @@ class TestImpact:
 
     def test_unknown_seed(self):
         with pytest.raises(UnknownSeedError):
-            impact(diamond_graph(), None, "nope")
+            impact(diamond_graph(), Pyramid(""), "nope")
         pyramid = stub_pyramid({0: ["p0"], 1: ["empty"]}, [("p0", "empty")])
         with pytest.raises(UnknownSeedError):
             impact(diamond_graph(), pyramid, "empty")
@@ -272,7 +273,7 @@ class TestImpact:
         )
         closure = oracles.closure_floyd_warshall(ids, edges)
         seed = data.draw(st.sampled_from(ids), label="seed")
-        result = impact(graph, None, seed)
+        result = impact(graph, Pyramid(""), seed)
         assert set(result.downstream) == {b for a, b in closure if a == seed} - {seed}
         assert set(result.upstream) == {a for a, b in closure if b == seed} - {seed}
         assert result.downstream == layer_order(seed, edges)
@@ -360,7 +361,6 @@ class TestSharedNameKeys:
         names = st.frozensets(self.spellings, max_size=3)
         reference = ReferenceProcess(
             "ref",
-            "ref",
             steps=data.draw(st.lists(self.spellings, min_size=1, max_size=5), label=f"{label} steps"),
             roles=data.draw(names, label=f"{label} roles"),
             methods=data.draw(names, label=f"{label} methods"),
@@ -422,9 +422,11 @@ class TestExport:
 
     def test_json_shape(self):
         pyramid = stub_pyramid({0: ["p0"], 1: ["p1"], 2: ["p2"]}, [])
-        doc = graph_to_json(diamond_graph(), OffsetTable(offsets={"p0:a": -60}), pyramid)
+        table = OffsetTable(offsets={"p0:a": -60})
+        doc = graph_to_json(diamond_graph(), table, pyramid, {"p0:a": "kick-off"})
         nodes = {n["id"]: n for n in doc["nodes"]}
-        assert nodes["p0:a"] == {"id": "p0:a", "name": "p0:a", "level": 0, "offset": -60}
+        assert nodes["p0:a"] == {"id": "p0:a", "name": "kick-off", "level": 0, "offset": -60}
+        assert nodes["p1:b"]["name"] == "p1:b"
         assert nodes["p2:d"]["offset"] is None
         edge = next(e for e in doc["edges"] if e["consumer"] == "p2:d" and e["producer"] == "p1:b")
         assert edge == {

@@ -526,6 +526,24 @@ class TestMilestones:
         assert [f.code for f in check_gq(ms) if f.code.startswith("GQ8")] == codes
 
     @pytest.mark.parametrize(
+        "storage_ref, storage, codes",
+        [("  ", {}, ["GQ8-UNANSWERED"]), (" loc://a ", {"A": "loc://a"}, [])],
+    )
+    def test_a_blank_storage_ref_is_unanswered(self, storage_ref, storage, codes):
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", timer=anchor(30)),
+                node("t", "task", days=5, outputs=("a",)),
+                node("e", "end-event"),
+            ],
+            data_objects=[DataObject("a", "A", storage_ref=storage_ref)],
+        )
+        ms = [m for m in extract_milestones(model)[0] if m.milestone_id == "m:e"][0]
+        assert ms.gq.gq8_storage == storage
+        assert [f.code for f in check_gq(ms) if f.code.startswith("GQ8")] == codes
+
+    @pytest.mark.parametrize(
         "key, value", [("declaredOffset", "banana"), ("declaredOffset", "P"), ("gq4", "banana")]
     )
     def test_malformed_annotation_is_a_finding(self, key, value):
