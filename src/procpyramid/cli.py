@@ -27,7 +27,6 @@ from .conformance import (
     check_vv_links,
     diff,
     load_reference,
-    validate_counterparts,
     vv_iterations,
 )
 from .dependency import (
@@ -217,11 +216,9 @@ class _Session:
 
     @cached_property
     def templates(self) -> list[ReferenceProcess]:
-        templates: list[ReferenceProcess] = []
-        for rel in self.bundle.manifest.reference_templates:
-            templates.extend(load_reference(read_utf8(self.bundle.root_dir / rel, TemplateError)))
-        validate_counterparts(templates)
-        return templates
+        root = self.bundle.root_dir
+        paths = self.bundle.manifest.reference_templates
+        return load_reference(*(read_utf8(root / rel, TemplateError) for rel in paths))
 
     # Command views: each takes the parsed arguments and returns the
     # command's findings and payload.

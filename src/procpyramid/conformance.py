@@ -71,94 +71,83 @@ def _template_error(path_hint: str, message: str) -> TemplateError:
     return TemplateError(f"reference template {path_hint}: {message}")
 
 
-def load_reference(text: str) -> list[ReferenceProcess]:
-    """Load one template file: a single template object or a list of them.
+def load_reference(*texts: str) -> list[ReferenceProcess]:
+    """Load the template files of one run as one collection.
 
-    Counterparts are resolved within the file; use validate_counterparts
-    after loading several files to check across the whole collection.
+    Each text is a single template object or a list of them, checked item
+    by item in file order. Across the collection, ids must be unique and
+    every counterpart must name a left-side template, in any of the files.
     """
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # as in pyramid.load_manifest: deep nesting and over-long integers too
-        raise TemplateError(f"reference template is not valid JSON ({exc})")
-    items = raw if isinstance(raw, list) else [raw]
     templates: list[ReferenceProcess] = []
-    for i, item in enumerate(items):
-        hint = f"[{i}]"
-        if not isinstance(item, dict):
-            raise _template_error(hint, "must be an object")
-        ref_id = item.get("id")
-        if not isinstance(ref_id, str) or not ref_id:
-            raise _template_error(hint, "missing id")
-        hint = ref_id
-        side = item.get("side", "none")
-        if side not in SIDES:
-            raise _template_error(hint, f"side must be one of {SIDES}, got {side!r}")
-        steps = item.get("steps", [])
-        if not isinstance(steps, list) or not all(isinstance(s, str) for s in steps):
-            raise _template_error(hint, "steps must be a list of names")
-        if not steps:
-            raise _template_error(hint, "EMPTY-STEPS: a reference process needs at least one step")
-        counterpart = item.get("counterpart")
-        if counterpart is not None and not isinstance(counterpart, str):
-            raise _template_error(hint, "counterpart must be a template id")
-        if side == "right" and not counterpart:
-            raise _template_error(hint, "right-side template must name its left counterpart")
-        binding = item.get("binding", {})
-        if not isinstance(binding, dict):
-            raise _template_error(hint, "binding must be an object")
-        for key in ("modelId", "namePattern"):
-            if binding.get(key) is not None and not isinstance(binding[key], str):
-                raise _template_error(hint, f"binding.{key} must be a string")
-
-        def str_set(key: str) -> frozenset[str]:
-            values = item.get(key, [])
-            if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-                raise _template_error(hint, f"{key} must be a list of names")
-            return frozenset(values)
-
-        templates.append(
-            ReferenceProcess(
-                ref_id=ref_id,
-                side=side,
-                counterpart=counterpart,
-                steps=steps,
-                roles=str_set("roles"),
-                methods=str_set("methods"),
-                tools=str_set("tools"),
-                binding_model=binding.get("modelId"),
-                binding_pattern=binding.get("namePattern"),
-            )
-        )
+    for text in texts:
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # as in pyramid.load_manifest: deep nesting and over-long integers too
+            raise TemplateError(f"reference template is not valid JSON ({exc})")
+        for i, item in enumerate(raw if isinstance(raw, list) else [raw]):
+            templates.append(_load_item(item, f"[{i}]"))
     dupes = sorted(x for x, n in Counter(t.ref_id for t in templates).items() if n > 1)
     if dupes:
         raise TemplateError(f"duplicate template ids: {', '.join(dupes)}")
-    validate_counterparts(templates, partial=True)
-    return templates
-
-
-def validate_counterparts(templates: Iterable[ReferenceProcess], partial: bool = False) -> None:
-    """Every named counterpart must exist and sit on the left side.
-
-    With partial=True (single file of a larger collection) unknown ids are
-    tolerated; the full-collection pass runs without it.
-    """
     by_id = {t.ref_id: t for t in templates}
-    for t in by_id.values():
+    for t in templates:
         if t.counterpart is None:
             continue
         other = by_id.get(t.counterpart)
         if other is None:
-            if not partial:
-                raise TemplateError(
-                    f"reference template {t.ref_id}: DANGLING-COUNTERPART {t.counterpart!r}"
-                )
-            continue
+            raise _template_error(t.ref_id, f"DANGLING-COUNTERPART {t.counterpart!r}")
         if other.side != "left":
-            raise TemplateError(
-                f"reference template {t.ref_id}: counterpart {t.counterpart!r} is not left-side"
-            )
+            raise _template_error(t.ref_id, f"counterpart {t.counterpart!r} is not left-side")
+    return templates
+
+
+def _load_item(item: object, hint: str) -> ReferenceProcess:
+    """Check one template object; `hint` names it in errors until its id is read."""
+    if not isinstance(item, dict):
+        raise _template_error(hint, "must be an object")
+    ref_id = item.get("id")
+    if not isinstance(ref_id, str) or not ref_id:
+        raise _template_error(hint, "missing id")
+    hint = ref_id
+    side = item.get("side", "none")
+    if side not in SIDES:
+        raise _template_error(hint, f"side must be one of {SIDES}, got {side!r}")
+    steps = item.get("steps", [])
+    # a blank name is a requirement no model meets: models drop their blank names
+    if not isinstance(steps, list) or not all(isinstance(s, str) and s.strip() for s in steps):
+        raise _template_error(hint, "steps must be a list of names")
+    if not steps:
+        raise _template_error(hint, "EMPTY-STEPS: a reference process needs at least one step")
+    counterpart = item.get("counterpart")
+    if counterpart is not None and not isinstance(counterpart, str):
+        raise _template_error(hint, "counterpart must be a template id")
+    if side == "right" and not counterpart:
+        raise _template_error(hint, "right-side template must name its left counterpart")
+    binding = item.get("binding", {})
+    if not isinstance(binding, dict):
+        raise _template_error(hint, "binding must be an object")
+    for key in ("modelId", "namePattern"):
+        if binding.get(key) is not None and not isinstance(binding[key], str):
+            raise _template_error(hint, f"binding.{key} must be a string")
+
+    def str_set(key: str) -> frozenset[str]:
+        names = item.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(v, str) and v.strip() for v in names):
+            raise _template_error(hint, f"{key} must be a list of names")
+        return frozenset(names)
+
+    return ReferenceProcess(
+        ref_id=ref_id,
+        side=side,
+        counterpart=counterpart,
+        steps=steps,
+        roles=str_set("roles"),
+        methods=str_set("methods"),
+        tools=str_set("tools"),
+        binding_model=binding.get("modelId"),
+        binding_pattern=binding.get("namePattern"),
+    )
 
 
 def _lcs_matched(reference: list[str], actual: list[str]) -> list[tuple[int, int]]:

@@ -247,6 +247,35 @@ class TestConform:
             {"right": "park-pilot-test", "left": "function-chart", "iterations": 0}
         ]
 
+    @pytest.mark.parametrize(
+        "listed",
+        [
+            ["refs/vmodel.json", "refs/vmodel.json"],
+            ["refs/vmodel.json", "./refs/vmodel.json"],
+            ["refs/vmodel.json", "refs/copy.json"],
+        ],
+        ids=["same-name", "two-names", "copy"],
+    )
+    def test_a_template_file_listed_twice_is_a_template_fatal(self, capsys, tmp_path, listed):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        shutil.copyfile(tmp_path / "refs" / "vmodel.json", tmp_path / "refs" / "copy.json")
+        manifest = list_templates(tmp_path, listed)
+        assert cli.run(["conform", str(manifest), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "fatal [TEMPLATE]: duplicate template ids: component-design, component-test\n"
+        )
+        assert captured.out == ""
+
+
+def list_templates(bundle_dir: Path, listed: list[str]) -> Path:
+    """Point the manifest in `bundle_dir` at the template files `listed`."""
+    manifest = bundle_dir / "manifest.json"
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["referenceTemplates"] = listed
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    return manifest
+
 
 class TestColonInModelId:
     """Model ids may contain ":", so the model of a milestone is not the
@@ -532,12 +561,21 @@ class TestStagesRunOnce:
 
     def test_report_computes_each_stage_once(self, capsys, calls):
         assert cli.run(["report", str(PARKPILOT_MANIFEST), "--json"]) == 0
-        templates = json.loads(PARKPILOT_MANIFEST.read_text(encoding="utf-8"))["referenceTemplates"]
-        assert calls == {
-            "resolve_offsets": 1,
-            "infer_edges": 1,
-            "load_reference": len(templates),
-        }
+        assert calls == {"resolve_offsets": 1, "infer_edges": 1, "load_reference": 1}
+
+    def test_every_template_file_loads_in_one_call(self, capsys, calls, tmp_path):
+        """The right-side template sits in a file listed before the file of
+        its left-side counterpart, and conformance is as with one file."""
+        _, whole = run_json(capsys, ["conform", str(PARKPILOT_MANIFEST)])
+        calls.clear()
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        design, test = json.loads((tmp_path / "refs" / "vmodel.json").read_text(encoding="utf-8"))
+        (tmp_path / "refs" / "design.json").write_text(json.dumps(design), encoding="utf-8")
+        (tmp_path / "refs" / "test.json").write_text(json.dumps(test), encoding="utf-8")
+        manifest = list_templates(tmp_path, ["refs/test.json", "refs/design.json"])
+        code, doc = run_json(capsys, ["conform", str(manifest)])
+        assert (code, doc) == (0, whole)
+        assert calls["load_reference"] == 1
 
     def test_report_keys_each_name_once(self, capsys, monkeypatch):
         """One name table per run: across dependency inference, the

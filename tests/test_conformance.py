@@ -15,7 +15,7 @@ from procpyramid import (
     load_reference,
     vv_iterations,
 )
-from procpyramid.conformance import ReferenceProcess, _lcs_matched, validate_counterparts
+from procpyramid.conformance import ReferenceProcess, _lcs_matched
 from procpyramid.dependency import (
     DECLARED_UNMATCHED,
     INFERRED_UNDECLARED,
@@ -74,6 +74,12 @@ class TestLoad:
             (json.dumps(template(side="right", counterpart=["a"])), "counterpart must be a template id"),
             (json.dumps(template(counterpart=3)), "counterpart must be a template id"),
             (json.dumps(template(roles="crew")), "roles must be a list"),
+            # a blank name is a requirement no model can meet: models drop theirs
+            (json.dumps(template(steps=["plan", ""])), "steps must be a list of names"),
+            (json.dumps(template(steps=[" \t"])), "steps must be a list of names"),
+            (json.dumps(template(roles=["  "])), "roles must be a list of names"),
+            (json.dumps(template(methods=["review", ""])), "methods must be a list of names"),
+            (json.dumps(template(tools=["\n"])), "tools must be a list of names"),
             (json.dumps([template(), template()]), "duplicate template ids"),
             (
                 json.dumps(
@@ -95,14 +101,23 @@ class TestLoad:
         with pytest.raises(TemplateError, match=r"duplicate template ids: a, b$"):
             load_reference(json.dumps([template(id=i) for i in ids]))
 
-    def test_counterpart_missing_from_file_is_tolerated(self):
-        (ref,) = load_reference(json.dumps(template(side="right", counterpart="elsewhere")))
-        assert ref.counterpart == "elsewhere"
+    def test_ids_are_unique_across_texts(self):
+        texts = [json.dumps(template(id=i)) for i in ("a", "b", "a")]
+        with pytest.raises(TemplateError, match=r"duplicate template ids: a$"):
+            load_reference(*texts)
 
-    def test_full_collection_rejects_dangling_counterpart(self):
-        refs = load_reference(json.dumps(template(side="right", counterpart="elsewhere")))
-        with pytest.raises(TemplateError, match="DANGLING-COUNTERPART"):
-            validate_counterparts(refs)
+    def test_counterpart_may_sit_in_another_text(self):
+        right = json.dumps(template(id="test", side="right", counterpart="design"))
+        left = json.dumps(template(id="design", side="left"))
+        refs = load_reference(right, left)
+        assert [(r.ref_id, r.counterpart) for r in refs] == [("test", "design"), ("design", None)]
+
+    def test_dangling_counterpart_is_rejected(self):
+        with pytest.raises(TemplateError, match="reference template t1: DANGLING-COUNTERPART 'elsewhere'$"):
+            load_reference(json.dumps(template(side="right", counterpart="elsewhere")))
+
+    def test_no_texts_load_no_templates(self):
+        assert load_reference() == []
 
 
 class TestBinding:
