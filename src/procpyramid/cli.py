@@ -3,7 +3,8 @@
 Every command loads the bundle named by the manifest into one analysis
 session, which computes each shared stage (labels, offsets with their
 timing findings, the dependency graph, the reference templates) at most
-once. A command is a view over that session; `report` merges the views of
+once. A command is a view over that session, and its report also carries
+the findings of loading the bundle; `report` merges the views of
 `validate`, `timeline`, `deps` and `conform`, so it too runs each stage
 once. Exit codes: 0 clean, 1 at least one error finding (warnings too
 under --strict), 2 usage or fatal input failure; any other exception
@@ -16,7 +17,7 @@ import argparse
 import gc
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -74,7 +75,7 @@ COMMANDS = (
     CommandSpec("deps", "infer and check the milestone dependency graph", ("--dot",)),
     CommandSpec("impact", "trace everything a change at one point can touch", ("--seed",)),
     CommandSpec("conform", "diff bound models against their reference processes"),
-    CommandSpec("retention", "compare milestone sets of two bundle snapshots", ("--before", "--after")),
+    CommandSpec("retention", "compare milestone sets of two bundle snapshots", ("--after",)),
     CommandSpec("export", "emit the dependency graph as DOT and JSON", ("--dot",)),
     CommandSpec("report", "run every analysis and merge the findings", ("--step", "--dot")),
 )
@@ -221,11 +222,11 @@ class _Session:
         return load_reference(*(read_utf8(root / rel, TemplateError) for rel in paths))
 
     # Command views: each takes the parsed arguments and returns the
-    # command's findings and payload.
+    # command's own findings and payload; `_execute` adds the load findings.
 
     def validate(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle = self.bundle
-        groups = [bundle.findings]
+        groups = []
         for model in bundle.pyramid.models.values():
             groups.append(model.parse_findings)
             groups.append(check_wellformed(model))
@@ -258,11 +259,11 @@ class _Session:
                 "boundaries": grid.boundaries,
                 "slots": {labels[m]: slot for m, slot in sorted(grid.assignments.items())},
             }
-        return merge_findings(self.bundle.findings, timing), {"timeline": section}
+        return timing, {"timeline": section}
 
     def export(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         payload = graph_to_json(self.graph, self.timing[0], self.bundle.pyramid, self.labels)
-        return list(self.bundle.findings), {"dependencies": payload}
+        return [], {"dependencies": payload}
 
     def deps(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle = self.bundle
@@ -285,7 +286,7 @@ class _Session:
                 "crossedLevels": sorted(result.crossed_levels),
             }
         }
-        return list(self.bundle.findings), payload
+        return [], payload
 
     def _resolve_seed(self, seed: str) -> str:
         if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.models:
@@ -339,7 +340,23 @@ class _Session:
             for s in vv_iterations(bundle.pyramid, self.graph, templates)
         ]
         payload = {"conformance": entries, "vvLinks": links}
-        return merge_findings(bundle.findings, extra, vv), payload
+        return merge_findings(extra, vv), payload
+
+    def retention(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
+        """The session's bundle is the earlier snapshot, `args.after` the later;
+        the later one's load findings name it, as both can share model ids."""
+        before, after = self.bundle, load_bundle(args.after)
+        findings = check_milestone_retention(before.milestones, after.milestones)
+        payload = {
+            "retention": {
+                "before": len(before.milestones),
+                "after": len(after.milestones),
+                "dropped": sum(1 for f in findings if f.code == "MILESTONE-DROPPED"),
+                "addedIntermediate": sum(1 for f in findings if f.code == "ADDED-INTERMEDIATE"),
+            }
+        }
+        named = [replace(f, message=f"after snapshot: {f.message}") for f in after.findings]
+        return merge_findings(findings, named), payload
 
     def report(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         views = [self.validate, self.timeline, self.deps]
@@ -360,22 +377,9 @@ class _Session:
 
 
 def _execute(args: argparse.Namespace) -> ReportBundle:
-    if args.command == "retention":
-        before = load_bundle(args.before or args.manifest)
-        after = load_bundle(args.after)
-        findings = check_milestone_retention(before.milestones, after.milestones)
-        payload = {
-            "retention": {
-                "before": len(before.milestones),
-                "after": len(after.milestones),
-                "dropped": sum(1 for f in findings if f.code == "MILESTONE-DROPPED"),
-                "addedIntermediate": sum(1 for f in findings if f.code == "ADDED-INTERMEDIATE"),
-            }
-        }
-        return ReportBundle(args.command, findings, payload)
-
     session = _Session(load_bundle(args.manifest))
     findings, payload = getattr(session, args.command)(args)
+    findings = merge_findings(session.bundle.findings, findings)
     artifacts: dict[str, str] = {}
     if getattr(args, "dot", None):
         dot = graph_to_dot(session.graph, session.timing[0], session.labels)
@@ -415,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dot", metavar="PATH", help="also write the dependency graph as DOT")
         if "--seed" in spec.flags:
             p.add_argument("--seed", required=True, metavar="ID", help="milestone or model to start from")
-        if "--before" in spec.flags:
-            p.add_argument("--before", metavar="MANIFEST", help="earlier snapshot (defaults to MANIFEST)")
-            p.add_argument("--after", required=True, metavar="MANIFEST", help="later snapshot")
+        if "--after" in spec.flags:
+            p.add_argument("--after", required=True, metavar="MANIFEST", help="later snapshot (MANIFEST: earlier)")
     return parser
 
 

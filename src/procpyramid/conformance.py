@@ -107,7 +107,7 @@ def _load_item(item: object, hint: str) -> ReferenceProcess:
     if not isinstance(item, dict):
         raise _template_error(hint, "must be an object")
     ref_id = item.get("id")
-    if not isinstance(ref_id, str) or not ref_id:
+    if not isinstance(ref_id, str) or not ref_id.strip():
         raise _template_error(hint, "missing id")
     hint = ref_id
     side = item.get("side", "none")
@@ -122,6 +122,8 @@ def _load_item(item: object, hint: str) -> ReferenceProcess:
     counterpart = item.get("counterpart")
     if counterpart is not None and not isinstance(counterpart, str):
         raise _template_error(hint, "counterpart must be a template id")
+    if counterpart is not None and side != "right":
+        raise _template_error(hint, "counterpart is only for right-side templates")
     if side == "right" and not counterpart:
         raise _template_error(hint, "right-side template must name its left counterpart")
     binding = item.get("binding", {})

@@ -9,8 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED, anchor, chain_model, node
-from procpyramid import cli, conformance, dependency, flowgraph, serialize_model
+from conftest import (
+    ANCHORS_MANIFEST,
+    FIG7_MANIFEST,
+    PARKPILOT_MANIFEST,
+    PARKPILOT_SEVERED,
+    anchor,
+    chain_model,
+    node,
+)
+from procpyramid import cli, conformance, dependency, flowgraph, load_bundle, serialize_model
 from procpyramid.findings import finding
 
 
@@ -338,6 +346,59 @@ class TestRetention:
 
     def test_after_is_required(self, capsys):
         assert cli.run(["retention", str(FIG7_MANIFEST)]) == 2
+
+    def test_manifest_is_the_only_earlier_snapshot(self, capsys):
+        manifest = str(FIG7_MANIFEST)
+        assert cli.run(["retention", manifest, "--before", manifest, "--after", manifest]) == 2
+        assert "unrecognized arguments: --before" in capsys.readouterr().err
+
+    @pytest.fixture
+    def broken(self, tmp_path):
+        """Parkpilot with its function chart cut off mid-document."""
+        root = tmp_path / "parkpilot"
+        shutil.copytree(PARKPILOT_MANIFEST.parent, root)
+        chart = root / "function-chart.bpmn"
+        text = chart.read_text(encoding="utf-8")
+        chart.write_text(text[: len(text) // 2], encoding="utf-8")
+        return root / "manifest.json"
+
+    @staticmethod
+    def function_chart_findings(doc):
+        return {
+            (f["code"], f["message"].startswith("after snapshot: "))
+            for f in doc["findings"]
+            if f["subject"] == "function-chart"
+        }
+
+    def test_a_broken_after_snapshot_is_reported_with_its_name(self, capsys, broken):
+        code, doc = run_json(capsys, ["retention", str(PARKPILOT_MANIFEST), "--after", str(broken)])
+        assert code == 1
+        found = self.function_chart_findings(doc)
+        assert found >= {("MODEL-PARSE-ERROR", True), ("MISSING-MODEL", True)}
+        assert {prefixed for _, prefixed in found} == {True}
+        assert "MILESTONE-DROPPED" in {f["code"] for f in doc["findings"]}
+
+    def test_a_broken_earlier_snapshot_is_reported_as_loaded(self, capsys, broken):
+        code, doc = run_json(capsys, ["retention", str(broken), "--after", str(PARKPILOT_MANIFEST)])
+        assert code == 1
+        found = self.function_chart_findings(doc)
+        assert found >= {("MODEL-PARSE-ERROR", False), ("MISSING-MODEL", False)}
+        assert {prefixed for _, prefixed in found} == {False}
+
+
+ANCHORS_ARGS = {
+    "impact": ["--seed", "program"],
+    "retention": ["--after", str(ANCHORS_MANIFEST)],
+}
+
+
+@pytest.mark.parametrize("command", [spec.name for spec in cli.COMMANDS])
+def test_every_command_reports_the_bundle_load_findings(capsys, command):
+    load = {(f.code, f.severity, f.subject, f.message) for f in load_bundle(ANCHORS_MANIFEST).findings}
+    assert [code for code, *_ in load] == ["AMBIGUOUS-ANCHOR"] * 2
+    _, doc = run_json(capsys, [command, str(ANCHORS_MANIFEST), *ANCHORS_ARGS.get(command, [])])
+    reported = {(f["code"], f["severity"], f["subject"], f["message"]) for f in doc["findings"]}
+    assert load <= reported
 
 
 class TestReport:

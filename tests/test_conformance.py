@@ -64,6 +64,8 @@ class TestLoad:
             (json.dumps([42]), "must be an object"),
             (json.dumps(template(id=None)), "missing id"),
             (json.dumps({"steps": ["x"]}), "missing id"),
+            (json.dumps(template(id="  ")), r"\[0\]: missing id"),
+            (json.dumps([template(id="a"), template(id="\t")]), r"\[1\]: missing id"),
             (json.dumps(template(side="middle")), "side must be one of"),
             (json.dumps(template(steps="plan")), "steps must be a list"),
             (json.dumps(template(steps=[])), "EMPTY-STEPS"),
@@ -73,6 +75,8 @@ class TestLoad:
             (json.dumps(template(binding={"modelId": ["m"]})), "binding.modelId must be a string"),
             (json.dumps(template(side="right", counterpart=["a"])), "counterpart must be a template id"),
             (json.dumps(template(counterpart=3)), "counterpart must be a template id"),
+            (json.dumps(template(side="left", counterpart="t1")), "counterpart is only for right-side"),
+            (json.dumps(template(counterpart="elsewhere")), "counterpart is only for right-side"),
             (json.dumps(template(roles="crew")), "roles must be a list"),
             # a blank name is a requirement no model can meet: models drop theirs
             (json.dumps(template(steps=["plan", ""])), "steps must be a list of names"),
