@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ManifestError, ModelParseError, PyramidError
@@ -44,11 +44,11 @@ def read_utf8(path: Path, error: type[PyramidError]) -> str:
 
 
 def resolve_references(milestones: list[Milestone]) -> list[Milestone]:
-    """Rewrite gq7 and alignsWith entries to milestone ids where possible.
+    """Rewrite gq7 and alignsWith entries to milestone ids, in new records.
 
     A reference may be a milestone id, a unique display name, or a unique
     event node id. Anything unresolvable stays verbatim so later checks can
-    flag it.
+    flag it. The records given are left unchanged.
     """
     ids = {ms.milestone_id for ms in milestones}
     by_name: dict[str, list[str]] = {}
@@ -68,24 +68,17 @@ def resolve_references(milestones: list[Milestone]) -> list[Milestone]:
             return noded[0]
         return ref
 
-    for ms in milestones:
+    def resolve_all(refs: frozenset[str]) -> frozenset[str]:
         # Empty sets are kept as they are: they are shared, not copied.
-        if ms.gq.gq7_consumers:
-            ms.gq.gq7_consumers = frozenset(resolve(r) for r in ms.gq.gq7_consumers)
-        if ms.aligns_with:
-            ms.aligns_with = frozenset(resolve(r) for r in ms.aligns_with)
-    return milestones
+        return frozenset(map(resolve, refs)) if refs else refs
 
-
-def collect_milestones(models: dict[str, ProcessModel]) -> tuple[list[Milestone], list[Finding]]:
-    """Extract and cross-link milestones from every model in the bundle."""
-    milestones: list[Milestone] = []
-    out: list[Finding] = []
-    for model_id in sorted(models):
-        extracted, fs = extract_milestones(models[model_id])
-        milestones.extend(extracted)
-        out.extend(fs)
-    return resolve_references(milestones), out
+    resolved = []
+    for ms in milestones:
+        if ms.gq.gq7_consumers or ms.aligns_with:
+            gq = replace(ms.gq, gq7_consumers=resolve_all(ms.gq.gq7_consumers))
+            ms = replace(ms, gq=gq, aligns_with=resolve_all(ms.aligns_with))
+        resolved.append(ms)
+    return resolved
 
 
 def load_bundle(manifest_path: str | Path) -> Bundle:
@@ -93,7 +86,8 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
 
     Model files are read as bytes, so each one's XML encoding declaration is
     honoured. Individual model files that fail to parse degrade to findings;
-    a missing or unreadable root model stays fatal.
+    a missing or unreadable root model stays fatal. Each model's parse
+    findings join the bundle's `findings`.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(read_utf8(manifest_path, ManifestError))
@@ -114,12 +108,17 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
 
     pyramid, build_findings = build_pyramid(manifest, models)
     pyramid, link_findings = link_levels(pyramid)
-    milestones, extract_findings = collect_milestones(pyramid.models)
+    groups = [load_findings, build_findings, link_findings]
+    extracted: list[Milestone] = []
+    for model in pyramid.models.values():
+        milestones, extract_findings = extract_milestones(model)
+        extracted.extend(milestones)
+        groups += [model.parse_findings, extract_findings]
 
     return Bundle(
         manifest=manifest,
         pyramid=pyramid,
-        milestones=milestones,
-        findings=merge_findings(load_findings, build_findings, link_findings, extract_findings),
+        milestones=resolve_references(extracted),
+        findings=merge_findings(*groups),
         root_dir=base,
     )

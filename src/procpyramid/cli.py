@@ -226,10 +226,7 @@ class _Session:
 
     def validate(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle = self.bundle
-        groups = []
-        for model in bundle.pyramid.models.values():
-            groups.append(model.parse_findings)
-            groups.append(check_wellformed(model))
+        groups = [check_wellformed(model) for model in bundle.pyramid.models.values()]
         connectivity, depth = check_connectivity(bundle.pyramid)
         groups += [connectivity, self.timing[1]]
         groups.extend(check_gq(ms) for ms in bundle.milestones)

@@ -129,9 +129,12 @@ def _load_item(item: object, hint: str) -> ReferenceProcess:
     binding = item.get("binding", {})
     if not isinstance(binding, dict):
         raise _template_error(hint, "binding must be an object")
-    for key in ("modelId", "namePattern"):
-        if binding.get(key) is not None and not isinstance(binding[key], str):
+    named = {key: binding[key] for key in ("modelId", "namePattern") if binding.get(key) is not None}
+    for key, value in named.items():
+        if not isinstance(value, str):
             raise _template_error(hint, f"binding.{key} must be a string")
+    if len(named) > 1 or not all(value.strip() for value in named.values()):
+        raise _template_error(hint, "binding must name one non-blank modelId or namePattern")
 
     def str_set(key: str) -> frozenset[str]:
         names = item.get(key, [])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .durations import Duration
@@ -43,7 +43,7 @@ class Pyramid:
 
     `build_pyramid` fills `models` (in id order) and `level_of`; `children`
     holds every placed model's linked child ids, in link order: empty
-    lists until `link_levels` fills it.
+    lists until `link_levels` returns a copy with them filled.
     """
 
     root_model: str
@@ -211,7 +211,8 @@ def build_pyramid(
 
 
 def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
-    """Resolve call activities into vertical parent-child links.
+    """A copy of `pyramid` whose `children` are its call activities resolved
+    into vertical parent-child links; the argument is left unchanged.
 
     A valid link spans exactly one level downward. Children reached by more
     than one parent are reported for information only.
@@ -256,8 +257,7 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
         if level_of[model_id] > 0 and model_id not in parents_of:
             out.append(finding("UNLINKED-CHILD", model_id, "no parent call activity reaches this model"))
 
-    pyramid.children = children
-    return pyramid, sort_findings(out)
+    return replace(pyramid, children=children), sort_findings(out)
 
 
 def check_connectivity(pyramid: Pyramid) -> tuple[list[Finding], int]:

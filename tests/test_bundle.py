@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 
@@ -72,7 +73,7 @@ class TestResolveReferences:
             milestone("n:c", name="Gamma", consumers=("b",)),
             milestone("n:d", name="Beta", consumers=("beta", "nowhere")),
         ]
-        resolve_references(ms)
+        ms = resolve_references(ms)
         assert ms[0].gq.gq7_consumers == frozenset({"m:b"})
         assert ms[1].gq.gq7_consumers == frozenset({"m:a"})
         assert ms[2].gq.gq7_consumers == frozenset({"m:b"})
@@ -83,8 +84,23 @@ class TestResolveReferences:
             milestone("m:a", aligns=("Gamma",)),
             milestone("n:c", name="Gamma"),
         ]
-        resolve_references(ms)
+        ms = resolve_references(ms)
         assert ms[0].aligns_with == frozenset({"n:c"})
+
+    def test_leaves_its_input_unchanged(self):
+        """Resolving one bundle's milestones cannot change another's that
+        shares the records; a record with nothing to resolve is returned as is."""
+        ms = [
+            milestone("m:a", name="Alpha", consumers=("Beta",)),
+            milestone("m:b", name="Beta", aligns=("alpha",)),
+            milestone("m:c", name="Gamma"),
+        ]
+        before = copy.deepcopy(ms)
+        resolved = resolve_references(ms)
+        assert ms == before
+        assert resolved[0].gq.gq7_consumers == frozenset({"m:b"})
+        assert resolved[1].aligns_with == frozenset({"m:a"})
+        assert resolved[2] is ms[2]
 
 
 class TestDegradedLoads:

@@ -322,7 +322,7 @@ class TestColonInModelId:
 
 
 class TestRetention:
-    def test_before_defaults_to_the_positional_manifest(self, capsys):
+    def test_manifest_is_the_earlier_snapshot(self, capsys):
         code, doc = run_json(
             capsys, ["retention", str(FIG7_MANIFEST), "--after", str(FIG7_MANIFEST)]
         )
@@ -399,6 +399,35 @@ def test_every_command_reports_the_bundle_load_findings(capsys, command):
     _, doc = run_json(capsys, [command, str(ANCHORS_MANIFEST), *ANCHORS_ARGS.get(command, [])])
     reported = {(f["code"], f["severity"], f["subject"], f["message"]) for f in doc["findings"]}
     assert load <= reported
+
+
+@pytest.fixture
+def dangling_ref(tmp_path):
+    """Parkpilot with one function-chart data input naming no object."""
+    root = tmp_path / "parkpilot"
+    shutil.copytree(PARKPILOT_MANIFEST.parent, root)
+    chart = root / "function-chart.bpmn"
+    text = chart.read_text(encoding="utf-8")
+    edited = text.replace(">d2_plan</bpmn2:sourceRef>", ">no-such-object</bpmn2:sourceRef>")
+    assert edited.count("no-such-object") == 1
+    chart.write_text(edited, encoding="utf-8")
+    return root / "manifest.json"
+
+
+@pytest.mark.parametrize("command", [spec.name for spec in cli.COMMANDS])
+def test_every_command_reports_the_parse_findings(capsys, dangling_ref, command):
+    if command == "retention":
+        argv, prefix = [str(PARKPILOT_MANIFEST), "--after", str(dangling_ref)], "after snapshot: "
+    else:
+        argv, prefix = [str(dangling_ref), *{"impact": ["--seed", "test-plan"]}.get(command, [])], ""
+    _, doc = run_json(capsys, [command, *argv])
+    dangling = [
+        (f["severity"], f["subject"], f["message"])
+        for f in doc["findings"]
+        if f["code"] == "UNRESOLVED-DATA-REF"
+    ]
+    message = f"{prefix}data association references unknown object 'no-such-object'"
+    assert dangling == [("warning", "function-chart:s2", message)]
 
 
 class TestReport:

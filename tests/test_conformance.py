@@ -73,6 +73,11 @@ class TestLoad:
             (json.dumps(template(binding=7)), "binding must be an object"),
             (json.dumps(template(binding={"namePattern": 7})), "binding.namePattern must be a string"),
             (json.dumps(template(binding={"modelId": ["m"]})), "binding.modelId must be a string"),
+            (json.dumps(template(binding={"modelId": "m", "namePattern": 7})), "namePattern must be a string"),
+            (json.dumps(template(binding={"modelId": "m1", "namePattern": "*"})), "one non-blank"),
+            (json.dumps(template(binding={"modelId": "  "})), "one non-blank"),
+            (json.dumps(template(binding={"modelId": ""})), "one non-blank"),
+            (json.dumps(template(binding={"namePattern": " \t"})), "one non-blank"),
             (json.dumps(template(side="right", counterpart=["a"])), "counterpart must be a template id"),
             (json.dumps(template(counterpart=3)), "counterpart must be a template id"),
             (json.dumps(template(side="left", counterpart="t1")), "counterpart is only for right-side"),

@@ -212,6 +212,13 @@ class TestLinking:
         ]
         assert pyramid.children == {"a": ["c"], "b": ["c"], "c": [], "root": ["a"]}
 
+    def test_leaves_its_argument_unchanged(self):
+        pyramid = linked_pyramid()
+        pyramid.children = {model_id: [] for model_id in pyramid.models}
+        linked, _ = link_levels(pyramid)
+        assert pyramid.children == {"a": [], "b": [], "c": [], "root": []}
+        assert linked.children == {"a": ["c"], "b": [], "c": [], "root": ["a", "b"]}
+
     def test_unlinked_child(self):
         pyramid = stub_pyramid({0: ["root"], 1: ["a"]}, [])
         _, findings = link_levels(pyramid)
