@@ -331,12 +331,15 @@ class _Session:
                     extra.append(finding("MAJOR-DEVIATION", subject, "half or more of one aspect is unmet"))
                 elif report.verdict == "minor-deviation":
                     extra.append(finding("MINOR-DEVIATION", subject, "some reference items are unmet"))
-        vv = check_vv_links(bundle.pyramid, self.graph, templates)
-        links = [
-            {"right": s.right_model, "left": s.left_model, "iterations": s.iterations}
-            for s in vv_iterations(bundle.pyramid, self.graph, templates)
-        ]
-        payload = {"conformance": entries, "vvLinks": links}
+        links = vv_iterations(bundle.pyramid, self.graph, templates)
+        vv = check_vv_links(bundle.pyramid, templates, links)
+        payload = {
+            "conformance": entries,
+            "vvLinks": [
+                {"right": s.right_model, "left": s.left_model, "iterations": s.iterations}
+                for s in links
+            ],
+        }
         return merge_findings(extra, vv), payload
 
     def retention(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:

@@ -318,51 +318,6 @@ def _vv_pairs(
             yield ref, counterpart, bound_models(ref), bound_models(counterpart)
 
 
-def _nodes_by_model(graph: DependencyGraph) -> dict[str, list[str]]:
-    """Every model's nodes, in graph order."""
-    by_model: dict[str, list[str]] = {}
-    for node in graph.nodes:
-        by_model.setdefault(graph.model_id(node), []).append(node)
-    return by_model
-
-
-def _data_producers(graph: DependencyGraph) -> dict[str, list[str]]:
-    """Each node's producers over the edges that carry real data."""
-    pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
-    return adjacency(graph.nodes, pairs)[1]
-
-
-def check_vv_links(
-    pyramid: Pyramid, graph: DependencyGraph, references: Iterable[ReferenceProcess]
-) -> list[Finding]:
-    """Every right-side (verification) model must trace back to data produced
-    by a model bound to its left-side counterpart."""
-    producers = _data_producers(graph)
-    by_model = _nodes_by_model(graph)
-    out: list[Finding] = []
-    for ref, counterpart, right_models, left_models in _vv_pairs(pyramid, references):
-        if not right_models:
-            out.append(finding("UNBOUND-REFERENCE", ref.ref_id, "binds no model in the bundle"))
-            continue
-        if not left_models:
-            out.append(
-                finding("UNBOUND-REFERENCE", counterpart.ref_id, "binds no model in the bundle")
-            )
-            continue
-        for rm in right_models:
-            reached = {graph.model_id(n) for n in reachable(producers, by_model.get(rm, ()))}
-            for lm in left_models:
-                if lm not in reached:
-                    out.append(
-                        finding(
-                            "VV-UNLINKED",
-                            f"{rm}/{lm}",
-                            f"verification model {rm!r} consumes nothing produced by {lm!r}",
-                        )
-                    )
-    return sort_findings(out)
-
-
 @dataclass(frozen=True)
 class VvLinkStat:
     """How often a verification model picks up output of its design model."""
@@ -378,11 +333,16 @@ def vv_iterations(
     """Count linked milestone pairs for every right/left model pairing.
 
     Each (producing milestone of the left model, downstream milestone of the
-    right model) pair counts as one iteration. Reported as a metric only; no
-    threshold is applied.
+    right model) pair counts as one iteration, over the edges that carry
+    real data. A milestone is never its own iteration, so a model bound to
+    both sides links to itself only through data flowing between its own
+    milestones. `check_vv_links` flags the pairings counted at zero.
     """
-    producers = _data_producers(graph)
-    by_model = _nodes_by_model(graph)
+    pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
+    producers = adjacency(graph.nodes, pairs)[1]
+    by_model: dict[str, list[str]] = {}
+    for node in graph.nodes:
+        by_model.setdefault(graph.model_id(node), []).append(node)
     out: list[VvLinkStat] = []
     for _, _, right_models, left_models in _vv_pairs(pyramid, references):
         for rm in right_models:
@@ -395,6 +355,33 @@ def vv_iterations(
             for lm in left_models:
                 out.append(VvLinkStat(rm, lm, upstream[lm]))
     return out
+
+
+def check_vv_links(
+    pyramid: Pyramid, references: Iterable[ReferenceProcess], links: Iterable[VvLinkStat]
+) -> list[Finding]:
+    """Every right-side (verification) model must trace back to data produced
+    by a model bound to its left-side counterpart: `links` are the counts of
+    `vv_iterations`, and a pairing with none is unlinked."""
+    out: list[Finding] = []
+    for ref, counterpart, right_models, left_models in _vv_pairs(pyramid, references):
+        if not right_models:
+            out.append(finding("UNBOUND-REFERENCE", ref.ref_id, "binds no model in the bundle"))
+        elif not left_models:
+            out.append(
+                finding("UNBOUND-REFERENCE", counterpart.ref_id, "binds no model in the bundle")
+            )
+    for link in links:
+        if link.iterations == 0:
+            rm, lm = link.right_model, link.left_model
+            out.append(
+                finding(
+                    "VV-UNLINKED",
+                    f"{rm}/{lm}",
+                    f"verification model {rm!r} consumes nothing produced by {lm!r}",
+                )
+            )
+    return sort_findings(out)
 
 
 def check_milestone_retention(

@@ -255,6 +255,41 @@ class TestConform:
             {"right": "park-pilot-test", "left": "function-chart", "iterations": 0}
         ]
 
+    def test_a_model_bound_to_both_sides_is_unlinked_from_itself(self, capsys, tmp_path):
+        """Its own milestones are no iteration: no data flows between them."""
+        model = chain_model(
+            "m",
+            [node("s", "start-event", timer=anchor(90)), node("t", "task", days=10), node("e", "end-event")],
+        )
+        (tmp_path / "m.bpmn").write_text(serialize_model(model), encoding="utf-8")
+        (tmp_path / "refs.json").write_text(
+            json.dumps(
+                [
+                    {"id": "d", "side": "left", "steps": ["t"], "binding": {"modelId": "m"}},
+                    {
+                        "id": "v", "side": "right", "counterpart": "d", "steps": ["t"],
+                        "binding": {"modelId": "m"},
+                    },
+                ]
+            ),
+            encoding="utf-8",
+        )
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps(
+                {
+                    "root": "m",
+                    "referenceTemplates": ["refs.json"],
+                    "models": [{"id": "m", "file": "m.bpmn", "level": 0}],
+                }
+            ),
+            encoding="utf-8",
+        )
+        code, doc = run_json(capsys, ["conform", str(manifest)])
+        assert code == 1
+        assert [(f["code"], f["subject"]) for f in doc["findings"]] == [("VV-UNLINKED", "m/m")]
+        assert doc["vvLinks"] == [{"right": "m", "left": "m", "iterations": 0}]
+
     @pytest.mark.parametrize(
         "listed",
         [
@@ -702,6 +737,19 @@ class TestStagesRunOnce:
         code, doc = run_json(capsys, ["report", str(PARKPILOT_MANIFEST)])
         assert code == 0
         assert len(walked) == doc["bundle"]["models"]
+
+    def test_conform_walks_the_producer_graph_once(self, capsys, monkeypatch):
+        """The V&V check reads the iteration counts; it builds no index of its own."""
+        built = []
+        original = conformance.adjacency
+
+        def counted(*args):
+            built.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(conformance, "adjacency", counted)
+        assert cli.run(["conform", str(PARKPILOT_SEVERED), "--json"]) == 1
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "argv", [["conform"], ["impact", "--seed", "test-plan"]], ids=["conform", "impact"]

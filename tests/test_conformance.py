@@ -329,7 +329,7 @@ class TestVvLinks:
         pyramid, graph, refs = vv_setup(
             [DependencyEdge("lm:a", "rm:b", frozenset({"plan"}), INFERRED_UNDECLARED)]
         )
-        assert check_vv_links(pyramid, graph, refs) == []
+        assert check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs)) == []
 
     def test_transitive_flow_counts(self):
         pyramid, graph, refs = vv_setup(
@@ -338,33 +338,45 @@ class TestVvLinks:
                 DependencyEdge("other:x", "rm:b", frozenset({"report"}), INFERRED_UNDECLARED),
             ]
         )
-        assert check_vv_links(pyramid, graph, refs) == []
+        assert check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs)) == []
 
     def test_missing_flow_is_an_error(self):
         pyramid, graph, refs = vv_setup([])
-        findings = check_vv_links(pyramid, graph, refs)
+        findings = check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs))
         assert [(f.code, f.subject) for f in findings] == [("VV-UNLINKED", "rm/lm")]
 
     def test_unmatched_declaration_does_not_count(self):
         pyramid, graph, refs = vv_setup(
             [DependencyEdge("lm:a", "rm:b", frozenset(), DECLARED_UNMATCHED)]
         )
-        assert [f.code for f in check_vv_links(pyramid, graph, refs)] == ["VV-UNLINKED"]
+        findings = check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs))
+        assert [f.code for f in findings] == ["VV-UNLINKED"]
 
     def test_unbound_sides_are_reported_not_guessed(self):
         pyramid, graph, refs = vv_setup([])
         refs[1].binding_model = "nowhere"
-        findings = check_vv_links(pyramid, graph, refs)
+        findings = check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs))
         assert [(f.code, f.subject) for f in findings] == [("UNBOUND-REFERENCE", "verify")]
         refs[1].binding_model = "rm"
         refs[0].binding_model = "nowhere"
-        findings = check_vv_links(pyramid, graph, refs)
+        findings = check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs))
         assert [(f.code, f.subject) for f in findings] == [("UNBOUND-REFERENCE", "design")]
 
     def test_left_and_unpaired_templates_are_ignored(self):
         pyramid, graph, _ = vv_setup([])
         refs = [ReferenceProcess("design", side="left", steps=["x"], binding_model="lm")]
-        assert check_vv_links(pyramid, graph, refs) == []
+        assert check_vv_links(pyramid, refs, vv_iterations(pyramid, graph, refs)) == []
+
+    def test_a_model_bound_to_both_sides_needs_an_iteration_of_its_own(self):
+        """Its own milestones do not link it to itself: with no edge between
+        them the pairing has no iteration, so it is unlinked."""
+        pyramid, _, refs = vv_setup([])
+        refs[0].binding_model = "rm"
+        graph = DependencyGraph(nodes=["rm:a", "rm:b"], edges=[])
+        links = vv_iterations(pyramid, graph, refs)
+        assert links == [VvLinkStat("rm", "rm", 0)]
+        findings = check_vv_links(pyramid, refs, links)
+        assert [(f.code, f.subject) for f in findings] == [("VV-UNLINKED", "rm/rm")]
 
 
 class TestIterationCounts:
@@ -414,12 +426,15 @@ class TestIterationCounts:
                         st.sampled_from([INFERRED_UNDECLARED, DECLARED_UNMATCHED]), label="status"
                     )
                     edges.append(DependencyEdge(p, c, frozenset({"x"}), status))
+        design = data.draw(st.sampled_from(["lm", "rm"]), label="design binds")
         pyramid, graph, refs = vv_setup(edges)
+        refs[0].binding_model = design
         carried = [(e.producer, e.consumer) for e in edges if e.status != DECLARED_UNMATCHED]
         closure = oracles.closure_floyd_warshall(graph.nodes, carried)
-        count = sum(1 for a, b in closure if a.startswith("lm:") and b.startswith("rm:"))
-        assert vv_iterations(pyramid, graph, refs) == [VvLinkStat("rm", "lm", count)]
-        findings = check_vv_links(pyramid, graph, refs)
+        count = sum(1 for a, b in closure if a.startswith(f"{design}:") and b.startswith("rm:"))
+        links = vv_iterations(pyramid, graph, refs)
+        assert links == [VvLinkStat("rm", design, count)]
+        findings = check_vv_links(pyramid, refs, links)
         assert [f.code for f in findings] == ([] if count else ["VV-UNLINKED"])
 
 

@@ -18,7 +18,7 @@ def test_library_use_prints_what_its_comments_say(capsys, monkeypatch):
     expected = [
         line.split("#", 1)[1].strip() for line in code.splitlines() if line.startswith("print(")
     ]
-    assert len(expected) == 3
+    assert len(expected) == 5
     monkeypatch.chdir(ROOT)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
