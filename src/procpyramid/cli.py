@@ -19,6 +19,8 @@ import json
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .bundle import Bundle, load_bundle, read_utf8
@@ -99,6 +101,34 @@ def _finding_obj(f: Finding) -> dict:
     return {"code": f.code, "severity": f.severity, "subject": f.subject, "message": f.message}
 
 
+def _write_json(value: object, pad: str, out: list[str]) -> None:
+    """Append the pieces of `json.dumps(value, indent=2, sort_keys=True)`,
+    indented by `pad`, to `out`. An indent keeps `json.dumps` on its Python
+    encoder, so containers are written here and the rest by the C encoder;
+    one flat list, joined once, holds no nested copy of the text."""
+    if not value or not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))
+        return
+    inner = pad + "  "
+    if isinstance(value, dict):
+        keys = sorted(value)
+        heads = [encode_basestring_ascii(key) + ": " for key in keys]
+        items, brackets = map(value.__getitem__, keys), "{}"
+    else:
+        heads, items, brackets = repeat(""), value, "[]"
+    sep, comma = brackets[0] + "\n" + inner, ",\n" + inner
+    for head, item in zip(heads, items):
+        if type(item) is str:
+            out.append(sep + head + encode_basestring_ascii(item))
+        elif type(item) is int:
+            out.append(sep + head + int.__repr__(item))
+        else:
+            out.append(sep + head)
+            _write_json(item, inner, out)
+        sep = comma
+    out.append("\n" + pad + brackets[1])
+
+
 def render_report(report: ReportBundle, fmt: str = "text") -> str:
     """Render a report deterministically: same inputs, same bytes."""
     if fmt == "json":
@@ -109,7 +139,10 @@ def render_report(report: ReportBundle, fmt: str = "text") -> str:
             "artifacts": report.artifacts,
         }
         doc.update(report.payload)
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        out: list[str] = []
+        _write_json(doc, "", out)
+        out.append("\n")
+        return "".join(out)
 
     lines = [f"procpyramid {report.command}"]
     for severity in ("error", "warning", "info"):

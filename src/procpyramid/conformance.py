@@ -336,25 +336,32 @@ def vv_iterations(
     right model) pair counts as one iteration, over the edges that carry
     real data. A milestone is never its own iteration, so a model bound to
     both sides links to itself only through data flowing between its own
-    milestones. `check_vv_links` flags the pairings counted at zero.
+    milestones. One row per distinct pairing, in first-seen order, however
+    many template pairs bind it; each right model is walked once.
+    `check_vv_links` flags the pairings counted at zero.
     """
     pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
     producers = adjacency(graph.nodes, pairs)[1]
     by_model: dict[str, list[str]] = {}
     for node in graph.nodes:
         by_model.setdefault(graph.model_id(node), []).append(node)
-    out: list[VvLinkStat] = []
+    # right model -> the models of the milestones upstream of its own, counted
+    upstream_of: dict[str, Counter] = {}
+    rows: dict[tuple[str, str], VvLinkStat] = {}
     for _, _, right_models, left_models in _vv_pairs(pyramid, references):
         for rm in right_models:
-            upstream = Counter(
-                graph.model_id(n)
-                for node in by_model.get(rm, ())
-                for n in reachable(producers, [node])
-                if n != node
-            )
+            upstream = upstream_of.get(rm)
+            if upstream is None:
+                upstream = upstream_of[rm] = Counter(
+                    graph.model_id(n)
+                    for node in by_model.get(rm, ())
+                    for n in reachable(producers, [node])
+                    if n != node
+                )
             for lm in left_models:
-                out.append(VvLinkStat(rm, lm, upstream[lm]))
-    return out
+                if (rm, lm) not in rows:
+                    rows[rm, lm] = VvLinkStat(rm, lm, upstream[lm])
+    return list(rows.values())
 
 
 def check_vv_links(

@@ -38,18 +38,17 @@ class FlowIndex:
         only segment walks read it."""
         return {nid for nid, n in self.nodes.items() if n.kind not in EVENT_KINDS}
 
-
-def node_weight(node: FlowNode) -> int:
-    """Days a path spends passing through this node."""
-    if node.kind == "task" and node.duration is not None:
-        return node.duration.days
-    if node.timer is not None and node.timer.mode == ELAPSED:
-        return node.timer.amount.days
-    return 0
-
-
-def is_anchor(node: FlowNode) -> bool:
-    return node.timer is not None and node.timer.mode == ANCHOR_BEFORE_SOP
+    @cached_property
+    def weight(self) -> dict[str, int]:
+        """Days a path spends passing through each node: a task's duration,
+        an elapsed timer's amount, else 0. Built on first use: only
+        longest-path walks read it."""
+        return {
+            nid: n.duration.days if n.kind == "task" and n.duration is not None
+            else n.timer.amount.days if n.timer is not None and n.timer.mode == ELAPSED
+            else 0
+            for nid, n in self.nodes.items()
+        }
 
 
 def timer_covered_events(index: FlowIndex) -> set[str]:
@@ -59,7 +58,7 @@ def timer_covered_events(index: FlowIndex) -> set[str]:
     downstream = reachable(index.succ, timered)
     return {
         nid for nid, n in nodes.items()
-        if n.is_event and (n.timer is not None or nid in downstream)
+        if n.kind in EVENT_KINDS and (n.timer is not None or nid in downstream)
     }
 
 
@@ -72,7 +71,7 @@ def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) ->
     enters. Returns the members the order never placed: those on a cycle
     inside members or downstream of one.
     """
-    nodes, succ = index.nodes, index.succ
+    succ, weight = index.succ, index.weight
     indeg = dict.fromkeys(members, 0)
     for k in members:
         for v in succ[k]:
@@ -85,7 +84,7 @@ def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) ->
         for v in succ[cur]:
             if v not in indeg:
                 continue
-            cand = base + node_weight(nodes[v])
+            cand = base + weight[v]
             if cand > dist.get(v, cand - 1):
                 dist[v] = cand
             indeg[v] -= 1
@@ -110,14 +109,18 @@ def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]]
     members downstream of a flow back into a. Those events are cyclic for
     a; every other member event gets a's offset plus its longest path.
     """
-    nodes, succ = index.nodes, index.succ
-    plain = {nid for nid, n in nodes.items() if not is_anchor(n)}
-    found: dict[str, list[tuple[str, int]]] = {nid: [] for nid, n in nodes.items() if n.is_event}
+    nodes, succ, weight = index.nodes, index.succ, index.weight
+    plain = {
+        nid for nid, n in nodes.items() if n.timer is None or n.timer.mode != ANCHOR_BEFORE_SOP
+    }
+    found: dict[str, list[tuple[str, int]]] = {
+        nid: [] for nid, n in nodes.items() if n.kind in EVENT_KINDS
+    }
     cyclic: set[str] = set()
     for anchor in sorted(nodes.keys() - plain):
         amount = nodes[anchor].timer.amount.days
         members = reachable(succ, [anchor], plain) - {anchor}
-        dist = {v: node_weight(nodes[v]) for v in succ[anchor] if v in members}
+        dist = {v: weight[v] for v in succ[anchor] if v in members}
         stuck = _longest_paths(index, members, dist)
         back = [p for p in index.pred[anchor] if p == anchor or p in members]
         stuck |= reachable(succ, back, members)
@@ -148,7 +151,8 @@ def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | No
         return None
     # Weights are non-negative, so starting every node at its own weight
     # leaves the longest path into it unchanged.
-    dist = {n: node_weight(nodes[n]) for n in seg}
+    weight = index.weight
+    dist = {n: weight[n] for n in seg}
     if _longest_paths(index, seg, dist):
         return None
     return dist[event_id]

@@ -12,6 +12,8 @@ import re
 import sys
 import xml.etree.ElementTree as ET
 from functools import lru_cache
+from itertools import compress
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Mapping
 
@@ -58,17 +60,21 @@ _NO_EXTENSIONS: Mapping[str, str] = MappingProxyType({})
 
 
 @lru_cache(maxsize=1024)
-def _tag(tag: str) -> tuple[str, bool]:
-    """The local name of an element tag, and whether the element is harmless
-    noise: an ignored tag, or one in a diagram-interchange namespace.
-
-    Every element is looked up here, so the string work runs once per
-    distinct tag instead of once per element.
-    """
+def _tag(tag: str) -> tuple[str, str | None, bool]:
+    """The local name of an element tag, the flow node kind it names (None
+    for any other element), and whether the element is harmless noise: an
+    ignored tag, or one in a diagram-interchange namespace."""
     local = tag.rsplit("}", 1)[-1]
     prefix = tag[1:].split("}", 1)[0].rsplit("/", 1)[-1].lower() if tag.startswith("{") else ""
-    return local, local in _IGNORED_TAGS or any(part in prefix for part in _IGNORED_NS)
+    return (
+        local,
+        _NODE_TAGS.get(local),
+        local in _IGNORED_TAGS or any(part in prefix for part in _IGNORED_NS),
+    )
 
+
+# the child or attribute that names a data association's object
+_ASSOC_REF = {"dataInputAssociation": "sourceRef", "dataOutputAssociation": "targetRef"}
 
 # A bundle repeats a handful of duration strings across thousands of nodes
 # and timers; `Duration` is frozen, so each string is parsed once and shared.
@@ -79,26 +85,11 @@ def _fail(model_id: str, message: str) -> None:
     raise ModelParseError(f"model {model_id!r}: {message}")
 
 
-def _parse_extensions(elem: ET.Element) -> dict[str, str]:
-    """Key/value entries; both are interned, as a bundle repeats a few keys
-    (and values such as task durations) on thousands of nodes."""
-    entries: dict[str, str] = {}
-    for child in elem:
-        key = child.get("key")
-        if key is None:
-            continue
-        value = child.get("value")
-        if value is None:
-            value = (child.text or "").strip()
-        entries[sys.intern(key)] = sys.intern(value)
-    return entries
-
-
-def _parse_timer(elem: ET.Element, model_id: str, node_id: str) -> TimerDef:
+def _parse_timer(elem: ET.Element, model_id: str, node_id: str, tags: dict[str, tuple]) -> TimerDef:
     mode = elem.get("mode", ANCHOR_BEFORE_SOP)
     text = None
     for child in elem:
-        if _tag(child.tag)[0] == "timeDuration":
+        if tags[child.tag][0] == "timeDuration":
             text = (child.text or "").strip()
     if not text:
         _fail(model_id, f"timer on node {node_id!r} has no timeDuration")
@@ -108,33 +99,29 @@ def _parse_timer(elem: ET.Element, model_id: str, node_id: str) -> TimerDef:
         _fail(model_id, f"timer on node {node_id!r}: {exc}")
 
 
-def _assoc_ref(elem: ET.Element, ref_tag: str) -> str | None:
-    for child in elem:
-        if _tag(child.tag)[0] == ref_tag:
-            text = (child.text or "").strip()
-            if text:
-                return text
-    attr = elem.get(ref_tag)
-    return attr.strip() if attr else None
-
-
-def _processes(root: ET.Element) -> list[ET.Element]:
+def _processes(root: ET.Element) -> tuple[list[ET.Element], dict[str, tuple[str, str | None, bool]]]:
     """The root if it is a `process`, else every `process` element below it
-    in document order. Only the tree's distinct tags are looked up."""
-    if _tag(root.tag)[0] == "process":
-        return [root]
-    tags = {tag for tag in {el.tag for el in root.iter()} if _tag(tag)[0] == "process"}
-    return [el for el in root.iter() if el.tag in tags]
+    in document order; and the `_tag` entry of each distinct tag in the
+    tree, so that the parse walk looks every element up in a plain dict.
+    One walk lists the elements, and the rest runs in C."""
+    elems = list(root.iter())
+    tags = list(map(attrgetter("tag"), elems))
+    table = {tag: _tag(tag) for tag in set(tags)}
+    if table[root.tag][0] == "process":
+        return [root], table
+    process_tags = {tag for tag, entry in table.items() if entry[0] == "process"}
+    return list(compress(elems, map(process_tags.__contains__, tags))), table
 
 
 def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     """Parse one process diagram from BPMN XML, given as text or as the
     file's bytes; bytes are decoded as their XML declaration says.
 
-    Each child of the process and of each flow node is looked at once. A
-    node's data-association refs are resolved once the whole process is
-    read: each distinct ref per node and direction once, in sorted order,
-    an unknown one becoming an UNRESOLVED-DATA-REF finding.
+    One loop visits each child of the process, of each flow node, lane set
+    and extension block once. A node's data-association refs are resolved
+    once the whole process is read: each distinct ref per node and
+    direction once, in sorted order, an unknown one becoming an
+    UNRESOLVED-DATA-REF finding.
 
     Structural defects (malformed or undecodable XML, duplicate ids,
     dangling flows, missing start or end events) raise ModelParseError;
@@ -154,7 +141,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         # multi-byte, or failing to decode.
         _fail(model_id, f"cannot decode XML ({type(exc).__name__}: {exc})")
 
-    processes = _processes(root)
+    processes, tags = _processes(root)
     if not processes:
         _fail(model_id, "no process element found")
     info: list[Finding] = []
@@ -163,116 +150,137 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         info.append(finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
     process = processes[0]
 
+    intern = sys.intern
     nodes: list[FlowNode] = []
-    flows: list[tuple[str, str]] = []
+    # node id -> the node's own id object, which every reference shares
+    node_ids: dict[str, str] = {}
+    starts = ends = 0
     flow_elems: list[ET.Element] = []
     # lane id, role name and raw member texts, until the node ids are known
     raw_lanes: list[tuple[str, str, list[str]]] = []
     data_objects: list[DataObject] = []
+    # object id -> the object's own id object, which every resolved ref shares
+    known_objects: dict[str, str] = {}
     object_refs: dict[str, str] = {}
     call_targets: dict[str, str] = {}
     process_ext: dict[str, str] = {}
-    # nodes with data associations, in document order, with their raw refs
-    raw_io: list[tuple[FlowNode, list[str], list[str]]] = []
-
-    def parse_node(elem: ET.Element, node_tag: str, kind: str) -> None:
-        node_id = elem.get("id")
-        if not node_id:
-            _fail(model_id, f"{node_tag} element without id")
-        timer = None
-        extensions: dict[str, str] = {}
-        ins: list[str] = []
-        outs: list[str] = []
-        for child in elem:
-            tag, ignorable = _tag(child.tag)
-            if tag == "extensionElements":
-                extensions.update(_parse_extensions(child))
-            elif tag == "timerEventDefinition":
-                if kind not in EVENT_KINDS:
-                    _fail(model_id, f"timer on non-event node {node_id!r}")
-                timer = _parse_timer(child, model_id, node_id)
-            elif tag == "dataInputAssociation":
-                ref = _assoc_ref(child, "sourceRef")
-                if ref:
-                    ins.append(ref)
-            elif tag == "dataOutputAssociation":
-                ref = _assoc_ref(child, "targetRef")
-                if ref:
-                    outs.append(ref)
-            elif not ignorable:
-                info.append(
-                    finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
-                )
-        duration = None
-        if "duration" in extensions:
-            try:
-                duration = _duration(extensions.pop("duration"))
-            except ValueError as exc:
-                _fail(model_id, f"node {node_id!r}: {exc}")
-        if kind == "call-activity":
-            call_targets[node_id] = (elem.get("calledElement") or "").strip()
-        node = FlowNode(
-            node_id, kind, elem.get("name", ""), duration, timer, (), (), extensions or _NO_EXTENSIONS,
-        )
-        nodes.append(node)
-        if ins or outs:
-            raw_io.append((node, ins, outs))
+    # (node, whether inputs, raw refs) per node and direction with data
+    # associations, in document order
+    raw_io: list[tuple[FlowNode, bool, list[str]]] = []
+    # the first repeated node and data object id, reported after the loop
+    repeated_node = repeated_object = None
 
     for elem in process:
-        tag, ignorable = _tag(elem.tag)
-        kind = _NODE_TAGS.get(tag)
+        tag, kind, ignorable = tags[elem.tag]
         if kind is not None:
-            parse_node(elem, tag, kind)
+            node_id = elem.get("id")
+            if not node_id:
+                _fail(model_id, f"{tag} element without id")
+            timer = duration = None
+            extensions: dict[str, str] = {}
+            ins: list[str] = []
+            outs: list[str] = []
+            for child in elem:
+                child_tag, _, child_ignorable = tags[child.tag]
+                if child_tag == "extensionElements":
+                    # key/value entries, both interned: a bundle repeats a
+                    # few keys and values on thousands of nodes
+                    for entry in child:
+                        key = entry.get("key")
+                        if key is not None:
+                            value = entry.get("value")
+                            if value is None:
+                                value = (entry.text or "").strip()
+                            extensions[intern(key)] = intern(value)
+                elif child_tag == "timerEventDefinition":
+                    if kind not in EVENT_KINDS:
+                        _fail(model_id, f"timer on non-event node {node_id!r}")
+                    timer = _parse_timer(child, model_id, node_id, tags)
+                elif child_tag in _ASSOC_REF:
+                    # the first non-blank ref child, else the ref attribute
+                    ref_tag = _ASSOC_REF[child_tag]
+                    for ref_el in child:
+                        if tags[ref_el.tag][0] == ref_tag and (ref := (ref_el.text or "").strip()):
+                            break
+                    else:
+                        ref = (child.get(ref_tag) or "").strip()
+                    if ref:
+                        (ins if ref_tag == "sourceRef" else outs).append(ref)
+                elif not child_ignorable:
+                    info.append(
+                        finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {child_tag!r}")
+                    )
+            if "duration" in extensions:
+                try:
+                    duration = _duration(extensions.pop("duration"))
+                except ValueError as exc:
+                    _fail(model_id, f"node {node_id!r}: {exc}")
+            if kind == "call-activity":
+                call_targets[node_id] = (elem.get("calledElement") or "").strip()
+            elif kind == "start-event":
+                starts += 1
+            elif kind == "end-event":
+                ends += 1
+            node = FlowNode(
+                node_id, kind, elem.get("name", ""), duration, timer, (), (), extensions or _NO_EXTENSIONS,
+            )
+            nodes.append(node)
+            if ins:
+                raw_io.append((node, True, ins))
+            if outs:
+                raw_io.append((node, False, outs))
+            if node_id in node_ids and repeated_node is None:
+                repeated_node = node_id
+            node_ids[node_id] = node_id
         elif tag == "sequenceFlow":
-            flows.append((elem.get("sourceRef", ""), elem.get("targetRef", "")))
             flow_elems.append(elem)
         elif tag == "laneSet":
             for lane_el in elem:
-                if _tag(lane_el.tag)[0] != "lane":
-                    continue
-                members = [
-                    text
-                    for ref in lane_el
-                    if _tag(ref.tag)[0] == "flowNodeRef" and (text := (ref.text or "").strip())
-                ]
-                raw_lanes.append(
-                    (lane_el.get("id", f"lane{len(raw_lanes)}"), lane_el.get("name", ""), members)
-                )
+                if tags[lane_el.tag][0] == "lane":
+                    members = [
+                        text
+                        for ref in lane_el
+                        if tags[ref.tag][0] == "flowNodeRef" and (text := (ref.text or "").strip())
+                    ]
+                    raw_lanes.append(
+                        (lane_el.get("id", f"lane{len(raw_lanes)}"), lane_el.get("name", ""), members)
+                    )
         elif tag == "dataObject":
-            data_objects.append(
-                DataObject(
-                    object_id=elem.get("id", ""),
-                    name=elem.get("name", ""),
-                    storage_ref=elem.get("storageRef"),
-                )
-            )
+            object_id = elem.get("id", "")
+            data_objects.append(DataObject(object_id, elem.get("name", ""), elem.get("storageRef")))
+            if object_id in known_objects and repeated_object is None:
+                repeated_object = object_id
+            known_objects[object_id] = object_id
         elif tag == "dataObjectReference":
             ref_id, target = elem.get("id"), elem.get("dataObjectRef")
             if ref_id and target:
                 object_refs[ref_id] = target
         elif tag == "extensionElements":
-            process_ext.update(_parse_extensions(elem))
+            # read like a node's entries above
+            for entry in elem:
+                key = entry.get("key")
+                if key is not None:
+                    value = entry.get("value")
+                    if value is None:
+                        value = (entry.text or "").strip()
+                    process_ext[intern(key)] = intern(value)
         elif not ignorable:
             info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
-    # node id -> the node's own id object, which every reference shares
-    node_ids: dict[str, str] = {}
-    for node in nodes:
-        if node.node_id in node_ids:
-            _fail(model_id, f"duplicate node id {node.node_id!r}")
-        node_ids[node.node_id] = node.node_id
-    for i, (src, dst) in enumerate(flows):
+    if repeated_node is not None:
+        _fail(model_id, f"duplicate node id {repeated_node!r}")
+    flows: list[tuple[str, str]] = []
+    for elem in flow_elems:
+        src, dst = elem.get("sourceRef", ""), elem.get("targetRef", "")
         shared_src, shared_dst = node_ids.get(src), node_ids.get(dst)
         if shared_src is None or shared_dst is None:
-            flow_id = flow_elems[i].get("id", f"flow{i}")
+            flow_id = elem.get("id", f"flow{len(flows)}")
             end = src if shared_src is None else dst
             _fail(model_id, f"flow {flow_id!r} references unknown node {end!r}")
-        flows[i] = (shared_src, shared_dst)
-
-    starts = [n for n in nodes if n.kind == "start-event"]
-    if len(starts) != 1:
-        _fail(model_id, f"expected exactly one start event, found {len(starts)}")
-    if not any(n.kind == "end-event" for n in nodes):
+        flows.append((shared_src, shared_dst))
+    if starts != 1:
+        _fail(model_id, f"expected exactly one start event, found {starts}")
+    if not ends:
         _fail(model_id, "no end event")
 
     lanes = [
@@ -280,40 +288,39 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         for lane_id, role_name, members in raw_lanes
     ]
 
-    # object id -> the object's own id object, which every resolved ref shares
-    known_objects: dict[str, str] = {}
-    for obj in data_objects:
-        if obj.object_id in known_objects:
-            _fail(model_id, f"duplicate data object id {obj.object_id!r}")
-        known_objects[obj.object_id] = obj.object_id
-    # one object per distinct non-empty input or output tuple
+    if repeated_object is not None:
+        _fail(model_id, f"duplicate data object id {repeated_object!r}")
+    # One object per distinct non-empty input or output tuple. Each node
+    # direction takes the sorted distinct ids of the objects its refs name,
+    # and each unknown distinct ref is a finding.
     io_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
-
-    def resolve_objects(refs: list[str], node_id: str) -> tuple[str, ...]:
-        """The sorted distinct ids of the objects the refs name; each
-        unknown distinct ref is a finding."""
-        found = []
-        for ref in sorted(set(refs)) if len(refs) > 1 else refs:
-            shared = known_objects.get(object_refs.get(ref, ref))
-            if shared is not None:
-                found.append(shared)
-            else:
-                info.append(
-                    finding(
-                        "UNRESOLVED-DATA-REF",
-                        f"{model_id}:{node_id}",
-                        f"data association references unknown object {ref!r}",
+    for node, is_input, refs in raw_io:
+        ref = refs[0]
+        if len(refs) == 1 and (shared := known_objects.get(object_refs.get(ref, ref))) is not None:
+            items = (shared,)
+        else:
+            found = []
+            for ref in sorted(set(refs)) if len(refs) > 1 else refs:
+                shared = known_objects.get(object_refs.get(ref, ref))
+                if shared is not None:
+                    found.append(shared)
+                else:
+                    info.append(
+                        finding(
+                            "UNRESOLVED-DATA-REF",
+                            f"{model_id}:{node.node_id}",
+                            f"data association references unknown object {ref!r}",
+                        )
                     )
-                )
-        if not found:
-            return ()
-        # two refs may name one object, through a dataObjectReference
-        items = tuple(sorted(set(found))) if len(found) > 1 else tuple(found)
-        return io_sets.setdefault(items, items)
-
-    for node, ins, outs in raw_io:
-        node.inputs = resolve_objects(ins, node.node_id)
-        node.outputs = resolve_objects(outs, node.node_id)
+            if not found:
+                continue
+            # two refs may name one object, through a dataObjectReference
+            items = tuple(sorted(set(found))) if len(found) > 1 else tuple(found)
+        items = io_sets.setdefault(items, items)
+        if is_input:
+            node.inputs = items
+        else:
+            node.outputs = items
 
     return ProcessModel(
         model_id=model_id,
@@ -408,35 +415,34 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
     duration, an input, and an output; R3 every node sits in a lane with a
     role; R4 every event has a time symbol on its incoming chain.
     """
-    out: list[Finding] = []
+    # (node id, code, message) per failed rule: a subject is built only
+    # for a node with a finding
+    failed: list[tuple[str, str, str]] = []
     flow = flowgraph.FlowIndex.of(model)
     start = next(n.node_id for n in model.nodes if n.kind == "start-event")
     reached = reachable(flow.succ, [start])
     for node in model.nodes:
-        subject = f"{model.model_id}:{node.node_id}"
-        if node.node_id not in reached:
-            out.append(finding("R1-UNREACHABLE", subject, "node is not reachable from the start event"))
+        node_id = node.node_id
+        if node_id not in reached:
+            failed.append((node_id, "R1-UNREACHABLE", "node is not reachable from the start event"))
         if node.kind == "task":
             if node.duration is None:
-                out.append(finding("R2-NO-DURATION", subject, "task has no execution time"))
+                failed.append((node_id, "R2-NO-DURATION", "task has no execution time"))
             if not node.inputs:
-                out.append(finding("R2-NO-INPUT", subject, "task consumes no data object"))
+                failed.append((node_id, "R2-NO-INPUT", "task consumes no data object"))
             if not node.outputs:
-                out.append(finding("R2-NO-OUTPUT", subject, "task produces no data object"))
-        lane = model.lane_of(node.node_id)
+                failed.append((node_id, "R2-NO-OUTPUT", "task produces no data object"))
+        lane = model.lane_of(node_id)
         if lane is None or not lane.role_name.strip():
-            out.append(finding("R3-NO-ROLE", subject, "node is not assigned to a lane with a role"))
+            failed.append((node_id, "R3-NO-ROLE", "node is not assigned to a lane with a role"))
     covered = flowgraph.timer_covered_events(flow)
     for node in model.events():
         if node.node_id not in covered:
-            out.append(
-                finding(
-                    "R4-NO-TIMER",
-                    f"{model.model_id}:{node.node_id}",
-                    "event has no time symbol on its incoming chain",
-                )
-            )
-    return sort_findings(out)
+            failed.append((node.node_id, "R4-NO-TIMER", "event has no time symbol on its incoming chain"))
+    model_id = model.model_id
+    return sort_findings(
+        [finding(code, f"{model_id}:{node_id}", message) for node_id, code, message in failed]
+    )
 
 
 _KIND_FOR_EVENT = {

@@ -645,3 +645,46 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
         extensions=process_ext,
         parse_findings=sort_findings(info),
     )
+
+
+def wellformed_by_scan(model):
+    """The four modeling requirements, checked rule by rule: R1 by BFS from
+    the start event, R2 per task, R3 by a scan of the lanes in order (the
+    first lane holding the node decides), R4 by reverse reachability from
+    each event to a node that carries a timer."""
+    start = [n.node_id for n in model.nodes if n.kind == "start-event"][0]
+    succ = _successors(model)
+    reached = {start}
+    queue = deque([start])
+    while queue:
+        for nxt in succ[queue.popleft()]:
+            if nxt not in reached:
+                reached.add(nxt)
+                queue.append(nxt)
+
+    nodes = _node_map(model)
+    pred = _predecessors(model)
+    out = []
+    for node in model.nodes:
+        subject = f"{model.model_id}:{node.node_id}"
+        if node.node_id not in reached:
+            out.append(finding("R1-UNREACHABLE", subject, "node is not reachable from the start event"))
+        if node.kind == "task":
+            if node.duration is None:
+                out.append(finding("R2-NO-DURATION", subject, "task has no execution time"))
+            if not node.inputs:
+                out.append(finding("R2-NO-INPUT", subject, "task consumes no data object"))
+            if not node.outputs:
+                out.append(finding("R2-NO-OUTPUT", subject, "task produces no data object"))
+        lane = None
+        for candidate in model.lanes:
+            if node.node_id in candidate.member_nodes:
+                lane = candidate
+                break
+        if lane is None or not lane.role_name.strip():
+            out.append(finding("R3-NO-ROLE", subject, "node is not assigned to a lane with a role"))
+        if node.kind in EVENT_KINDS:
+            upstream = _reachable(pred, [node.node_id])
+            if not any(nodes[n].timer is not None for n in upstream):
+                out.append(finding("R4-NO-TIMER", subject, "event has no time symbol on its incoming chain"))
+    return sort_findings(out)

@@ -8,6 +8,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     ANCHORS_MANIFEST,
@@ -19,7 +21,7 @@ from conftest import (
     node,
 )
 from procpyramid import cli, conformance, dependency, flowgraph, load_bundle, serialize_model
-from procpyramid.findings import finding
+from procpyramid.findings import finding, summarize
 
 
 def run_json(capsys, argv):
@@ -309,6 +311,28 @@ class TestConform:
             "fatal [TEMPLATE]: duplicate template ids: component-design, component-test\n"
         )
         assert captured.out == ""
+
+    def test_a_pairing_two_template_pairs_bind_is_one_row(self, capsys, tmp_path):
+        """component-test binds park-pilot-test by name pattern; a second
+        right-side template binds it by id against the same counterpart."""
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        refs = tmp_path / "refs" / "vmodel.json"
+        templates = json.loads(refs.read_text(encoding="utf-8"))
+        templates.append(
+            {
+                "id": "component-test-by-id", "side": "right", "counterpart": "component-design",
+                "steps": ["Execute park pilot"], "binding": {"modelId": "park-pilot-test"},
+            }
+        )
+        refs.write_text(json.dumps(templates), encoding="utf-8")
+        code, doc = run_json(capsys, ["conform", str(tmp_path / "manifest-severed.json")])
+        assert code == 1
+        assert [(f["code"], f["subject"]) for f in doc["findings"]] == [
+            ("VV-UNLINKED", "park-pilot-test/function-chart")
+        ]
+        assert doc["vvLinks"] == [
+            {"right": "park-pilot-test", "left": "function-chart", "iterations": 0}
+        ]
 
 
 def list_templates(bundle_dir: Path, listed: list[str]) -> Path:
@@ -757,3 +781,24 @@ class TestStagesRunOnce:
     def test_views_without_offsets_do_not_resolve_them(self, capsys, calls, argv):
         assert cli.run([argv[0], str(PARKPILOT_MANIFEST), *argv[1:]]) == 0
         assert calls["resolve_offsets"] == 0
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(st.text(max_size=6), json_values, max_size=5))
+def test_json_reports_are_indented_sorted_dumps(payload):
+    """Keys and strings with non-ASCII and control characters, empty
+    containers, tuples, and floats that JSON cannot spell all render as
+    `json.dumps(doc, indent=2, sort_keys=True)` does."""
+    report = cli.ReportBundle("report", [], payload=payload)
+    doc = {"command": "report", "findings": [], "summary": summarize([]), "artifacts": {}}
+    doc.update(payload)
+    assert cli.render_report(report, "json") == json.dumps(doc, indent=2, sort_keys=True) + "\n"

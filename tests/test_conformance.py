@@ -378,6 +378,21 @@ class TestVvLinks:
         findings = check_vv_links(pyramid, refs, links)
         assert [(f.code, f.subject) for f in findings] == [("VV-UNLINKED", "rm/rm")]
 
+    def test_a_pairing_two_template_pairs_bind_is_one_row(self):
+        """The right model rm is bound once by id and once by name pattern,
+        both against the template that binds lm."""
+        pyramid, graph, refs = vv_setup([])
+        refs.append(
+            ReferenceProcess(
+                "verify-by-name", side="right", counterpart="design", steps=["x"],
+                binding_pattern="rm",
+            )
+        )
+        links = vv_iterations(pyramid, graph, refs)
+        assert links == [VvLinkStat("rm", "lm", 0)]
+        findings = check_vv_links(pyramid, refs, links)
+        assert [(f.code, f.subject) for f in findings] == [("VV-UNLINKED", "rm/lm")]
+
 
 class TestIterationCounts:
     def test_each_linked_milestone_pair_counts_once(self):

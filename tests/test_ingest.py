@@ -1,12 +1,13 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIXTURES, anchor, chain_model, node
+from conftest import FIXTURES, anchor, chain_model, elapsed, node
 from procpyramid import (
     DataObject,
     Duration,
@@ -653,6 +654,34 @@ def test_analysis_ignores_element_order(model, rng):
     right, _ = extract_milestones(reparsed)
     key = lambda ms: ms.milestone_id
     assert sorted(left, key=key) == sorted(right, key=key)
+
+
+@given(models(), st.data())
+def test_check_wellformed_matches_the_rule_by_rule_scan(model, data):
+    """Flows dropped and added, event timers removed or added, and lanes
+    redrawn with blank roles break each rule somewhere."""
+    ids = [n.node_id for n in model.nodes]
+    pick = st.sampled_from(ids)
+    dropped = data.draw(st.sets(st.sampled_from(range(len(model.flows))), max_size=2), label="dropped")
+    flows = [f for i, f in enumerate(model.flows) if i not in dropped]
+    flows += data.draw(st.lists(st.tuples(pick, pick), max_size=3), label="added flows")
+    timers = st.sampled_from([None, anchor(5), elapsed(2)])
+    nodes = [
+        replace(n, timer=data.draw(timers, label="timer")) if n.is_event else n for n in model.nodes
+    ]
+    lanes = [
+        Lane(f"l{i}", role, frozenset(members))
+        for i, (role, members) in enumerate(
+            data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(["crew", "", " "]), st.sets(pick)), max_size=3
+                ),
+                label="lanes",
+            )
+        )
+    ]
+    model = replace(model, nodes=nodes, flows=flows, lanes=lanes)
+    assert check_wellformed(model) == oracles.wellformed_by_scan(model)
 
 
 # Variants that the serializer never emits, applied to a serialized model on
