@@ -58,7 +58,7 @@ def timer_covered_events(index: FlowIndex) -> set[str]:
     downstream = reachable(index.succ, timered)
     return {
         nid for nid, n in nodes.items()
-        if n.kind in EVENT_KINDS and (n.timer is not None or nid in downstream)
+        if n.is_event and (n.timer is not None or nid in downstream)
     }
 
 
@@ -113,9 +113,7 @@ def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]]
     plain = {
         nid for nid, n in nodes.items() if n.timer is None or n.timer.mode != ANCHOR_BEFORE_SOP
     }
-    found: dict[str, list[tuple[str, int]]] = {
-        nid: [] for nid, n in nodes.items() if n.kind in EVENT_KINDS
-    }
+    found: dict[str, list[tuple[str, int]]] = {nid: [] for nid, n in nodes.items() if n.is_event}
     cyclic: set[str] = set()
     for anchor in sorted(nodes.keys() - plain):
         amount = nodes[anchor].timer.amount.days

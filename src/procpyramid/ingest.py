@@ -85,6 +85,20 @@ def _fail(model_id: str, message: str) -> None:
     raise ModelParseError(f"model {model_id!r}: {message}")
 
 
+def _read_extensions(elem: ET.Element, into: dict[str, str]) -> None:
+    """Add an extension block's key/value entries to `into`; both are
+    interned, as a bundle repeats a few keys (and values such as task
+    durations) on thousands of nodes."""
+    intern = sys.intern
+    for entry in elem:
+        key = entry.get("key")
+        if key is not None:
+            value = entry.get("value")
+            if value is None:
+                value = (entry.text or "").strip()
+            into[intern(key)] = intern(value)
+
+
 def _parse_timer(elem: ET.Element, model_id: str, node_id: str, tags: dict[str, tuple]) -> TimerDef:
     mode = elem.get("mode", ANCHOR_BEFORE_SOP)
     text = None
@@ -150,7 +164,6 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         info.append(finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
     process = processes[0]
 
-    intern = sys.intern
     nodes: list[FlowNode] = []
     # node id -> the node's own id object, which every reference shares
     node_ids: dict[str, str] = {}
@@ -183,15 +196,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
             for child in elem:
                 child_tag, _, child_ignorable = tags[child.tag]
                 if child_tag == "extensionElements":
-                    # key/value entries, both interned: a bundle repeats a
-                    # few keys and values on thousands of nodes
-                    for entry in child:
-                        key = entry.get("key")
-                        if key is not None:
-                            value = entry.get("value")
-                            if value is None:
-                                value = (entry.text or "").strip()
-                            extensions[intern(key)] = intern(value)
+                    _read_extensions(child, extensions)
                 elif child_tag == "timerEventDefinition":
                     if kind not in EVENT_KINDS:
                         _fail(model_id, f"timer on non-event node {node_id!r}")
@@ -256,14 +261,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
             if ref_id and target:
                 object_refs[ref_id] = target
         elif tag == "extensionElements":
-            # read like a node's entries above
-            for entry in elem:
-                key = entry.get("key")
-                if key is not None:
-                    value = entry.get("value")
-                    if value is None:
-                        value = (entry.text or "").strip()
-                    process_ext[intern(key)] = intern(value)
+            _read_extensions(elem, process_ext)
         elif not ignorable:
             info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
@@ -295,27 +293,23 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     # and each unknown distinct ref is a finding.
     io_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
     for node, is_input, refs in raw_io:
-        ref = refs[0]
-        if len(refs) == 1 and (shared := known_objects.get(object_refs.get(ref, ref))) is not None:
-            items = (shared,)
-        else:
-            found = []
-            for ref in sorted(set(refs)) if len(refs) > 1 else refs:
-                shared = known_objects.get(object_refs.get(ref, ref))
-                if shared is not None:
-                    found.append(shared)
-                else:
-                    info.append(
-                        finding(
-                            "UNRESOLVED-DATA-REF",
-                            f"{model_id}:{node.node_id}",
-                            f"data association references unknown object {ref!r}",
-                        )
+        found = []
+        for ref in sorted(set(refs)) if len(refs) > 1 else refs:
+            shared = known_objects.get(object_refs.get(ref, ref))
+            if shared is not None:
+                found.append(shared)
+            else:
+                info.append(
+                    finding(
+                        "UNRESOLVED-DATA-REF",
+                        f"{model_id}:{node.node_id}",
+                        f"data association references unknown object {ref!r}",
                     )
-            if not found:
-                continue
-            # two refs may name one object, through a dataObjectReference
-            items = tuple(sorted(set(found))) if len(found) > 1 else tuple(found)
+                )
+        if not found:
+            continue
+        # two refs may name one object, through a dataObjectReference
+        items = tuple(sorted(set(found))) if len(found) > 1 else tuple(found)
         items = io_sets.setdefault(items, items)
         if is_input:
             node.inputs = items

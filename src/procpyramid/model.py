@@ -93,4 +93,4 @@ class ProcessModel:
         return None
 
     def events(self) -> list[FlowNode]:
-        return [n for n in self.nodes if n.kind in EVENT_KINDS]
+        return [n for n in self.nodes if n.is_event]
