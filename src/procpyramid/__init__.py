@@ -32,7 +32,7 @@ from .errors import (
     TemplateError,
     UnknownSeedError,
 )
-from .findings import Finding, finding
+from .findings import Finding
 from .ingest import check_wellformed, extract_milestones, parse_model, serialize_model
 from .model import DataObject, FlowNode, Lane, ProcessModel, TimerDef
 from .pyramid import (
@@ -102,7 +102,6 @@ __all__ = [
     "diff",
     "extract_milestones",
     "find_redundant",
-    "finding",
     "impact",
     "infer_edges",
     "link_levels",

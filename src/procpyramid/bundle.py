@@ -7,7 +7,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ManifestError, ModelParseError, PyramidError
-from .findings import Finding, finding, merge_findings
+from .findings import Finding, merge_findings
 from .ingest import extract_milestones, parse_model
 from .model import ProcessModel
 from .naming import normalize_name
@@ -101,10 +101,10 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
             models[entry.model_id] = parse_model(path.read_bytes(), entry.model_id)
         except OSError as exc:
             load_findings.append(
-                finding("MODEL-PARSE-ERROR", entry.model_id, f"cannot read {entry.file!r}: {exc}")
+                Finding("MODEL-PARSE-ERROR", entry.model_id, f"cannot read {entry.file!r}: {exc}")
             )
         except ModelParseError as exc:
-            load_findings.append(finding("MODEL-PARSE-ERROR", entry.model_id, str(exc)))
+            load_findings.append(Finding("MODEL-PARSE-ERROR", entry.model_id, str(exc)))
 
     pyramid, build_findings = build_pyramid(manifest, models)
     pyramid, link_findings = link_levels(pyramid)

@@ -45,7 +45,7 @@ from .dependency import (
 )
 from .durations import render_offset
 from .errors import PyramidError, TemplateError, UnknownSeedError
-from .findings import Finding, error_count, finding, merge_findings, summarize
+from .findings import Finding, error_count, merge_findings, summarize
 from .ingest import check_wellformed
 from .naming import normalize_name
 from .pyramid import assign_coordinates, check_connectivity
@@ -236,7 +236,7 @@ class _Session:
         f3 = check_alignment(
             bundle.pyramid, table, bundle.milestones, bundle.manifest.alignment_tolerance
         )
-        return table, merge_findings(f1, f2, f3)
+        return table, f1 + f2 + f3
 
     @cached_property
     def name_keys(self) -> _NameKeys:
@@ -255,14 +255,15 @@ class _Session:
         return load_reference(*(read_utf8(root / rel, TemplateError) for rel in paths))
 
     # Command views: each takes the parsed arguments and returns the
-    # command's own findings and payload; `_execute` adds the load findings.
+    # command's own findings, as one plain list, and its payload. `_execute`
+    # adds the load findings and then de-duplicates and sorts, once.
 
     def validate(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle = self.bundle
-        groups = [check_wellformed(model) for model in bundle.pyramid.models.values()]
+        findings = [f for model in bundle.pyramid.models.values() for f in check_wellformed(model)]
         connectivity, depth = check_connectivity(bundle.pyramid)
-        groups += [connectivity, self.timing[1]]
-        groups.extend(check_gq(ms) for ms in bundle.milestones)
+        findings += connectivity + self.timing[1]
+        findings += [f for ms in bundle.milestones for f in check_gq(ms)]
         payload = {
             "bundle": {
                 "models": len(bundle.pyramid.models),
@@ -270,7 +271,7 @@ class _Session:
                 "maxConnectedDepth": depth,
             }
         }
-        return merge_findings(*groups), payload
+        return findings, payload
 
     def timeline(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         table, timing = self.timing
@@ -296,14 +297,10 @@ class _Session:
         return [], {"dependencies": payload}
 
     def deps(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
-        bundle = self.bundle
         findings, payload = self.export(args)
-        findings = merge_findings(
-            findings,
-            cross_check_declared(self.graph),
-            check_temporal(self.graph, self.timing[0]),
-            find_redundant(bundle.milestones, self.name_keys),
-        )
+        findings += cross_check_declared(self.graph)
+        findings += check_temporal(self.graph, self.timing[0])
+        findings += find_redundant(self.bundle.milestones, self.name_keys)
         return findings, payload
 
     def impact(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
@@ -361,9 +358,9 @@ class _Session:
                 )
                 subject = f"{model_id}/{ref.ref_id}"
                 if report.verdict == "major-deviation":
-                    extra.append(finding("MAJOR-DEVIATION", subject, "half or more of one aspect is unmet"))
+                    extra.append(Finding("MAJOR-DEVIATION", subject, "half or more of one aspect is unmet"))
                 elif report.verdict == "minor-deviation":
-                    extra.append(finding("MINOR-DEVIATION", subject, "some reference items are unmet"))
+                    extra.append(Finding("MINOR-DEVIATION", subject, "some reference items are unmet"))
         links = vv_iterations(bundle.pyramid, self.graph, templates)
         vv = check_vv_links(bundle.pyramid, templates, links)
         payload = {
@@ -373,7 +370,7 @@ class _Session:
                 for s in links
             ],
         }
-        return merge_findings(extra, vv), payload
+        return extra + vv, payload
 
     def retention(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         """The session's bundle is the earlier snapshot, `args.after` the later;
@@ -389,16 +386,16 @@ class _Session:
             }
         }
         named = [replace(f, message=f"after snapshot: {f.message}") for f in after.findings]
-        return merge_findings(findings, named), payload
+        return findings + named, payload
 
     def report(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         views = [self.validate, self.timeline, self.deps]
         if self.bundle.manifest.reference_templates:
             views.append(self.conform)
-        groups, payload = [], {}
+        findings, payload = [], {}
         for view in views:
-            findings, section = view(args)
-            groups.append(findings)
+            view_findings, section = view(args)
+            findings += view_findings
             payload.update(section)
         payload["coordinates"] = {
             model_id: {"depth": depth, "position": position, "complexity": complexity}
@@ -406,7 +403,7 @@ class _Session:
                 assign_coordinates(self.bundle.pyramid).items()
             )
         }
-        return merge_findings(*groups), payload
+        return findings, payload
 
 
 def _execute(args: argparse.Namespace) -> ReportBundle:

@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from . import flowgraph
 from .dependency import DECLARED_UNMATCHED, DependencyGraph, _NameKeys
 from .errors import TemplateError
-from .findings import Finding, finding, sort_findings
+from .findings import Finding, sort_findings
 from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
 # canonical_key stays bound here: perfbench/tracing.py wraps this attribute
@@ -373,16 +373,16 @@ def check_vv_links(
     out: list[Finding] = []
     for ref, counterpart, right_models, left_models in _vv_pairs(pyramid, references):
         if not right_models:
-            out.append(finding("UNBOUND-REFERENCE", ref.ref_id, "binds no model in the bundle"))
+            out.append(Finding("UNBOUND-REFERENCE", ref.ref_id, "binds no model in the bundle"))
         elif not left_models:
             out.append(
-                finding("UNBOUND-REFERENCE", counterpart.ref_id, "binds no model in the bundle")
+                Finding("UNBOUND-REFERENCE", counterpart.ref_id, "binds no model in the bundle")
             )
     for link in links:
         if link.iterations == 0:
             rm, lm = link.right_model, link.left_model
             out.append(
-                finding(
+                Finding(
                     "VV-UNLINKED",
                     f"{rm}/{lm}",
                     f"verification model {rm!r} consumes nothing produced by {lm!r}",
@@ -410,7 +410,7 @@ def check_milestone_retention(
     for ms in sorted(before, key=lambda m: m.milestone_id):
         if ms.milestone_id not in after_ids and normalize_name(ms.name) not in after_names:
             out.append(
-                finding(
+                Finding(
                     "MILESTONE-DROPPED",
                     ms.milestone_id,
                     f"milestone {ms.name!r} is gone from the later snapshot",
@@ -420,7 +420,7 @@ def check_milestone_retention(
         new = ms.milestone_id not in before_ids and normalize_name(ms.name) not in before_names
         if new and ms.kind == "intermediate":
             out.append(
-                finding(
+                Finding(
                     "ADDED-INTERMEDIATE",
                     ms.milestone_id,
                     f"intermediate milestone {ms.name!r} added since the earlier snapshot",

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownSeedError
-from .findings import Finding, finding, sort_findings
+from .findings import Finding, sort_findings
 from .graph import adjacency, bfs_layers, strongly_connected
 from .naming import canonical_key, compile_aliases
 from .timeline import Milestone, OffsetTable
@@ -160,7 +160,7 @@ def cross_check_declared(graph: DependencyGraph) -> list[Finding]:
         subject = f"{edge.producer}->{edge.consumer}"
         if edge.status == INFERRED_UNDECLARED:
             out.append(
-                finding(
+                Finding(
                     "UNDECLARED-DEPENDENCY",
                     subject,
                     "data flows via " + ", ".join(sorted(edge.via)) + " but gq7 does not declare it",
@@ -168,7 +168,7 @@ def cross_check_declared(graph: DependencyGraph) -> list[Finding]:
             )
         elif edge.status == DECLARED_UNMATCHED:
             out.append(
-                finding(
+                Finding(
                     "DECLARED-UNMATCHED",
                     subject,
                     "gq7 declares this consumer but no produced data object reaches it",
@@ -183,12 +183,12 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
     out: list[Finding] = []
     for node in graph.nodes:
         if node not in table.offsets:
-            out.append(finding("NOT-TIMED", node, "milestone has no resolved offset"))
+            out.append(Finding("NOT-TIMED", node, "milestone has no resolved offset"))
     for edge in graph.edges:
         p, c = table.offsets.get(edge.producer), table.offsets.get(edge.consumer)
         if p is not None and c is not None and p > c:
             out.append(
-                finding(
+                Finding(
                     "TEMPORAL-VIOLATION",
                     f"{edge.producer}->{edge.consumer}",
                     f"producer at {p}d occurs after consumer at {c}d",
@@ -198,7 +198,7 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
         if len(component) > 1:
             component.sort()
             out.append(
-                finding("CYCLE", component[0], "dependency cycle: " + " -> ".join(component))
+                Finding("CYCLE", component[0], "dependency cycle: " + " -> ".join(component))
             )
     return sort_findings(out)
 
@@ -268,7 +268,7 @@ def find_redundant(
         if len(models) > 1:
             who = ", ".join(ms.milestone_id for ms in group)
             out.append(
-                finding(
+                Finding(
                     "REDUNDANT-OUTPUT",
                     key,
                     f"produced in {len(models)} different models by: {who}",

@@ -69,26 +69,23 @@ _RANK = {"error": 0, "warning": 1, "info": 2}
 
 @dataclass(frozen=True, slots=True)
 class Finding:
-    """One diagnostic: a catalog code, a severity, a subject id, a message."""
+    """One diagnostic: a catalog code, a subject id and a message. Its
+    severity is the one the catalog gives its code."""
 
     code: str
-    severity: str
     subject: str
     message: str
 
     def __post_init__(self):
-        if self.severity not in SEVERITIES:
-            raise ValueError(f"unknown severity {self.severity!r}")
+        if self.code not in CATALOG:
+            raise ValueError(f"finding code {self.code!r} is not in the catalog")
+
+    @property
+    def severity(self) -> str:
+        return CATALOG[self.code]
 
     def sort_key(self) -> tuple:
         return (_RANK[self.severity], self.code, self.subject, self.message)
-
-
-def finding(code: str, subject: str, message: str) -> Finding:
-    """Build a Finding with the severity the catalog gives its code."""
-    if code not in CATALOG:
-        raise ValueError(f"finding code {code!r} is not in the catalog")
-    return Finding(code=code, severity=CATALOG[code], subject=subject, message=message)
 
 
 def sort_findings(items: list[Finding]) -> list[Finding]:

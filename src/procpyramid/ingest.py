@@ -20,7 +20,7 @@ from typing import Mapping
 from . import flowgraph
 from .durations import Duration, parse_duration, parse_offset_days
 from .errors import ModelParseError
-from .findings import Finding, finding, sort_findings
+from .findings import Finding, sort_findings
 from .graph import reachable
 from .model import (
     ANCHOR_BEFORE_SOP,
@@ -161,7 +161,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     info: list[Finding] = []
     if len(processes) > 1:
         extra = ", ".join(p.get("id", "?") for p in processes[1:])
-        info.append(finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
+        info.append(Finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
     process = processes[0]
 
     nodes: list[FlowNode] = []
@@ -213,7 +213,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                         (ins if ref_tag == "sourceRef" else outs).append(ref)
                 elif not child_ignorable:
                     info.append(
-                        finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {child_tag!r}")
+                        Finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {child_tag!r}")
                     )
             if "duration" in extensions:
                 try:
@@ -263,7 +263,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
         elif tag == "extensionElements":
             _read_extensions(elem, process_ext)
         elif not ignorable:
-            info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
+            info.append(Finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
     if repeated_node is not None:
         _fail(model_id, f"duplicate node id {repeated_node!r}")
@@ -300,7 +300,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                 found.append(shared)
             else:
                 info.append(
-                    finding(
+                    Finding(
                         "UNRESOLVED-DATA-REF",
                         f"{model_id}:{node.node_id}",
                         f"data association references unknown object {ref!r}",
@@ -405,16 +405,17 @@ def serialize_model(model: ProcessModel) -> str:
 def check_wellformed(model: ProcessModel) -> list[Finding]:
     """Lint one model against the four modeling requirements.
 
-    R1 every node reachable from the start event; R2 every task has a
-    duration, an input, and an output; R3 every node sits in a lane with a
-    role; R4 every event has a time symbol on its incoming chain.
+    R1 every node reachable from the start event (a model without one
+    reaches nothing); R2 every task has a duration, an input, and an
+    output; R3 every node sits in a lane with a role; R4 every event has a
+    time symbol on its incoming chain.
     """
     # (node id, code, message) per failed rule: a subject is built only
     # for a node with a finding
     failed: list[tuple[str, str, str]] = []
     flow = flowgraph.FlowIndex.of(model)
-    start = next(n.node_id for n in model.nodes if n.kind == "start-event")
-    reached = reachable(flow.succ, [start])
+    start = next((n.node_id for n in model.nodes if n.kind == "start-event"), None)
+    reached = reachable(flow.succ, () if start is None else [start])
     for node in model.nodes:
         node_id = node.node_id
         if node_id not in reached:
@@ -435,7 +436,7 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
             failed.append((node.node_id, "R4-NO-TIMER", "event has no time symbol on its incoming chain"))
     model_id = model.model_id
     return sort_findings(
-        [finding(code, f"{model_id}:{node_id}", message) for node_id, code, message in failed]
+        [Finding(code, f"{model_id}:{node_id}", message) for node_id, code, message in failed]
     )
 
 
@@ -470,7 +471,7 @@ def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: li
     try:
         return parse(ext[key])
     except ValueError as exc:
-        findings.append(finding("BAD-ANNOTATION", subject, f"{key}={ext[key]!r} ignored: {exc}"))
+        findings.append(Finding("BAD-ANNOTATION", subject, f"{key}={ext[key]!r} ignored: {exc}"))
         return None
 
 

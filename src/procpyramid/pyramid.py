@@ -9,7 +9,7 @@ from typing import Mapping
 
 from .durations import Duration
 from .errors import ManifestError
-from .findings import Finding, finding, sort_findings
+from .findings import Finding, sort_findings
 from .graph import reachable
 from .model import ProcessModel
 
@@ -146,7 +146,8 @@ def load_manifest(text: str) -> Manifest:
         raise _field_error("alignmentToleranceDays", "must be a non-negative integer")
     aliases = raw.get("aliases", {})
     if not isinstance(aliases, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in aliases.items()
+        isinstance(k, str) and isinstance(v, str) and k.strip() and v.strip()
+        for k, v in aliases.items()
     ):
         raise _field_error("aliases", "must map names to names")
     templates = raw.get("referenceTemplates", [])
@@ -182,7 +183,7 @@ def build_pyramid(
     entry_map = manifest.entry_map()
     for model_id in sorted(models):
         if model_id not in entry_map:
-            out.append(finding("ORPHAN-MODEL", model_id, "parsed model is not listed in the manifest"))
+            out.append(Finding("ORPHAN-MODEL", model_id, "parsed model is not listed in the manifest"))
     if manifest.root_model not in models:
         raise ManifestError(f"root model {manifest.root_model!r} is missing from the bundle")
 
@@ -191,7 +192,7 @@ def build_pyramid(
         model = models.get(entry.model_id)
         if model is None:
             out.append(
-                finding(
+                Finding(
                     "MISSING-MODEL",
                     entry.model_id,
                     f"no parsed model for manifest entry at level {entry.level}",
@@ -228,12 +229,12 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
             subject = f"{model_id}:{call_node}"
             if not target or target not in models:
                 out.append(
-                    finding("UNRESOLVED-CALL", subject, f"call activity targets unknown model {target!r}")
+                    Finding("UNRESOLVED-CALL", subject, f"call activity targets unknown model {target!r}")
                 )
                 continue
             if level_of[target] != level_of[model_id] + 1:
                 out.append(
-                    finding(
+                    Finding(
                         "LEVEL-SKIP",
                         subject,
                         f"call to {target!r} spans level {level_of[model_id]} to "
@@ -247,7 +248,7 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
     for child in sorted(parents_of):
         if len(parents_of[child]) > 1:
             out.append(
-                finding(
+                Finding(
                     "MULTI-PARENT",
                     child,
                     "called from several parents: " + ", ".join(sorted(parents_of[child])),
@@ -255,7 +256,7 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
             )
     for model_id in models:
         if level_of[model_id] > 0 and model_id not in parents_of:
-            out.append(finding("UNLINKED-CHILD", model_id, "no parent call activity reaches this model"))
+            out.append(Finding("UNLINKED-CHILD", model_id, "no parent call activity reaches this model"))
 
     return replace(pyramid, children=children), sort_findings(out)
 
@@ -270,7 +271,7 @@ def check_connectivity(pyramid: Pyramid) -> tuple[list[Finding], int]:
     roots = [pyramid.root_model] if pyramid.root_model in level_of else []
     seen = reachable(pyramid.children, roots)
     out = [
-        finding("DISCONNECTED", model_id, f"model at level {level_of[model_id]} is not reachable from the root")
+        Finding("DISCONNECTED", model_id, f"model at level {level_of[model_id]} is not reachable from the root")
         for model_id in sorted(level_of)
         if model_id not in seen
     ]

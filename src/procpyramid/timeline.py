@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import flowgraph
 from .durations import Duration
 from .errors import EmptyTimelineError
-from .findings import Finding, finding, sort_findings
+from .findings import Finding, sort_findings
 from .model import FlowNode
 from .naming import normalize_name
 
@@ -88,7 +89,7 @@ def ambiguous_anchor(subject: str, candidates: Sequence[tuple[str, int]]) -> Fin
     if len({offset for _, offset in candidates}) <= 1:
         return None
     detail = ", ".join(f"{aid} -> {off}d" for aid, off in candidates)
-    return finding("AMBIGUOUS-ANCHOR", subject, f"conflicting anchors on converging paths: {detail}")
+    return Finding("AMBIGUOUS-ANCHOR", subject, f"conflicting anchors on converging paths: {detail}")
 
 
 def resolve_offsets(
@@ -119,7 +120,7 @@ def resolve_offsets(
         event = nodes.get(ms.event_node_id) if nodes is not None else None
         if event is None or not event.is_event:
             out.append(
-                finding("NO-ANCHOR", ms.milestone_id, "owning model or event not present in the pyramid")
+                Finding("NO-ANCHOR", ms.milestone_id, "owning model or event not present in the pyramid")
             )
             continue
         anchors = ms.anchors
@@ -129,11 +130,11 @@ def resolve_offsets(
         candidates, cyclic = anchors
         if cyclic:
             out.append(
-                finding("FLOW-CYCLE", ms.milestone_id, "flow cycle on the path from the anchor timer")
+                Finding("FLOW-CYCLE", ms.milestone_id, "flow cycle on the path from the anchor timer")
             )
             continue
         if not candidates:
-            out.append(finding("NO-ANCHOR", ms.milestone_id, "no anchor timer on any incoming path"))
+            out.append(Finding("NO-ANCHOR", ms.milestone_id, "no anchor timer on any incoming path"))
             continue
         ambiguous = ambiguous_anchor(ms.milestone_id, candidates)
         if ambiguous is not None:
@@ -158,13 +159,26 @@ def reconcile_declared(table: OffsetTable, milestones: Iterable[Milestone]) -> l
         computed = table.offsets[ms.milestone_id]
         if computed != ms.declared_offset:
             out.append(
-                finding(
+                Finding(
                     "OFFSET-MISMATCH",
                     ms.milestone_id,
                     f"declared {ms.declared_offset}d but flow arithmetic gives {computed}d",
                 )
             )
     return sort_findings(out)
+
+
+# The code and message of each golden question left unanswered, gq1 to gq8.
+_GQ_UNANSWERED = (
+    ("GQ1-UNANSWERED", "no owning process recorded"),
+    ("GQ2-UNANSWERED", "no responsible role recorded"),
+    ("GQ3-UNANSWERED", "no tools recorded"),
+    ("GQ4-UNANSWERED", "no process duration recorded"),
+    ("GQ5-UNANSWERED", "no inputs recorded"),
+    ("GQ6-UNANSWERED", "no outputs recorded"),
+    ("GQ7-UNANSWERED", "no consumers recorded and milestone is not terminal"),
+    ("GQ8-UNANSWERED", "no storage locations recorded"),
+)
 
 
 def check_gq(milestone: Milestone) -> list[Finding]:
@@ -175,30 +189,17 @@ def check_gq(milestone: Milestone) -> list[Finding]:
     """
     gq = milestone.gq
     subject = milestone.milestone_id
-    out: list[Finding] = []
-    missing = {
-        1: not gq.gq1_process.strip(),
-        2: not gq.gq2_role.strip(),
-        3: not gq.gq3_tools,
-        4: gq.gq4_duration is None,
-        5: not gq.gq5_inputs,
-        6: not gq.gq6_outputs,
-        7: not gq.gq7_consumers and not milestone.terminal,
-        8: not gq.gq8_storage,
-    }
-    questions = {
-        1: "no owning process recorded",
-        2: "no responsible role recorded",
-        3: "no tools recorded",
-        4: "no process duration recorded",
-        5: "no inputs recorded",
-        6: "no outputs recorded",
-        7: "no consumers recorded and milestone is not terminal",
-        8: "no storage locations recorded",
-    }
-    for k in range(1, 9):
-        if missing[k]:
-            out.append(finding(f"GQ{k}-UNANSWERED", subject, questions[k]))
+    unanswered = (
+        not gq.gq1_process.strip(),
+        not gq.gq2_role.strip(),
+        not gq.gq3_tools,
+        gq.gq4_duration is None,
+        not gq.gq5_inputs,
+        not gq.gq6_outputs,
+        not gq.gq7_consumers and not milestone.terminal,
+        not gq.gq8_storage,
+    )
+    out = [Finding(code, subject, msg) for code, msg in compress(_GQ_UNANSWERED, unanswered)]
     if gq.gq8_storage:
         # a set: a name that is both an input and an output is listed once
         uncovered = sorted(
@@ -206,7 +207,7 @@ def check_gq(milestone: Milestone) -> list[Finding]:
         )
         if uncovered:
             out.append(
-                finding(
+                Finding(
                     "GQ8-INCOMPLETE",
                     subject,
                     "no storage location for: " + ", ".join(uncovered),
@@ -253,7 +254,7 @@ def check_alignment(
         for ref in sorted(ms.aligns_with):
             if ref not in by_id:
                 out.append(
-                    finding("DANGLING-ALIGNMENT", ms.milestone_id, f"alignsWith unknown milestone {ref!r}")
+                    Finding("DANGLING-ALIGNMENT", ms.milestone_id, f"alignsWith unknown milestone {ref!r}")
                 )
                 continue
             pairs.add((min(ms.milestone_id, ref), max(ms.milestone_id, ref)))
@@ -270,7 +271,7 @@ def check_alignment(
         delta = abs(table.offsets[a] - table.offsets[b])
         if delta > tolerance:
             out.append(
-                finding(
+                Finding(
                     "MISALIGNED",
                     f"{a}~{b}",
                     f"linked milestones are {delta}d apart "

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from procpyramid.durations import parse_duration
 from procpyramid.errors import ModelParseError
-from procpyramid.findings import Finding, finding, sort_findings
+from procpyramid.findings import Finding, sort_findings
 from procpyramid.model import (
     ANCHOR_BEFORE_SOP,
     EVENT_KINDS,
@@ -485,7 +485,7 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
     info: list[Finding] = []
     if len(processes) > 1:
         extra = ", ".join(p.get("id", "?") for p in processes[1:])
-        info.append(finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
+        info.append(Finding("EXTRA-PROCESS", model_id, f"additional process elements ignored: {extra}"))
     process = processes[0]
 
     nodes: list[FlowNode] = []
@@ -525,7 +525,7 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
                 continue
             else:
                 info.append(
-                    finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
+                    Finding("UNSUPPORTED-ELEMENT", f"{model_id}:{node_id}", f"ignored element {tag!r}")
                 )
         duration = None
         if "duration" in extensions:
@@ -588,7 +588,7 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
         elif _is_ignorable(elem):
             continue
         else:
-            info.append(finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
+            info.append(Finding("UNSUPPORTED-ELEMENT", model_id, f"ignored element {tag!r}"))
 
     seen_ids: set[str] = set()
     for node in nodes:
@@ -617,7 +617,7 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
         if target in known_objects:
             return target
         info.append(
-            finding(
+            Finding(
                 "UNRESOLVED-DATA-REF",
                 f"{model_id}:{node_id}",
                 f"data association references unknown object {ref!r}",
@@ -649,13 +649,14 @@ def parse_model_by_tree(xml_text: str, model_id: str) -> ProcessModel:
 
 def wellformed_by_scan(model):
     """The four modeling requirements, checked rule by rule: R1 by BFS from
-    the start event, R2 per task, R3 by a scan of the lanes in order (the
-    first lane holding the node decides), R4 by reverse reachability from
-    each event to a node that carries a timer."""
-    start = [n.node_id for n in model.nodes if n.kind == "start-event"][0]
+    the first start event (with none, nothing is reached), R2 per task, R3
+    by a scan of the lanes in order (the first lane holding the node
+    decides), R4 by reverse reachability from each event to a node that
+    carries a timer."""
+    starts = [n.node_id for n in model.nodes if n.kind == "start-event"][:1]
     succ = _successors(model)
-    reached = {start}
-    queue = deque([start])
+    reached = set(starts)
+    queue = deque(starts)
     while queue:
         for nxt in succ[queue.popleft()]:
             if nxt not in reached:
@@ -668,23 +669,23 @@ def wellformed_by_scan(model):
     for node in model.nodes:
         subject = f"{model.model_id}:{node.node_id}"
         if node.node_id not in reached:
-            out.append(finding("R1-UNREACHABLE", subject, "node is not reachable from the start event"))
+            out.append(Finding("R1-UNREACHABLE", subject, "node is not reachable from the start event"))
         if node.kind == "task":
             if node.duration is None:
-                out.append(finding("R2-NO-DURATION", subject, "task has no execution time"))
+                out.append(Finding("R2-NO-DURATION", subject, "task has no execution time"))
             if not node.inputs:
-                out.append(finding("R2-NO-INPUT", subject, "task consumes no data object"))
+                out.append(Finding("R2-NO-INPUT", subject, "task consumes no data object"))
             if not node.outputs:
-                out.append(finding("R2-NO-OUTPUT", subject, "task produces no data object"))
+                out.append(Finding("R2-NO-OUTPUT", subject, "task produces no data object"))
         lane = None
         for candidate in model.lanes:
             if node.node_id in candidate.member_nodes:
                 lane = candidate
                 break
         if lane is None or not lane.role_name.strip():
-            out.append(finding("R3-NO-ROLE", subject, "node is not assigned to a lane with a role"))
+            out.append(Finding("R3-NO-ROLE", subject, "node is not assigned to a lane with a role"))
         if node.kind in EVENT_KINDS:
             upstream = _reachable(pred, [node.node_id])
             if not any(nodes[n].timer is not None for n in upstream):
-                out.append(finding("R4-NO-TIMER", subject, "event has no time symbol on its incoming chain"))
+                out.append(Finding("R4-NO-TIMER", subject, "event has no time symbol on its incoming chain"))
     return sort_findings(out)

@@ -21,7 +21,7 @@ from conftest import (
     node,
 )
 from procpyramid import cli, conformance, dependency, flowgraph, load_bundle, serialize_model
-from procpyramid.findings import finding, summarize
+from procpyramid.findings import Finding, summarize
 
 
 def run_json(capsys, argv):
@@ -34,12 +34,12 @@ class TestExitStatus:
         assert cli.exit_status([]) == 0
 
     def test_warnings_pass_unless_strict(self):
-        gq = [finding("GQ3-UNANSWERED", "m:a", "no tool named")]
+        gq = [Finding("GQ3-UNANSWERED", "m:a", "no tool named")]
         assert cli.exit_status(gq) == 0
         assert cli.exit_status(gq, strict=True) == 1
 
     def test_errors_always_fail(self):
-        bad = [finding("MISALIGNED", "a~b", "off by a mile")]
+        bad = [Finding("MISALIGNED", "a~b", "off by a mile")]
         assert cli.exit_status(bad) == 1
 
 
@@ -588,6 +588,17 @@ class TestFatalPaths:
         assert captured.err.startswith(f"fatal [{code}]: ")
         assert captured.out == ""
 
+    def test_a_blank_alias_is_a_bad_field(self, capsys, tmp_path):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["aliases"] = {"pp requirements": "  ", "park pilot requirements": " "}
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(["deps", str(manifest), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "fatal [BAD-FIELD]: manifest field 'aliases': must map names to names\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("entry", [{"kind": "notes"}, {"path": 5}, "docs/a.md"])
     def test_a_document_without_a_path_is_a_bad_field(self, capsys, tmp_path, entry):
         shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
@@ -639,7 +650,9 @@ def test_importing_the_cli_loads_no_network_or_mail_modules():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     probe = f"import sys, procpyramid.cli; print([m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, encoding="utf-8", check=True
+    )
     assert result.stdout.strip() == "[]"
 
 

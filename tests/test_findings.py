@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from procpyramid import Finding, finding
+from procpyramid import Finding
 from procpyramid.findings import (
     CATALOG,
     error_count,
@@ -11,25 +13,32 @@ from procpyramid.findings import (
 
 
 def test_catalog_supplies_severity():
-    f = finding("R2-NO-DURATION", "m:t1", "task has no execution time")
+    f = Finding("R2-NO-DURATION", "m:t1", "task has no execution time")
     assert f.severity == "error"
-    assert finding("NO-ANCHOR", "m:e", "msg").severity == "warning"
-    assert finding("MULTI-PARENT", "child", "msg").severity == "info"
+    assert Finding("NO-ANCHOR", "m:e", "msg").severity == "warning"
+    assert Finding("MULTI-PARENT", "child", "msg").severity == "info"
 
 
 def test_unknown_code_is_rejected():
     with pytest.raises(ValueError):
-        finding("NOT-A-CODE", "x", "y")
+        Finding("NOT-A-CODE", "x", "y")
     with pytest.raises(ValueError):
-        Finding(code="X", severity="fatal", subject="s", message="m")
+        Finding(code="X", subject="s", message="m")
+
+
+def test_a_finding_is_code_subject_and_message():
+    assert [f.name for f in dataclasses.fields(Finding)] == ["code", "subject", "message"]
+    assert Finding.severity.fset is None
+    f = Finding("CYCLE", "x", "loop")
+    assert dataclasses.replace(f, message="again").severity == "error"
 
 
 def test_sort_puts_errors_first_then_code_then_subject():
     items = [
-        finding("NO-ANCHOR", "b", "w"),
-        finding("R3-NO-ROLE", "a", "e"),
-        finding("NO-ANCHOR", "a", "w"),
-        finding("MULTI-PARENT", "a", "i"),
+        Finding("NO-ANCHOR", "b", "w"),
+        Finding("R3-NO-ROLE", "a", "e"),
+        Finding("NO-ANCHOR", "a", "w"),
+        Finding("MULTI-PARENT", "a", "i"),
     ]
     ordered = sort_findings(items)
     assert [f.severity for f in ordered] == ["error", "warning", "warning", "info"]
@@ -37,14 +46,14 @@ def test_sort_puts_errors_first_then_code_then_subject():
 
 
 def test_merge_drops_exact_duplicates():
-    a = finding("CYCLE", "x", "loop")
-    b = finding("CYCLE", "x", "loop")
-    c = finding("CYCLE", "y", "loop")
+    a = Finding("CYCLE", "x", "loop")
+    b = Finding("CYCLE", "x", "loop")
+    c = Finding("CYCLE", "y", "loop")
     assert merge_findings([a], [b, c]) == sort_findings([a, c])
 
 
 def test_summarize_counts():
-    items = [finding("CYCLE", "x", "m"), finding("NO-ANCHOR", "y", "m")]
+    items = [Finding("CYCLE", "x", "m"), Finding("NO-ANCHOR", "y", "m")]
     summary = summarize(items)
     assert summary["bySeverity"] == {"error": 1, "warning": 1, "info": 0}
     assert summary["byCode"] == {"CYCLE": 1, "NO-ANCHOR": 1}
@@ -52,7 +61,7 @@ def test_summarize_counts():
 
 
 def test_error_count_strict_includes_warnings():
-    items = [finding("NO-ANCHOR", "y", "m"), finding("MULTI-PARENT", "z", "m")]
+    items = [Finding("NO-ANCHOR", "y", "m"), Finding("MULTI-PARENT", "z", "m")]
     assert error_count(items) == 0
     assert error_count(items, strict=True) == 1
 

@@ -11,8 +11,10 @@ from conftest import FIXTURES, anchor, chain_model, elapsed, node
 from procpyramid import (
     DataObject,
     Duration,
+    FlowNode,
     Lane,
     ModelParseError,
+    ProcessModel,
     check_gq,
     check_wellformed,
     extract_milestones,
@@ -20,7 +22,7 @@ from procpyramid import (
     serialize_model,
 )
 from procpyramid.dependency import DependencyEdge
-from procpyramid.findings import finding
+from procpyramid.findings import Finding
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
 PRODUCT_XML = (FIXTURES / "parkpilot" / "product-process.bpmn").read_text(encoding="utf-8")
@@ -278,7 +280,7 @@ class TestSharing:
             model.data_objects[0],
             milestones[0],
             milestones[0].gq,
-            finding("R1-UNREACHABLE", "m:n", "unreached"),
+            Finding("R1-UNREACHABLE", "m:n", "unreached"),
             DependencyEdge("m:a", "m:b", frozenset({"x"}), "inferred-undeclared"),
         ]
         assert sorted(type(r).__name__ for r in records) == [
@@ -400,6 +402,14 @@ class TestWellformed:
         )
         codes = sorted(f.code for f in check_wellformed(model))
         assert codes == ["R3-NO-ROLE", "R3-NO-ROLE", "R4-NO-TIMER", "R4-NO-TIMER"]
+
+    def test_a_model_without_a_start_event_reaches_nothing(self):
+        nodes = [FlowNode("t", "task"), FlowNode("e", "end-event")]
+        model = ProcessModel("m", nodes=nodes, flows=[("t", "e")])
+        findings = check_wellformed(model)
+        unreached = [f.subject for f in findings if f.code == "R1-UNREACHABLE"]
+        assert unreached == ["m:e", "m:t"]
+        assert findings == oracles.wellformed_by_scan(model)
 
     def test_timer_covers_downstream_events_only(self):
         model = chain_model(

@@ -126,6 +126,8 @@ class TestManifest:
             ({"referenceStepDays": True}, "BAD-FIELD"),
             ({"alignmentToleranceDays": -1}, "BAD-FIELD"),
             ({"aliases": {"a": 3}}, "BAD-FIELD"),
+            ({"aliases": {"a": "b", "  ": "c"}}, "BAD-FIELD"),
+            ({"aliases": {"pp requirements": ""}}, "BAD-FIELD"),
             ({"referenceTemplates": "refs.json"}, "BAD-FIELD"),
             ({"sopLabel": "  "}, "BAD-FIELD"),
         ],
