@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from . import flowgraph
 from .dependency import DECLARED_UNMATCHED, DependencyGraph, _NameKeys
 from .errors import TemplateError
 from .findings import Finding, sort_findings
@@ -239,14 +238,15 @@ def _set_diff(reference: frozenset[str], actual: frozenset[str]) -> AspectDiff:
 
 def _model_steps(model: ProcessModel, keys: _NameKeys) -> list[str]:
     """Task names in flow order: topological where possible, document order
-    to break ties and on cycles."""
-    doc_rank = {n.node_id: i for i, n in enumerate(model.nodes)}
-    flow = flowgraph.FlowIndex.of(model)
-    order = topological_order(flow.succ, doc_rank.__getitem__)
-    if order is None:
-        order = [n.node_id for n in model.nodes]
-    node_map = flow.nodes
-    return [keys[node_map[nid].name or nid] for nid in order if node_map[nid].kind == "task"]
+    to break ties and on cycles. Nodes are ordered by document rank; a
+    repeated node id stands for its last node."""
+    nodes = model.nodes
+    rank = {n.node_id: i for i, n in enumerate(nodes)}
+    succ: dict[int, list[int]] = {i: [] for i in rank.values()}
+    for src, dst in model.flows:
+        succ[rank[src]].append(rank[dst])
+    order = topological_order(succ) or [rank[n.node_id] for n in nodes]
+    return [keys[nodes[i].name or nodes[i].node_id] for i in order if nodes[i].kind == "task"]
 
 
 def _model_aspects(
@@ -258,8 +258,7 @@ def _model_aspects(
         if ms.model_id == model.model_id:
             tools.update(keys[t] for t in ms.gq.gq3_tools)
     methods: set[str] = set()
-    sources = [model.extensions] + [n.extensions for n in model.nodes]
-    for ext in sources:
+    for ext in [model.extensions, *(n.extensions for n in model.nodes if n.extensions)]:
         for raw in ext.get("methods", "").split(","):
             if raw.strip():
                 methods.add(keys[raw])

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import UnknownSeedError
-from .findings import Finding, sort_findings
+from .findings import Finding, frozen_record, sort_findings
 from .graph import adjacency, bfs_layers, strongly_connected
 from .naming import canonical_key, compile_aliases
 from .timeline import Milestone, OffsetTable
@@ -20,7 +20,7 @@ INFERRED_UNDECLARED = "inferred-undeclared"
 DECLARED_UNMATCHED = "declared-unmatched"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_record
 class DependencyEdge:
     """producer feeds consumer through the data objects in via."""
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 SEVERITIES = ("error", "warning", "info")
 
@@ -67,7 +67,20 @@ CATALOG: dict[str, str] = {
 _RANK = {"error": 0, "warning": 1, "info": 2}
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_record(cls: type) -> type:
+    """`dataclass(frozen=True, slots=True)`, with every write refused by
+    FrozenInstanceError: the refusals `dataclass` writes raise a TypeError
+    for a name that is no field."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+
+    def refuse(self, name: str, *value: object) -> None:
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    cls.__setattr__ = cls.__delattr__ = refuse
+    return cls
+
+
+@frozen_record
 class Finding:
     """One diagnostic: a catalog code, a subject id and a message. Its
     severity is the one the catalog gives its code."""

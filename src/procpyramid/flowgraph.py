@@ -2,12 +2,11 @@
 
 Stages that walk one model's flows build its `FlowIndex` (node map,
 successor and predecessor lists) once and pass it to every walk; the
-index is dropped when the stage returns. Longest paths come from one Kahn
-pass over the nodes a walk may visit: per model, one pass per anchor over
-the nodes it reaches gives every event's anchor candidates; per event, one
-pass over its segment gives its duration. Generic reachability comes from
-`graph`; this module adds the node weights, anchors and segments of
-process flows.
+index is dropped when the stage returns. For an acyclic model, one pass
+along the index's topological order gives every event's anchor
+candidates and segment duration. With a cycle, each anchor takes a Kahn
+pass over the nodes it reaches, and each event one over its segment.
+Generic walks come from `graph`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import adjacency, reachable
+from .graph import adjacency, reachable, topological_order
 from .model import ANCHOR_BEFORE_SOP, ELAPSED, EVENT_KINDS, FlowNode, ProcessModel
 
 
@@ -50,16 +49,53 @@ class FlowIndex:
             for nid, n in self.nodes.items()
         }
 
+    @cached_property
+    def acyclic_facts(
+        self,
+    ) -> tuple[dict[str, tuple[list[tuple[str, int]], bool]], dict[str, int | None]] | None:
+        """What `anchor_candidates` and `segment_duration` give, from one
+        pass along the topological order; None on a cycle. Per node the
+        pass keeps the longest paths (days) to it from the anchors that
+        reach it without entering another anchor (a dict shared along a
+        chain, plus the days since) and the longest path into it through
+        non-events, -1 when none holds a task."""
+        order = topological_order(self.succ)
+        if order is None:
+            return None
+        nodes, pred, weight = self.nodes, self.pred, self.weight
+        state: dict[str, tuple[dict[str, int], int, int]] = {}
+        candidates: dict[str, tuple[list[tuple[str, int]], bool]] = {}
+        durations: dict[str, int | None] = {}
+        for v in order:
+            node, preds, w = nodes[v], pred[v], weight[v]
+            if len(preds) == 1:
+                reach, shift, up = state[preds[0]]
+                shift += w
+            else:
+                reach, shift, up = {}, w, -1
+                for p in preds:
+                    dists, added, inner = state[p]
+                    up = max(up, inner)
+                    for a, d in dists.items():
+                        if d + added > reach.get(a, -1):
+                            reach[a] = d + added
+            if node.timer is not None and node.timer.mode == ANCHOR_BEFORE_SOP:
+                reach, shift = {v: 0}, 0
+            if node.kind not in EVENT_KINDS:
+                state[v] = (reach, shift, max(up, 0) + w if node.kind == "task" else up)
+                continue
+            state[v] = (reach, shift, -1)
+            offsets = [(a, d + shift - nodes[a].timer.amount.days) for a, d in sorted(reach.items())]
+            candidates[v] = (offsets, False)
+            durations[v] = up + w if up >= 0 else None
+        return candidates, durations
 
-def timer_covered_events(index: FlowIndex) -> set[str]:
-    """Events that carry a timer or sit downstream of a timer-carrying node."""
-    nodes = index.nodes
-    timered = [nid for nid, n in nodes.items() if n.timer is not None]
-    downstream = reachable(index.succ, timered)
-    return {
-        nid for nid, n in nodes.items()
-        if n.is_event and (n.timer is not None or nid in downstream)
-    }
+
+def timer_covered_events(nodes: dict[str, FlowNode], succ: dict[str, list[str]]) -> set[str]:
+    """Events that carry a timer or sit downstream of a timer-carrying node,
+    given a node map and its successor lists."""
+    downstream = reachable(succ, [nid for nid, n in nodes.items() if n.timer is not None])
+    return {nid for nid in downstream if nodes[nid].kind in EVENT_KINDS}
 
 
 def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> set[str]:
@@ -103,12 +139,14 @@ def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]]
     anchor timer is its sole candidate with a zero-length path.
 
     A path from anchor a to event e whose inner nodes are no anchors is
-    what makes a a candidate of e, so each anchor takes one forward pass
+    what makes a a candidate of e. With a cycle, each anchor takes one pass
     over the non-anchor nodes it reaches (its members): one longest-path
     Kahn pass from a, whose unplaced members sit behind a cycle, plus the
     members downstream of a flow back into a. Those events are cyclic for
     a; every other member event gets a's offset plus its longest path.
     """
+    if index.acyclic_facts is not None:
+        return index.acyclic_facts[0]
     nodes, succ, weight = index.nodes, index.succ, index.weight
     plain = {
         nid for nid, n in nodes.items() if n.timer is None or n.timer.mode != ANCHOR_BEFORE_SOP
@@ -144,6 +182,8 @@ def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | No
     None when the segment contains no task or a cycle makes the sum
     ill-defined.
     """
+    if index.acyclic_facts is not None:
+        return index.acyclic_facts[1][event_id]
     nodes = index.nodes
     if not any(nodes[n].kind == "task" for n in seg):
         return None

@@ -8,15 +8,17 @@ the recursion limit work.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable
+from typing import Iterable, TypeVar
+
+T = TypeVar("T")
 
 
 def adjacency(
-    nodes: Iterable[str], pairs: Iterable[tuple[str, str]]
-) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    nodes: Iterable[T], pairs: Iterable[tuple[T, T]]
+) -> tuple[dict[T, list[T]], dict[T, list[T]]]:
     """Successor and predecessor lists of every node, in pair order."""
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    pred: dict[str, list[str]] = {n: [] for n in succ}
+    succ: dict[T, list[T]] = {n: [] for n in nodes}
+    pred: dict[T, list[T]] = {n: [] for n in succ}
     for src, dst in pairs:
         succ[src].append(dst)
         pred[dst].append(src)
@@ -38,27 +40,24 @@ def reachable(
     return seen
 
 
-def topological_order(
-    adj: dict[str, list[str]], key: Callable[[str], object] | None = None
-) -> list[str] | None:
+def topological_order(adj: dict[T, list[T]]) -> list[T] | None:
     """Kahn's order: of the nodes whose predecessors are all placed, the
-    one with the least key (by default the least node) comes next. None
-    when a cycle stops the order."""
+    least comes next, so a caller orders ties by its choice of node
+    labels (such as integer ranks). None when a cycle stops the order."""
     indeg = dict.fromkeys(adj, 0)
     for vs in adj.values():
         for v in vs:
             indeg[v] += 1
-    rank = key or str
-    heap = [(rank(n), n) for n, d in indeg.items() if d == 0]
+    heap = [n for n, d in indeg.items() if d == 0]
     heapify(heap)
-    order: list[str] = []
+    order: list[T] = []
     while heap:
-        cur = heappop(heap)[1]
+        cur = heappop(heap)
         order.append(cur)
         for v in adj[cur]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                heappush(heap, (rank(v), v))
+                heappush(heap, v)
     return order if len(order) == len(indeg) else None
 
 

@@ -413,14 +413,19 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
     # (node id, code, message) per failed rule: a subject is built only
     # for a node with a finding
     failed: list[tuple[str, str, str]] = []
-    flow = flowgraph.FlowIndex.of(model)
+    nodes = model.node_map()
+    # successor lists only: both walks run forward
+    succ: dict[str, list[str]] = {nid: [] for nid in nodes}
+    for src, dst in model.flows:
+        succ[src].append(dst)
     start = next((n.node_id for n in model.nodes if n.kind == "start-event"), None)
-    reached = reachable(flow.succ, () if start is None else [start])
+    reached = reachable(succ, () if start is None else [start])
+    covered = flowgraph.timer_covered_events(nodes, succ)
     for node in model.nodes:
-        node_id = node.node_id
+        node_id, kind = node.node_id, node.kind
         if node_id not in reached:
             failed.append((node_id, "R1-UNREACHABLE", "node is not reachable from the start event"))
-        if node.kind == "task":
+        if kind == "task":
             if node.duration is None:
                 failed.append((node_id, "R2-NO-DURATION", "task has no execution time"))
             if not node.inputs:
@@ -430,10 +435,8 @@ def check_wellformed(model: ProcessModel) -> list[Finding]:
         lane = model.lane_of(node_id)
         if lane is None or not lane.role_name.strip():
             failed.append((node_id, "R3-NO-ROLE", "node is not assigned to a lane with a role"))
-    covered = flowgraph.timer_covered_events(flow)
-    for node in model.events():
-        if node.node_id not in covered:
-            failed.append((node.node_id, "R4-NO-TIMER", "event has no time symbol on its incoming chain"))
+        if kind in EVENT_KINDS and node_id not in covered:
+            failed.append((node_id, "R4-NO-TIMER", "event has no time symbol on its incoming chain"))
     model_id = model.model_id
     return sort_findings(
         [Finding(code, f"{model_id}:{node_id}", message) for node_id, code, message in failed]
@@ -488,7 +491,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
     out: list[Milestone] = []
     findings: list[Finding] = []
     flow = flowgraph.FlowIndex.of(model)
-    covered = flowgraph.timer_covered_events(flow)
+    covered = flowgraph.timer_covered_events(flow.nodes, flow.succ)
     anchors = flowgraph.anchor_candidates(flow)
     # each data object's gq5/gq6 label (its stripped name, or model:id when
     # that is blank) and gq8 location (its stripped storageRef; "" is none)

@@ -340,6 +340,19 @@ def anchor_candidates_by_cones(model, event_id):
     return out, cyclic
 
 
+def timer_covered_by_reachability(model):
+    """Events with a timer-carrying node among the nodes that reach them
+    (themselves included), by one backward walk per event."""
+    nodes = _node_map(model)
+    pred = _predecessors(model)
+    return {
+        e.node_id
+        for e in model.nodes
+        if e.kind in EVENT_KINDS
+        and any(nodes[n].timer is not None for n in _reachable(pred, [e.node_id]))
+    }
+
+
 def _segment_nodes(model, event_id):
     nodes = _node_map(model)
     pred = _predecessors(model)

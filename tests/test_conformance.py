@@ -13,6 +13,7 @@ from procpyramid import (
     check_vv_links,
     diff,
     load_reference,
+    parse_model,
     vv_iterations,
 )
 from procpyramid.conformance import ReferenceProcess, _lcs_matched
@@ -308,6 +309,85 @@ class TestDiff:
         report = diff(task_chain(list(act)), [], ReferenceProcess("r", steps=list(ref)))
         matched = report.aspects["steps"].matched
         assert len(matched) == len(oracles.lcs_exhaustive(list(ref), list(act)))
+
+
+PARITY_XML = """<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">
+  <process id="p" name="Parity">
+    <extensionElements><entry key="methods" value="Review"/></extensionElements>
+    <startEvent id="s"/>
+    <task id="a" name="Draft">
+      <extensionElements>
+        <entry key="tools" value="Lathe, press"/>
+        <entry key="duration" value="P3D"/>
+      </extensionElements>
+    </task>
+    <task id="b" name="Check"/>
+    <task id="c" name="Sign">
+      <extensionElements><entry key="methods" value="sampling,"/></extensionElements>
+    </task>
+    <task id="d" name="File"><extensionElements><entry key="duration" value="P1D"/></extensionElements></task>
+    <endEvent id="e"/>
+    <sequenceFlow id="f1" sourceRef="s" targetRef="b"/>
+    <sequenceFlow id="f2" sourceRef="b" targetRef="a"/>
+    <sequenceFlow id="f3" sourceRef="a" targetRef="d"/>
+    <sequenceFlow id="f4" sourceRef="s" targetRef="c"/>
+    <sequenceFlow id="f5" sourceRef="c" targetRef="d"/>
+    <sequenceFlow id="f6" sourceRef="d" targetRef="e"/>
+  </process>
+</definitions>
+"""
+
+
+def aspect_lists(report):
+    return {
+        name: (a.matched, a.missing, a.extra, a.reordered, a.match_ratio)
+        for name, a in report.aspects.items()
+    }
+
+
+class TestDiffParity:
+    """Pinned diffs: a parsed model whose extension entries sit on some
+    nodes only, and hand-built models with a repeated node id, whose last
+    node stands for the id."""
+
+    def test_extensions_on_some_nodes(self):
+        model = parse_model(PARITY_XML, "p")
+        ref = ReferenceProcess(
+            "r", steps=["draft", "check", "sign"], methods=frozenset({"review"}),
+            tools=frozenset({"Press", "drill"}),
+        )
+        report = diff(model, [milestone("p:e", tools=("Gauge",))], ref)
+        assert aspect_lists(report) == {
+            "steps": (["check", "sign"], ["draft"], ["draft", "file"], [("draft", "check")], 2 / 3),
+            "roles": ([], [], [], [], 1.0),
+            "methods": (["review"], [], ["sampling"], [], 1.0),
+            "tools": (["press"], ["drill"], ["gauge", "lathe"], [], 0.5),
+        }
+        assert report.verdict == "minor-deviation"
+
+    @pytest.mark.parametrize(
+        ("flows", "matched", "extra", "reordered"),
+        [
+            ([("y", "x")], ["second"], ["third"], [("third", "second")]),
+            ([("x", "y"), ("y", "z")], ["third", "second"], [], []),
+            # on a cycle, document order: the id's last node twice
+            ([("y", "x"), ("x", "y")], ["third", "second"], ["third"], []),
+        ],
+        ids=["acyclic", "last-node-first", "cyclic"],
+    )
+    def test_a_repeated_node_id_is_its_last_node(self, flows, matched, extra, reordered):
+        nodes = [
+            node("x", "task", name="first", days=1),
+            node("y", "task", name="second", days=1),
+            node("z", "exclusive-gateway"),
+            node("x", "task", name="third", days=1, ext={"tools": "saw"}),
+        ]
+        model = chain_model("m", nodes, flows=flows)
+        ref = ReferenceProcess("r", steps=["third", "second"], tools=frozenset({"saw"}))
+        report = diff(model, [], ref)
+        steps = report.aspects["steps"]
+        assert (steps.matched, steps.extra, steps.reordered) == (matched, extra, reordered)
+        assert report.aspects["tools"].matched == ["saw"]
 
 
 def vv_setup(edges):

@@ -1,8 +1,11 @@
+import copy
 import dataclasses
+import pickle
 
 import pytest
 
 from procpyramid import Finding
+from procpyramid.dependency import INFERRED_UNDECLARED, DependencyEdge
 from procpyramid.findings import (
     CATALOG,
     error_count,
@@ -31,6 +34,25 @@ def test_a_finding_is_code_subject_and_message():
     assert Finding.severity.fset is None
     f = Finding("CYCLE", "x", "loop")
     assert dataclasses.replace(f, message="again").severity == "error"
+
+
+@pytest.mark.parametrize(
+    "record",
+    [Finding("CYCLE", "x", "loop"), DependencyEdge("a:s", "b:e", frozenset({"x"}), INFERRED_UNDECLARED)],
+    ids=["Finding", "DependencyEdge"],
+)
+def test_frozen_records_refuse_every_write(record):
+    """Assigning or deleting a field or any other name raises
+    FrozenInstanceError; the record stays slotted, pickles, and copies."""
+    for name in ("zzz", dataclasses.fields(record)[0].name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "new")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
+    assert not hasattr(record, "__dict__") and type(record).__slots__
+    assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+    second = dataclasses.fields(record)[1].name
+    assert getattr(dataclasses.replace(record, **{second: "y"}), second) == "y"
 
 
 def test_sort_puts_errors_first_then_code_then_subject():

@@ -48,5 +48,7 @@ def test_adjacency_keeps_pair_order_and_duplicates():
 def test_topological_order_takes_the_least_key_first():
     succ, _ = adjacency(["a", "b", "c", "d"], [("b", "a"), ("c", "d")])
     assert topological_order(succ) == ["b", "a", "c", "d"]
-    rank = {"c": 0, "d": 1, "b": 2, "a": 3}
-    assert topological_order(succ, rank.__getitem__) == ["c", "d", "b", "a"]
+    # a caller picks the tie order by its labels: integer ranks compare as
+    # numbers (c=2, d=9, b=10, a=11), not as their decimal strings
+    ranked, _ = adjacency([11, 10, 2, 9], [(10, 11), (2, 9)])
+    assert topological_order(ranked) == [2, 9, 10, 11]

@@ -423,6 +423,28 @@ class TestWellformed:
         codes = [f.code for f in check_wellformed(model)]
         assert codes.count("R4-NO-TIMER") == 1  # only the start is uncovered
 
+    @pytest.mark.parametrize(
+        ("first", "last", "untimed"),
+        [
+            (node("t", "intermediate-event", timer=anchor(10)), node("t", "task", days=1), {"s", "t", "x", "e"}),
+            (node("t", "task", days=1), node("t", "intermediate-event", timer=anchor(10)), {"s"}),
+        ],
+        ids=["timer-on-first", "timer-on-last"],
+    )
+    def test_r4_and_extraction_agree_on_a_repeated_node_id(self, first, last, untimed):
+        """A hand-built model may repeat a node id: its last node stands for
+        the id, so R4 flags exactly the events extraction leaves out."""
+        model = chain_model(
+            "m",
+            [node("s", "start-event"), first, node("x", "intermediate-event"), last, node("e", "end-event")],
+            flows=[("s", "t"), ("t", "x"), ("x", "e")],
+        )
+        r4 = {f.subject for f in check_wellformed(model) if f.code == "R4-NO-TIMER"}
+        assert r4 == {f"m:{nid}" for nid in untimed}
+        events = {f"m:{n.node_id}" for n in model.events()}
+        milestones, _ = extract_milestones(model)
+        assert {ms.milestone_id for ms in milestones} == events - r4
+
 
 class TestLanes:
     """A node's lane is the first lane that lists it."""

@@ -14,7 +14,13 @@ from procpyramid import (
     reconcile_declared,
     resolve_offsets,
 )
-from procpyramid.flowgraph import FlowIndex, anchor_candidates, segment_duration, segment_nodes
+from procpyramid.flowgraph import (
+    FlowIndex,
+    anchor_candidates,
+    segment_duration,
+    segment_nodes,
+    timer_covered_events,
+)
 
 
 def one_model_pyramid(model):
@@ -449,17 +455,51 @@ THREE_ANCHORS_ONE_CYCLE = chain_model(
 )
 
 
+# Acyclic: two anchors converging, an elapsed timer, a duplicate flow, a
+# flow skipping a branch, an event with no task in its segment and an
+# event no timer reaches.
+ACYCLIC_ANCHORS = chain_model(
+    "m",
+    [
+        node("a1", "start-event", timer=anchor(180)),
+        node("split", "parallel-gateway"),
+        node("t1", "task", days=10),
+        node("a2", "intermediate-event", timer=anchor(120)),
+        node("t2", "task", days=15),
+        node("join", "parallel-gateway"),
+        node("e", "intermediate-event", timer=elapsed(3)),
+        node("t3", "task", days=2),
+        node("gw", "exclusive-gateway"),
+        node("x", "intermediate-event"),
+        node("orphan", "intermediate-event"),
+        node("end", "end-event"),
+    ],
+    flows=[
+        ("a1", "split"), ("split", "t1"), ("split", "a2"), ("a2", "t2"), ("t1", "join"), ("t1", "join"),
+        ("t2", "join"), ("split", "join"), ("join", "e"), ("e", "t3"), ("t3", "gw"), ("gw", "x"),
+        ("gw", "end"), ("x", "end"), ("orphan", "end"),
+    ],
+)
+
+
 @settings(max_examples=300)
+@example(ACYCLIC_ANCHORS)
 @example(CONVERGING_ANCHORS)
 @example(back_edge_model("a"))
 @example(back_edge_model("x"))
 @example(THREE_ANCHORS_ONE_CYCLE)
 @given(cyclic_flow_graphs())
 def test_flow_index_walks_match_per_event_cones(model):
-    """anchor_candidates and segment_duration over one FlowIndex give exactly
-    what the per-event cone walk over the whole model gave: candidate order,
-    cycle flag and days."""
+    """anchor_candidates, segment_duration and timer_covered_events over one
+    FlowIndex give exactly what the per-event cone walks and a plain
+    reachability walk over the whole model give: candidate order, cycle
+    flag, days and covered events, on the one-pass path for an acyclic
+    model and on the per-anchor passes for a cyclic one."""
     index = FlowIndex.of(model)
+    ids = [n.node_id for n in model.nodes]
+    acyclic = oracles.priority_topological_order(ids, model.flows) is not None
+    assert (index.acyclic_facts is not None) == acyclic
+    assert timer_covered_events(index.nodes, index.succ) == oracles.timer_covered_by_reachability(model)
     candidates = anchor_candidates(index)
     assert candidates.keys() == {event.node_id for event in model.events()}
     for event in model.events():
