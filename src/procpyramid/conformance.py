@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 from .dependency import DECLARED_UNMATCHED, DependencyGraph, _NameKeys
-from .errors import TemplateError
+from .errors import TemplateError, is_name, is_names, read_json
 from .findings import Finding, sort_findings
 from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
@@ -79,11 +78,7 @@ def load_reference(*texts: str) -> list[ReferenceProcess]:
     """
     templates: list[ReferenceProcess] = []
     for text in texts:
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            # as in pyramid.load_manifest: deep nesting and over-long integers too
-            raise TemplateError(f"reference template is not valid JSON ({exc})")
+        raw = read_json(text, TemplateError, "reference template")
         for i, item in enumerate(raw if isinstance(raw, list) else [raw]):
             templates.append(_load_item(item, f"[{i}]"))
     dupes = sorted(x for x, n in Counter(t.ref_id for t in templates).items() if n > 1)
@@ -105,50 +100,47 @@ def _load_item(item: object, hint: str) -> ReferenceProcess:
     """Check one template object; `hint` names it in errors until its id is read."""
     if not isinstance(item, dict):
         raise _template_error(hint, "must be an object")
-    ref_id = item.get("id")
-    if not isinstance(ref_id, str) or not ref_id.strip():
-        raise _template_error(hint, "missing id")
-    hint = ref_id
+
+    def read(key: str, test: Callable, detail: str, default: Any = None) -> Any:
+        value = item.get(key, default)
+        if not test(value):
+            raise _template_error(hint, detail)
+        return value
+
+    ref_id = hint = read("id", is_name, "missing id")
     side = item.get("side", "none")
     if side not in SIDES:
         raise _template_error(hint, f"side must be one of {SIDES}, got {side!r}")
-    steps = item.get("steps", [])
     # a blank name is a requirement no model meets: models drop their blank names
-    if not isinstance(steps, list) or not all(isinstance(s, str) and s.strip() for s in steps):
-        raise _template_error(hint, "steps must be a list of names")
+    steps = read("steps", is_names, "steps must be a list of names", [])
     if not steps:
         raise _template_error(hint, "EMPTY-STEPS: a reference process needs at least one step")
-    counterpart = item.get("counterpart")
-    if counterpart is not None and not isinstance(counterpart, str):
-        raise _template_error(hint, "counterpart must be a template id")
+    counterpart = read(
+        "counterpart", lambda v: v is None or isinstance(v, str), "counterpart must be a template id"
+    )
     if counterpart is not None and side != "right":
         raise _template_error(hint, "counterpart is only for right-side templates")
     if side == "right" and not counterpart:
         raise _template_error(hint, "right-side template must name its left counterpart")
-    binding = item.get("binding", {})
-    if not isinstance(binding, dict):
-        raise _template_error(hint, "binding must be an object")
+    binding = read("binding", lambda v: isinstance(v, dict), "binding must be an object", {})
     named = {key: binding[key] for key in ("modelId", "namePattern") if binding.get(key) is not None}
     for key, value in named.items():
         if not isinstance(value, str):
             raise _template_error(hint, f"binding.{key} must be a string")
-    if len(named) > 1 or not all(value.strip() for value in named.values()):
+    if len(named) > 1 or not all(map(is_name, named.values())):
         raise _template_error(hint, "binding must name one non-blank modelId or namePattern")
-
-    def str_set(key: str) -> frozenset[str]:
-        names = item.get(key, [])
-        if not isinstance(names, list) or not all(isinstance(v, str) and v.strip() for v in names):
-            raise _template_error(hint, f"{key} must be a list of names")
-        return frozenset(names)
-
+    roles, methods, tools = (
+        frozenset(read(key, is_names, f"{key} must be a list of names", []))
+        for key in ("roles", "methods", "tools")
+    )
     return ReferenceProcess(
         ref_id=ref_id,
         side=side,
         counterpart=counterpart,
         steps=steps,
-        roles=str_set("roles"),
-        methods=str_set("methods"),
-        tools=str_set("tools"),
+        roles=roles,
+        methods=methods,
+        tools=tools,
         binding_model=binding.get("modelId"),
         binding_pattern=binding.get("namePattern"),
     )

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from .durations import Duration
-from .errors import ManifestError
+from .errors import ManifestError, is_int, is_name, is_names, is_text, read_json
 from .findings import Finding, sort_findings
 from .graph import reachable
 from .model import ProcessModel
@@ -56,54 +55,46 @@ def _field_error(name: str, detail: str, code: str = "BAD-FIELD") -> ManifestErr
     return ManifestError(f"manifest field {name!r}: {detail}", code=code)
 
 
+def _read(
+    obj: dict, name: str, test: Callable, detail: str, default: Any = None, code: str = "BAD-FIELD"
+) -> Any:
+    """The value at the last part of `name` (`default` when absent) if it passes `test`."""
+    value = obj.get(name.rpartition(".")[2], default)
+    if not test(value):
+        raise _field_error(name, detail, code)
+    return value
+
+
 def load_manifest(text: str) -> Manifest:
     """Parse and validate a bundle manifest from JSON text."""
-    try:
-        raw = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # beyond JSONDecodeError: nesting past the recursion limit, and
-        # integers longer than sys.get_int_max_str_digits()
-        raise ManifestError(f"manifest is not valid JSON ({exc})")
+    raw = read_json(text, ManifestError, "manifest")
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object")
 
-    root = raw.get("root")
-    if not isinstance(root, str) or not root:
-        raise _field_error("root", "required and must name a model", "MISSING-ROOT")
-    models = raw.get("models")
-    if not isinstance(models, list) or not models:
-        raise _field_error("models", "required non-empty list")
-
+    root = _read(raw, "root", is_text, "required and must name a model", code="MISSING-ROOT")
+    models = _read(raw, "models", lambda v: isinstance(v, list) and v, "required non-empty list")
     entries: list[LevelEntry] = []
     # parent hints are checked below and then dropped: the call activities
     # alone link the levels
     parent_of: dict[str, str] = {}
     for i, item in enumerate(models):
+        at = f"models[{i}]"
         if not isinstance(item, dict):
-            raise _field_error(f"models[{i}]", "must be an object")
-        model_id, file_, level = item.get("id"), item.get("file"), item.get("level")
-        if not isinstance(model_id, str) or not model_id:
-            raise _field_error(f"models[{i}].id", "required string")
-        if not isinstance(file_, str) or not file_:
-            raise _field_error(f"models[{i}].file", "required string")
-        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
-            raise _field_error(f"models[{i}].level", "required non-negative integer")
-        if "parent" in item and item["parent"] is not None:
-            parent = item["parent"]
-            if (
-                not isinstance(parent, dict)
-                or not isinstance(parent.get("model"), str)
-                or not isinstance(parent.get("node"), str)
-            ):
-                raise _field_error(f"models[{i}].parent", "must hold model and node ids")
-            parent_of[model_id] = parent["model"]
+            raise _field_error(at, "must be an object")
+        model_id = _read(item, f"{at}.id", is_text, "required string")
+        # the OS refuses a path that holds a NUL character
+        file_ = _read(item, f"{at}.file", lambda v: is_text(v) and "\0" not in v, "required string")
+        level = _read(item, f"{at}.level", is_int, "required non-negative integer")
+        hint = item.get("parent")
+        if hint is not None:
+            if not isinstance(hint, dict) or not all(isinstance(hint.get(k), str) for k in ("model", "node")):
+                raise _field_error(f"{at}.parent", "must hold model and node ids")
+            parent_of[model_id] = hint["model"]
         # documents are checked for shape and then dropped: no stage reads them
-        documents = item.get("documents", [])
-        if not isinstance(documents, list):
-            raise _field_error(f"models[{i}].documents", "must be a list")
+        documents = _read(item, f"{at}.documents", lambda v: isinstance(v, list), "must be a list", [])
         for j, doc in enumerate(documents):
             if not isinstance(doc, dict) or not isinstance(doc.get("path"), str):
-                raise _field_error(f"models[{i}].documents[{j}]", "must hold a path")
+                raise _field_error(f"{at}.documents[{j}]", "must hold a path")
         entries.append(LevelEntry(model_id=model_id, file=file_, level=level))
 
     dupes = sorted(i for i, n in Counter(e.model_id for e in entries).items() if n > 1)
@@ -138,25 +129,17 @@ def load_manifest(text: str) -> Manifest:
                 "BAD-PARENT",
             )
 
-    step = raw.get("referenceStepDays", 30)
-    if not isinstance(step, int) or isinstance(step, bool) or step <= 0:
-        raise _field_error("referenceStepDays", "must be a positive integer")
-    tolerance = raw.get("alignmentToleranceDays", 0)
-    if not isinstance(tolerance, int) or isinstance(tolerance, bool) or tolerance < 0:
-        raise _field_error("alignmentToleranceDays", "must be a non-negative integer")
-    aliases = raw.get("aliases", {})
-    if not isinstance(aliases, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) and k.strip() and v.strip()
-        for k, v in aliases.items()
-    ):
-        raise _field_error("aliases", "must map names to names")
-    templates = raw.get("referenceTemplates", [])
-    if not isinstance(templates, list) or not all(isinstance(t, str) for t in templates):
-        raise _field_error("referenceTemplates", "must be a list of paths")
-
-    sop_label = raw.get("sopLabel", "SOP")
-    if not isinstance(sop_label, str) or not sop_label.strip():
-        raise _field_error("sopLabel", "must be a non-empty string")
+    step = _read(raw, "referenceStepDays", lambda v: is_int(v, 1), "must be a positive integer", 30)
+    tolerance = _read(raw, "alignmentToleranceDays", is_int, "must be a non-negative integer", 0)
+    aliases = _read(
+        raw, "aliases", lambda v: isinstance(v, dict) and is_names([*v, *v.values()]),
+        "must map names to names", {},
+    )
+    templates = _read(
+        raw, "referenceTemplates", lambda v: is_names(v) and not any("\0" in t for t in v),
+        "must be a list of paths", [],
+    )
+    sop_label = _read(raw, "sopLabel", is_name, "must be a non-empty string", "SOP")
 
     return Manifest(
         entries=entries,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -11,7 +12,6 @@ from . import flowgraph
 from .durations import Duration
 from .errors import EmptyTimelineError
 from .findings import Finding, sort_findings
-from .model import FlowNode
 from .naming import normalize_name
 
 if TYPE_CHECKING:
@@ -100,13 +100,14 @@ def resolve_offsets(
     offset = -(anchor amount) + longest path of task durations and elapsed
     waits from the anchor to the event. Diverging branches take the latest
     completion. A milestone named like the SOP label is pinned to day zero.
-    The anchor candidates are those stored at extraction; only a milestone
-    built by hand has its anchor walk run here.
+    The anchor candidates are those stored at extraction; for milestones
+    built by hand, each model's anchor walk runs here once per call.
     """
     table = OffsetTable()
     out: list[Finding] = []
     models = pyramid.models
-    node_maps: dict[str, dict[str, FlowNode]] = {}
+    node_maps = cache(lambda model_id: models[model_id].node_map() if model_id in models else {})
+    walks = cache(lambda model_id: flowgraph.anchor_candidates(flowgraph.FlowIndex.of(models[model_id])))
     sop_key = normalize_name(sop_label)
 
     for ms in milestones:
@@ -114,20 +115,14 @@ def resolve_offsets(
             table.offsets[ms.milestone_id] = 0
             table.provenance[ms.milestone_id] = "designated SOP milestone"
             continue
-        nodes = node_maps.get(ms.model_id)
-        if nodes is None and ms.model_id in models:
-            nodes = node_maps[ms.model_id] = models[ms.model_id].node_map()
-        event = nodes.get(ms.event_node_id) if nodes is not None else None
+        nodes = node_maps(ms.model_id)
+        event = nodes.get(ms.event_node_id)
         if event is None or not event.is_event:
             out.append(
                 Finding("NO-ANCHOR", ms.milestone_id, "owning model or event not present in the pyramid")
             )
             continue
-        anchors = ms.anchors
-        if anchors is None:
-            index = flowgraph.FlowIndex.of(models[ms.model_id])
-            anchors = flowgraph.anchor_candidates(index)[ms.event_node_id]
-        candidates, cyclic = anchors
+        candidates, cyclic = ms.anchors or walks(ms.model_id)[ms.event_node_id]
         if cyclic:
             out.append(
                 Finding("FLOW-CYCLE", ms.milestone_id, "flow cycle on the path from the anchor timer")

@@ -5,13 +5,15 @@ Floyd-Warshall, linear scans. Keep these independent of the package
 internals so a bug cannot hide in both places at once.
 """
 
+import json
 import re
 import xml.etree.ElementTree as ET
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
-from procpyramid.durations import parse_duration
-from procpyramid.errors import ModelParseError
+from procpyramid.conformance import SIDES, ReferenceProcess
+from procpyramid.durations import Duration, parse_duration
+from procpyramid.errors import ManifestError, ModelParseError, TemplateError
 from procpyramid.findings import Finding, sort_findings
 from procpyramid.model import (
     ANCHOR_BEFORE_SOP,
@@ -22,6 +24,7 @@ from procpyramid.model import (
     ProcessModel,
     TimerDef,
 )
+from procpyramid.pyramid import LevelEntry, Manifest
 
 
 def reachable_from(start, adjacency):
@@ -702,3 +705,213 @@ def wellformed_by_scan(model):
             if not any(nodes[n].timer is not None for n in upstream):
                 out.append(Finding("R4-NO-TIMER", subject, "event has no time symbol on its incoming chain"))
     return sort_findings(out)
+
+
+def _field_error(name: str, detail: str, code: str = "BAD-FIELD") -> ManifestError:
+    return ManifestError(f"manifest field {name!r}: {detail}", code=code)
+
+
+def load_manifest_by_ladder(text: str) -> Manifest:
+    """`pyramid.load_manifest` as one `isinstance` ladder per field: the
+    reference for its messages, codes and check order."""
+    try:
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # beyond JSONDecodeError: nesting past the recursion limit, and
+        # integers longer than sys.get_int_max_str_digits()
+        raise ManifestError(f"manifest is not valid JSON ({exc})")
+    if not isinstance(raw, dict):
+        raise ManifestError("manifest must be a JSON object")
+
+    root = raw.get("root")
+    if not isinstance(root, str) or not root:
+        raise _field_error("root", "required and must name a model", "MISSING-ROOT")
+    models = raw.get("models")
+    if not isinstance(models, list) or not models:
+        raise _field_error("models", "required non-empty list")
+
+    entries: list[LevelEntry] = []
+    # parent hints are checked below and then dropped: the call activities
+    # alone link the levels
+    parent_of: dict[str, str] = {}
+    for i, item in enumerate(models):
+        if not isinstance(item, dict):
+            raise _field_error(f"models[{i}]", "must be an object")
+        model_id, file_, level = item.get("id"), item.get("file"), item.get("level")
+        if not isinstance(model_id, str) or not model_id:
+            raise _field_error(f"models[{i}].id", "required string")
+        # the OS refuses a path that holds a NUL character
+        if not isinstance(file_, str) or not file_ or "\0" in file_:
+            raise _field_error(f"models[{i}].file", "required string")
+        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+            raise _field_error(f"models[{i}].level", "required non-negative integer")
+        if "parent" in item and item["parent"] is not None:
+            parent = item["parent"]
+            if (
+                not isinstance(parent, dict)
+                or not isinstance(parent.get("model"), str)
+                or not isinstance(parent.get("node"), str)
+            ):
+                raise _field_error(f"models[{i}].parent", "must hold model and node ids")
+            parent_of[model_id] = parent["model"]
+        # documents are checked for shape and then dropped: no stage reads them
+        documents = item.get("documents", [])
+        if not isinstance(documents, list):
+            raise _field_error(f"models[{i}].documents", "must be a list")
+        for j, doc in enumerate(documents):
+            if not isinstance(doc, dict) or not isinstance(doc.get("path"), str):
+                raise _field_error(f"models[{i}].documents[{j}]", "must hold a path")
+        entries.append(LevelEntry(model_id=model_id, file=file_, level=level))
+
+    dupes = sorted(i for i, n in Counter(e.model_id for e in entries).items() if n > 1)
+    if dupes:
+        raise _field_error("models", f"duplicate model ids: {', '.join(dupes)}", "DUPLICATE-MODEL")
+
+    levels = sorted({e.level for e in entries})
+    if levels != list(range(len(levels))):
+        raise _field_error(
+            "models",
+            f"levels must be contiguous from 0, got {levels}",
+            "NON-CONTIGUOUS-LEVELS",
+        )
+    top = [e for e in entries if e.level == 0]
+    if len(top) != 1 or top[0].model_id != root:
+        raise _field_error(
+            "root", "exactly one model must sit at level 0 and it must be the root", "MISSING-ROOT"
+        )
+
+    entry_map = {e.model_id: e for e in entries}
+    for model_id, parent_id in parent_of.items():
+        level = entry_map[model_id].level
+        if level == 0:
+            raise _field_error(f"models[{model_id}].parent", "the root has no parent")
+        parent = entry_map.get(parent_id)
+        if parent is None:
+            raise _field_error(f"models[{model_id}].parent", f"unknown model {parent_id!r}", "BAD-PARENT")
+        if parent.level != level - 1:
+            raise _field_error(
+                f"models[{model_id}].parent",
+                f"parent must sit one level up, found level {parent.level}",
+                "BAD-PARENT",
+            )
+
+    step = raw.get("referenceStepDays", 30)
+    if not isinstance(step, int) or isinstance(step, bool) or step <= 0:
+        raise _field_error("referenceStepDays", "must be a positive integer")
+    tolerance = raw.get("alignmentToleranceDays", 0)
+    if not isinstance(tolerance, int) or isinstance(tolerance, bool) or tolerance < 0:
+        raise _field_error("alignmentToleranceDays", "must be a non-negative integer")
+    aliases = raw.get("aliases", {})
+    if not isinstance(aliases, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) and k.strip() and v.strip()
+        for k, v in aliases.items()
+    ):
+        raise _field_error("aliases", "must map names to names")
+    templates = raw.get("referenceTemplates", [])
+    if not isinstance(templates, list) or not all(
+        isinstance(t, str) and t.strip() and "\0" not in t for t in templates
+    ):
+        raise _field_error("referenceTemplates", "must be a list of paths")
+
+    sop_label = raw.get("sopLabel", "SOP")
+    if not isinstance(sop_label, str) or not sop_label.strip():
+        raise _field_error("sopLabel", "must be a non-empty string")
+
+    return Manifest(
+        entries=entries,
+        root_model=root,
+        sop_label=sop_label,
+        reference_step=Duration(step),
+        alignment_tolerance=tolerance,
+        aliases=aliases,
+        reference_templates=templates,
+    )
+
+
+def _template_error(path_hint: str, message: str) -> TemplateError:
+    return TemplateError(f"reference template {path_hint}: {message}")
+
+
+def load_reference_by_ladder(*texts: str) -> list[ReferenceProcess]:
+    """`conformance.load_reference` as one `isinstance` ladder per field: the
+    reference for its messages and check order.
+
+    Each text is a single template object or a list of them, checked item
+    by item in file order. Across the collection, ids must be unique and
+    every counterpart must name a left-side template, in any of the files.
+    """
+    templates: list[ReferenceProcess] = []
+    for text in texts:
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            # as in pyramid.load_manifest: deep nesting and over-long integers too
+            raise TemplateError(f"reference template is not valid JSON ({exc})")
+        for i, item in enumerate(raw if isinstance(raw, list) else [raw]):
+            templates.append(_load_item(item, f"[{i}]"))
+    dupes = sorted(x for x, n in Counter(t.ref_id for t in templates).items() if n > 1)
+    if dupes:
+        raise TemplateError(f"duplicate template ids: {', '.join(dupes)}")
+    by_id = {t.ref_id: t for t in templates}
+    for t in templates:
+        if t.counterpart is None:
+            continue
+        other = by_id.get(t.counterpart)
+        if other is None:
+            raise _template_error(t.ref_id, f"DANGLING-COUNTERPART {t.counterpart!r}")
+        if other.side != "left":
+            raise _template_error(t.ref_id, f"counterpart {t.counterpart!r} is not left-side")
+    return templates
+
+
+def _load_item(item: object, hint: str) -> ReferenceProcess:
+    """Check one template object; `hint` names it in errors until its id is read."""
+    if not isinstance(item, dict):
+        raise _template_error(hint, "must be an object")
+    ref_id = item.get("id")
+    if not isinstance(ref_id, str) or not ref_id.strip():
+        raise _template_error(hint, "missing id")
+    hint = ref_id
+    side = item.get("side", "none")
+    if side not in SIDES:
+        raise _template_error(hint, f"side must be one of {SIDES}, got {side!r}")
+    steps = item.get("steps", [])
+    # a blank name is a requirement no model meets: models drop their blank names
+    if not isinstance(steps, list) or not all(isinstance(s, str) and s.strip() for s in steps):
+        raise _template_error(hint, "steps must be a list of names")
+    if not steps:
+        raise _template_error(hint, "EMPTY-STEPS: a reference process needs at least one step")
+    counterpart = item.get("counterpart")
+    if counterpart is not None and not isinstance(counterpart, str):
+        raise _template_error(hint, "counterpart must be a template id")
+    if counterpart is not None and side != "right":
+        raise _template_error(hint, "counterpart is only for right-side templates")
+    if side == "right" and not counterpart:
+        raise _template_error(hint, "right-side template must name its left counterpart")
+    binding = item.get("binding", {})
+    if not isinstance(binding, dict):
+        raise _template_error(hint, "binding must be an object")
+    named = {key: binding[key] for key in ("modelId", "namePattern") if binding.get(key) is not None}
+    for key, value in named.items():
+        if not isinstance(value, str):
+            raise _template_error(hint, f"binding.{key} must be a string")
+    if len(named) > 1 or not all(value.strip() for value in named.values()):
+        raise _template_error(hint, "binding must name one non-blank modelId or namePattern")
+
+    def str_set(key: str) -> frozenset[str]:
+        names = item.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(v, str) and v.strip() for v in names):
+            raise _template_error(hint, f"{key} must be a list of names")
+        return frozenset(names)
+
+    return ReferenceProcess(
+        ref_id=ref_id,
+        side=side,
+        counterpart=counterpart,
+        steps=steps,
+        roles=str_set("roles"),
+        methods=str_set("methods"),
+        tools=str_set("tools"),
+        binding_model=binding.get("modelId"),
+        binding_pattern=binding.get("namePattern"),
+    )

@@ -613,6 +613,33 @@ class TestFatalPaths:
         )
         assert captured.out == ""
 
+    @pytest.mark.parametrize("path", ["", "  ", "refs/vmodel.json\x00"], ids=["empty", "blank", "nul"])
+    @pytest.mark.parametrize("command", ["validate", "conform"])
+    def test_a_template_path_that_names_no_file_is_a_bad_field(self, capsys, tmp_path, command, path):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["referenceTemplates"] = ["refs/vmodel.json", path]
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run([command, str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "fatal [BAD-FIELD]: manifest field 'referenceTemplates': must be a list of paths\n"
+        )
+        assert captured.out == ""
+
+    def test_a_model_file_with_a_nul_character_is_a_bad_field(self, capsys, tmp_path):
+        # the OS refuses such a path: Python raises ValueError, not OSError
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["models"][1]["file"] += "\x00"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(["validate", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "fatal [BAD-FIELD]: manifest field 'models[1].file': required string\n"
+        assert captured.out == ""
+
     def test_unexpected_exception_is_fatal(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("stage blew up")

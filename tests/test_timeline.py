@@ -1,9 +1,20 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import anchor, chain_model, elapsed, milestone, node, stub_pyramid
+from conftest import (
+    ANCHORS_MANIFEST,
+    PARKPILOT_MANIFEST,
+    anchor,
+    chain_model,
+    elapsed,
+    milestone,
+    node,
+    stub_pyramid,
+)
 from procpyramid import (
     EmptyTimelineError,
     OffsetTable,
@@ -11,6 +22,7 @@ from procpyramid import (
     build_reference_timeline,
     check_alignment,
     check_gq,
+    load_bundle,
     reconcile_declared,
     resolve_offsets,
 )
@@ -148,6 +160,24 @@ class TestResolve:
         assert [(f.code, f.message) for f in findings] == [
             ("NO-ANCHOR", "owning model or event not present in the pyramid")
         ]
+
+    @pytest.mark.parametrize("manifest", [PARKPILOT_MANIFEST, ANCHORS_MANIFEST], ids=["parkpilot", "anchors"])
+    def test_hand_built_milestones_share_one_walk_per_model(self, monkeypatch, manifest):
+        bundle = load_bundle(manifest)
+        expected = resolve_offsets(bundle.pyramid, bundle.milestones, bundle.manifest.sop_label)
+        built = [replace(ms, anchors=None) for ms in bundle.milestones]
+        indexed = []
+        index_of = FlowIndex.of
+
+        def counted(model):
+            indexed.append(model.model_id)
+            return index_of(model)
+
+        monkeypatch.setattr(FlowIndex, "of", staticmethod(counted))
+        assert resolve_offsets(bundle.pyramid, built, bundle.manifest.sop_label) == expected
+        walked = {ms.model_id for ms in built if ms.model_id in bundle.pyramid.models}
+        assert len(walked) > 1
+        assert sorted(indexed) == sorted(walked)
 
     def test_ambiguous_anchor(self):
         model = chain_model(
