@@ -196,7 +196,6 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
             )
     for component in strongly_connected(graph.adjacency()[0]):
         if len(component) > 1:
-            component.sort()
             out.append(
                 Finding("CYCLE", component[0], "dependency cycle: " + " -> ".join(component))
             )

@@ -8,7 +8,7 @@ the recursion limit work.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Iterable, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -23,6 +23,29 @@ def adjacency(
         succ[src].append(dst)
         pred[dst].append(src)
     return succ, pred
+
+
+def depth_first(adj: dict[T, list[T]], roots: Iterable[T]) -> Iterator[tuple[T, bool]]:
+    """Each node reachable from the roots, once: (node, True) on entering it
+    and (node, False) on leaving it, successors entered in list order."""
+    seen: set[T] = set()
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        yield root, True
+        work = [(root, iter(adj[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    yield nxt, True
+                    work.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                work.pop()
+                yield node, False
 
 
 def reachable(
@@ -80,45 +103,17 @@ def bfs_layers(adj: dict[str, list[str]], seeds: Iterable[str]) -> list[str]:
 
 
 def strongly_connected(adj: dict[str, list[str]]) -> list[list[str]]:
-    """Strongly connected components by Tarjan's algorithm, roots taken in
-    adj order; members in the order they leave the stack."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    """Strongly connected components by Kosaraju's algorithm, members
+    sorted, sinks first: no edge leads from a component to a later one."""
+    finish = [node for node, entering in depth_first(adj, adj) if not entering]
+    pred = adjacency(adj, ((u, v) for u, vs in adj.items() for v in vs))[1]
+    left = set(adj)
     components: list[list[str]] = []
-
-    def enter(node: str) -> None:
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-
-    for root in adj:
-        if root in index:
-            continue
-        enter(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            node, it = work[-1]
-            for nxt in it:
-                if nxt not in index:
-                    enter(nxt)
-                    work.append((nxt, iter(adj[nxt])))
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
+    # in falling finish order over the reversed edges, each unplaced node
+    # reaches exactly its component, sources of the original graph first
+    for node in reversed(finish):
+        if node in left:
+            component = reachable(pred, [node], left)
+            left -= component
+            components.append(sorted(component))
+    return components[::-1]

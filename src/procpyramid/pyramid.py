@@ -9,7 +9,7 @@ from typing import Any, Callable, Mapping
 from .durations import Duration
 from .errors import ManifestError, is_int, is_name, is_names, is_text, read_json
 from .findings import Finding, sort_findings
-from .graph import reachable
+from .graph import depth_first, reachable
 from .model import ProcessModel
 
 
@@ -71,7 +71,7 @@ def load_manifest(text: str) -> Manifest:
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object")
 
-    root = _read(raw, "root", is_text, "required and must name a model", code="MISSING-ROOT")
+    root = _read(raw, "root", is_name, "required and must name a model", code="MISSING-ROOT")
     models = _read(raw, "models", lambda v: isinstance(v, list) and v, "required non-empty list")
     entries: list[LevelEntry] = []
     # parent hints are checked below and then dropped: the call activities
@@ -81,7 +81,7 @@ def load_manifest(text: str) -> Manifest:
         at = f"models[{i}]"
         if not isinstance(item, dict):
             raise _field_error(at, "must be an object")
-        model_id = _read(item, f"{at}.id", is_text, "required string")
+        model_id = _read(item, f"{at}.id", is_name, "required string")
         # the OS refuses a path that holds a NUL character
         file_ = _read(item, f"{at}.file", lambda v: is_text(v) and "\0" not in v, "required string")
         level = _read(item, f"{at}.level", is_int, "required non-negative integer")
@@ -271,22 +271,11 @@ def assign_coordinates(pyramid: Pyramid) -> dict[str, tuple[int, int, int]]:
     """
     models, level_of, children = pyramid.models, pyramid.level_of, pyramid.children
 
-    order: list[str] = []
-    seen: set[str] = set()
-    # a stack, not recursion, so chains deeper than the recursion limit work;
-    # children are pushed in reverse so that they pop in id order
-    stack = [pyramid.root_model] if pyramid.root_model in models else []
-    while stack:
-        model_id = stack.pop()
-        if model_id in seen:
-            continue
-        seen.add(model_id)
-        order.append(model_id)
-        stack.extend(sorted(set(children[model_id]), reverse=True))
-    for model_id in sorted(models, key=lambda m: (level_of[m], m)):
-        if model_id not in seen:
-            seen.add(model_id)
-            order.append(model_id)
+    roots = [pyramid.root_model] if pyramid.root_model in models else []
+    tree = {model_id: sorted(set(kids)) for model_id, kids in children.items()}
+    order = [model_id for model_id, entering in depth_first(tree, roots) if entering]
+    seen = set(order)
+    order += [m for m in sorted(models, key=lambda m: (level_of[m], m)) if m not in seen]
 
     return {
         model_id: (level_of[model_id], position, len(models[model_id].nodes))

@@ -213,6 +213,35 @@ def unreachable_by_bfs(root, children):
     return set(children) - seen
 
 
+def coordinates_by_stack(pyramid):
+    """`pyramid.assign_coordinates` as a stack walk of its own that pushes
+    children in reverse id order: the reference for the positions the
+    graph kernel's depth-first order gives."""
+    models, level_of, children = pyramid.models, pyramid.level_of, pyramid.children
+
+    order: list[str] = []
+    seen: set[str] = set()
+    # a stack, not recursion, so chains deeper than the recursion limit work;
+    # children are pushed in reverse so that they pop in id order
+    stack = [pyramid.root_model] if pyramid.root_model in models else []
+    while stack:
+        model_id = stack.pop()
+        if model_id in seen:
+            continue
+        seen.add(model_id)
+        order.append(model_id)
+        stack.extend(sorted(set(children[model_id]), reverse=True))
+    for model_id in sorted(models, key=lambda m: (level_of[m], m)):
+        if model_id not in seen:
+            seen.add(model_id)
+            order.append(model_id)
+
+    return {
+        model_id: (level_of[model_id], position, len(models[model_id].nodes))
+        for position, model_id in enumerate(order)
+    }
+
+
 # Offsets as they were computed per event: every call rebuilds the node map
 # and the successor and predecessor lists of the whole model, and each
 # anchor's cone filters the whole model's successor lists. Nodes are
@@ -724,7 +753,7 @@ def load_manifest_by_ladder(text: str) -> Manifest:
         raise ManifestError("manifest must be a JSON object")
 
     root = raw.get("root")
-    if not isinstance(root, str) or not root:
+    if not isinstance(root, str) or not root.strip():
         raise _field_error("root", "required and must name a model", "MISSING-ROOT")
     models = raw.get("models")
     if not isinstance(models, list) or not models:
@@ -738,7 +767,7 @@ def load_manifest_by_ladder(text: str) -> Manifest:
         if not isinstance(item, dict):
             raise _field_error(f"models[{i}]", "must be an object")
         model_id, file_, level = item.get("id"), item.get("file"), item.get("level")
-        if not isinstance(model_id, str) or not model_id:
+        if not isinstance(model_id, str) or not model_id.strip():
             raise _field_error(f"models[{i}].id", "required string")
         # the OS refuses a path that holds a NUL character
         if not isinstance(file_, str) or not file_ or "\0" in file_:

@@ -640,6 +640,30 @@ class TestFatalPaths:
         assert captured.err == "fatal [BAD-FIELD]: manifest field 'models[1].file': required string\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        ("field", "expected"),
+        [
+            ("id", "fatal [BAD-FIELD]: manifest field 'models[4].id': required string\n"),
+            ("root", "fatal [MISSING-ROOT]: manifest field 'root': required and must name a model\n"),
+        ],
+        ids=["model-id", "root"],
+    )
+    @pytest.mark.parametrize("blank", ["  ", "\t\n"], ids=["spaces", "tab-newline"])
+    def test_a_blank_model_id_or_root_is_fatal(self, capsys, tmp_path, field, expected, blank):
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        if field == "root":
+            doc["root"] = doc["models"][0]["id"] = blank
+            doc["models"][1]["parent"]["model"] = blank
+        else:
+            doc["models"][4]["id"] = blank
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.run(["validate", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        assert captured.out == ""
+
     def test_unexpected_exception_is_fatal(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("stage blew up")

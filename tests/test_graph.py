@@ -1,10 +1,15 @@
-"""The graph kernel on graphs deeper than the recursion limit."""
+"""The graph kernel, also on graphs deeper than the recursion limit."""
 
 import sys
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
 from procpyramid.graph import (
     adjacency,
     bfs_layers,
+    depth_first,
     reachable,
     strongly_connected,
     topological_order,
@@ -52,3 +57,47 @@ def test_topological_order_takes_the_least_key_first():
     # numbers (c=2, d=9, b=10, a=11), not as their decimal strings
     ranked, _ = adjacency([11, 10, 2, 9], [(10, 11), (2, 9)])
     assert topological_order(ranked) == [2, 9, 10, 11]
+
+
+def test_depth_first_on_a_chain_deeper_than_the_recursion_limit():
+    ids, succ = chain(DEPTH)
+    events = list(depth_first(succ, [ids[0]]))
+    assert [n for n, entering in events if entering] == ids
+    assert [n for n, entering in events if not entering] == ids[::-1]
+
+
+def test_depth_first_enters_each_node_once_in_list_order():
+    succ, _ = adjacency(
+        ["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("a", "b"), ("b", "d"), ("c", "d"), ("d", "d")]
+    )
+    assert list(depth_first(succ, ["a", "c", "a"])) == [
+        ("a", True), ("b", True), ("d", True), ("d", False), ("b", False),
+        ("c", True), ("c", False), ("a", False),
+    ]
+    assert list(depth_first(succ, ["c", "a"])) == [
+        ("c", True), ("d", True), ("d", False), ("c", False),
+        ("a", True), ("b", True), ("b", False), ("a", False),
+    ]
+    assert list(depth_first(succ, [])) == []
+
+
+NODES = [f"v{i}" for i in range(7)]
+
+
+@given(st.data())
+def test_strongly_connected_matches_mutual_reachability(data):
+    nodes = NODES[: data.draw(st.integers(min_value=1, max_value=7), label="size")]
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = data.draw(st.lists(pairs, max_size=14), label="edges")
+    succ, _ = adjacency(nodes, edges)
+    components = strongly_connected(succ)
+
+    closure = oracles.closure_floyd_warshall(nodes, edges)
+    mutual = {
+        frozenset(b for b in nodes if a == b or {(a, b), (b, a)} <= closure) for a in nodes
+    }
+    assert {frozenset(c) for c in components} == mutual
+    assert sorted(n for c in components for n in c) == nodes
+    assert all(c == sorted(c) for c in components)
+    place = {n: i for i, c in enumerate(components) for n in c}
+    assert all(place[dst] <= place[src] for src, dst in edges)

@@ -1,10 +1,14 @@
 """The public API is exactly the names below; growing it is a reviewed change.
-The module attributes the benchmark tracer wraps must keep resolving too."""
+The module attributes the benchmark tracer wraps must keep resolving, and
+keep being called, too."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import procpyramid
+from conftest import PARKPILOT_MANIFEST, PARKPILOT_SEVERED
+from procpyramid import cli
 from procpyramid.model import ProcessModel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -45,3 +49,30 @@ def test_every_attribute_the_tracer_wraps_resolves(monkeypatch):
     ]
     assert missing == []
     assert callable(ProcessModel.node_map)
+
+
+def test_every_attribute_the_tracer_wraps_is_called(monkeypatch, capsys, tmp_path):
+    """A parkpilot report, impact and retention call every attribute the
+    tracer wraps but `conformance.canonical_key`, which nothing calls: a
+    refactor that routes a stage around its attribute fails here instead of
+    reading 0 in a per-layer metric of a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    calls: Counter = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr in tracing.SPANS:
+        owner = importlib.import_module(f"procpyramid.{module}")
+        monkeypatch.setattr(owner, attr, counted((module, attr), getattr(owner, attr)))
+    manifest = str(PARKPILOT_MANIFEST)
+    assert cli.run(["report", manifest, "--json", "--dot", str(tmp_path / "deps.gv")]) == 0
+    assert cli.run(["impact", manifest, "--seed", "test-plan"]) == 0
+    assert cli.run(["retention", manifest, "--after", str(PARKPILOT_SEVERED)]) == 0
+    capsys.readouterr()
+    assert set(tracing.SPANS) - set(calls) == {("conformance", "canonical_key")}

@@ -297,3 +297,23 @@ def test_disconnected_matches_bfs_complement(data):
         children[parent].append(child)
     expected = oracles.unreachable_by_bfs("m0", children)
     assert {f.subject for f in findings} == expected
+
+
+@given(st.data())
+def test_coordinates_match_the_stack_walk(data):
+    """Repeated links, a child under several parents, children linked out of
+    id order, unreachable models and a root missing from the models."""
+    names = data.draw(st.permutations([f"m{i}" for i in range(13)]), label="names")
+    widths = data.draw(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4), label="widths"
+    )
+    levels, start = {0: [names[0]]}, 1
+    for lvl, width in enumerate(widths, start=1):
+        levels[lvl], start = names[start:start + width], start + width
+    candidates = [
+        (parent, child) for lvl in range(len(widths)) for parent in levels[lvl] for child in levels[lvl + 1]
+    ]
+    links = data.draw(st.lists(st.sampled_from(candidates), max_size=12), label="links")
+    root = data.draw(st.sampled_from([names[0], "ghost"]), label="root")
+    pyramid = stub_pyramid(levels, links, root=root)
+    assert assign_coordinates(pyramid) == oracles.coordinates_by_stack(pyramid)
