@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import adjacency, reachable, topological_order
+from .graph import adjacency, longest_paths, reachable, topological_order
 from .model import ANCHOR_BEFORE_SOP, ELAPSED, EVENT_KINDS, FlowNode, ProcessModel
 
 
@@ -98,37 +98,6 @@ def timer_covered_events(nodes: dict[str, FlowNode], succ: dict[str, list[str]])
     return {nid for nid in downstream if nodes[nid].kind in EVENT_KINDS}
 
 
-def _longest_paths(index: FlowIndex, members: set[str], dist: dict[str, int]) -> set[str]:
-    """Longest weighted paths over the flows inside members, in place.
-
-    One Kahn pass with a plain ready-stack. Each member starts with a
-    distance or is reachable inside members from one that does. Each flow
-    from a placed node offers its distance plus the weight of the node it
-    enters. Returns the members the order never placed: those on a cycle
-    inside members or downstream of one.
-    """
-    succ, weight = index.succ, index.weight
-    indeg = dict.fromkeys(members, 0)
-    for k in members:
-        for v in succ[k]:
-            if v in indeg:
-                indeg[v] += 1
-    ready = [n for n, d in indeg.items() if d == 0]
-    while ready:
-        cur = ready.pop()
-        base = dist[cur]
-        for v in succ[cur]:
-            if v not in indeg:
-                continue
-            cand = base + weight[v]
-            if cand > dist.get(v, cand - 1):
-                dist[v] = cand
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    return {n for n, d in indeg.items() if d}
-
-
 def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]], bool]]:
     """Nearest upstream anchor timers of every event and the SOP offset each
     one implies.
@@ -157,7 +126,7 @@ def anchor_candidates(index: FlowIndex) -> dict[str, tuple[list[tuple[str, int]]
         amount = nodes[anchor].timer.amount.days
         members = reachable(succ, [anchor], plain) - {anchor}
         dist = {v: weight[v] for v in succ[anchor] if v in members}
-        stuck = _longest_paths(index, members, dist)
+        stuck = longest_paths(succ, weight, members, dist)
         back = [p for p in index.pred[anchor] if p == anchor or p in members]
         stuck |= reachable(succ, back, members)
         for e in members.intersection(found):
@@ -191,6 +160,6 @@ def segment_duration(index: FlowIndex, event_id: str, seg: set[str]) -> int | No
     # leaves the longest path into it unchanged.
     weight = index.weight
     dist = {n: weight[n] for n in seg}
-    if _longest_paths(index, seg, dist):
+    if longest_paths(index.succ, weight, seg, dist):
         return None
     return dist[event_id]

@@ -84,6 +84,38 @@ def topological_order(adj: dict[T, list[T]]) -> list[T] | None:
     return order if len(order) == len(indeg) else None
 
 
+def longest_paths(
+    adj: dict[T, list[T]], weight: dict[T, int], members: set[T], dist: dict[T, int]
+) -> set[T]:
+    """Longest weighted paths over the edges inside members, in place.
+
+    One Kahn pass with a plain ready-stack. Each member starts with a
+    distance or is reachable inside members from one that does. Each edge
+    from a placed node offers its distance plus the weight of the node it
+    enters. Returns the members the order never placed: those on a cycle
+    inside members or downstream of one.
+    """
+    indeg = dict.fromkeys(members, 0)
+    for k in members:
+        for v in adj[k]:
+            if v in indeg:
+                indeg[v] += 1
+    ready = [n for n, d in indeg.items() if d == 0]
+    while ready:
+        cur = ready.pop()
+        base = dist[cur]
+        for v in adj[cur]:
+            if v not in indeg:
+                continue
+            cand = base + weight[v]
+            if cand > dist.get(v, cand - 1):
+                dist[v] = cand
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    return {n for n, d in indeg.items() if d}
+
+
 def bfs_layers(adj: dict[str, list[str]], seeds: Iterable[str]) -> list[str]:
     """Nodes reachable from the seeds but not among them, ordered by BFS
     layer, then by node within a layer."""

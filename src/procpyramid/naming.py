@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .graph import strongly_connected
+
 
 def normalize_name(name: str) -> str:
     """Case-fold, trim, and collapse each run of whitespace to one space.
@@ -17,31 +19,22 @@ def compile_aliases(aliases: dict[str, str] | None) -> dict[str, str]:
 
     Chains (a -> b, b -> c) are followed to their end. A chain that runs
     into a cycle stops at the last distinct name seen from its start: the
-    cycle member just before the one the chain entered by. Each key is
-    walked once, so compiling is linear in the size of the table. Stages
+    cycle member just before the one the chain entered by. One pass over
+    the strongly connected components of the alias graph, sinks first,
+    gives both, so compiling is linear in the size of the table. Stages
     compile the table on entry and pass the result to `canonical_key`.
     """
     table = {normalize_name(k): normalize_name(v) for k, v in (aliases or {}).items()}
     compiled: dict[str, str] = {}
-    for start in table:
-        path: list[str] = []
-        position: dict[str, int] = {}
-        key = start
-        while key in table and key not in compiled and key not in position:
-            position[key] = len(path)
-            path.append(key)
-            key = table[key]
-        if key in position:
-            # the walk closed a cycle: path[entry:] are its members in order
-            entry, last = position[key], path[-1]
-            for i in range(entry, len(path)):
-                compiled[path[i]] = path[i - 1] if i > entry else last
-            del path[entry:]
-            result = last
+    for component in strongly_connected({k: [v] if v in table else [] for k, v in table.items()}):
+        first = component[0]
+        if len(component) > 1 or table[first] == first:
+            # a cycle: each member maps to the member that names it
+            for name in component:
+                compiled[table[name]] = name
         else:
-            result = compiled.get(key, key)
-        for name in path:
-            compiled[name] = result
+            target = table[first]
+            compiled[first] = compiled.get(target, target)
     return compiled
 
 
