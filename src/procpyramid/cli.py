@@ -318,11 +318,8 @@ class _Session:
     def _resolve_seed(self, seed: str) -> str:
         if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.models:
             return seed
-        matches = [
-            ms.milestone_id
-            for ms in self.bundle.milestones
-            if normalize_name(ms.name) == normalize_name(seed)
-        ]
+        key = normalize_name(seed)
+        matches = [ms.milestone_id for ms in self.bundle.milestones if normalize_name(ms.name) == key]
         if len(matches) == 1:
             return matches[0]
         raise UnknownSeedError(f"seed {seed!r} matches no milestone, model, or unique milestone name")
@@ -457,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     """Parse arguments, run one command, print its report, return the exit code.
 
-    The cyclic garbage collector is paused while the command runs (loading,
+    The cyclic garbage collector is paused during the command (loading,
     analysis, rendering and writing) and then restored to its prior state.
     A run allocates many long-lived objects and almost no reference cycles,
     so collector passes cost time and reclaim next to nothing; memory is

@@ -63,13 +63,14 @@ _NO_EXTENSIONS: Mapping[str, str] = MappingProxyType({})
 def _tag(tag: str) -> tuple[str, str | None, bool]:
     """The local name of an element tag, the flow node kind it names (None
     for any other element), and whether the element is harmless noise: an
-    ignored tag, or one in a diagram-interchange namespace."""
+    ignored tag, or one in a diagram-interchange namespace, whose URI's
+    last segment, lower-cased, is one of `_IGNORED_NS`."""
     local = tag.rsplit("}", 1)[-1]
     prefix = tag[1:].split("}", 1)[0].rsplit("/", 1)[-1].lower() if tag.startswith("{") else ""
     return (
         local,
         _NODE_TAGS.get(local),
-        local in _IGNORED_TAGS or any(part in prefix for part in _IGNORED_NS),
+        local in _IGNORED_TAGS or prefix in _IGNORED_NS,
     )
 
 

@@ -464,8 +464,7 @@ def _ns_prefix(tag: str) -> str:
 def _is_ignorable(elem: ET.Element) -> bool:
     if _local(elem.tag) in _IGNORED_TAGS:
         return True
-    prefix = _ns_prefix(elem.tag)
-    return any(part in prefix for part in _IGNORED_NS)
+    return _ns_prefix(elem.tag) in _IGNORED_NS
 
 
 def _fail(model_id: str, message: str) -> None:

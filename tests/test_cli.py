@@ -91,6 +91,37 @@ class TestValidate:
         assert [f["code"] for f in errors] == ["BAD-ANNOTATION"]
         assert "'banana'" in errors[0]["message"]
 
+    @pytest.mark.parametrize("declared, codes", [("-55", []), ("-60", ["OFFSET-MISMATCH"])])
+    def test_an_elapsed_timer_waits_in_the_flow(self, capsys, tmp_path, declared, codes):
+        """A 5-day elapsed timer on PS moves PS from 60 to 55 days before SOP."""
+        text = (FIG7_MANIFEST.parent / "fragment.bpmn").read_text(encoding="utf-8")
+        needle = '<entry key="declaredOffset" value="-60"/>\n      </extensionElements>\n'
+        assert text.count(needle) == 1
+        timer = '<timerEventDefinition mode="elapsed"><timeDuration>P5D</timeDuration></timerEventDefinition>'
+        edited = text.replace(needle, needle.replace("-60", declared) + timer)
+        (tmp_path / "fragment.bpmn").write_text(edited, encoding="utf-8")
+        shutil.copy(FIG7_MANIFEST, tmp_path / "manifest.json")
+        code, doc = run_json(capsys, ["validate", str(tmp_path / "manifest.json")])
+        assert (code, [f["code"] for f in doc["findings"]]) == (1 if codes else 0, codes)
+
+    @pytest.mark.parametrize("mode", ["cycle", ""])
+    def test_an_unknown_timer_mode_is_a_parse_error(self, capsys, tmp_path, mode):
+        root = tmp_path / "parkpilot"
+        shutil.copytree(PARKPILOT_MANIFEST.parent, root)
+        chart = root / "function-chart.bpmn"
+        text = chart.read_text(encoding="utf-8")
+        assert text.count('mode="anchor-before-sop"') == 1
+        chart.write_text(text.replace('mode="anchor-before-sop"', f'mode="{mode}"'), encoding="utf-8")
+        code, doc = run_json(capsys, ["validate", str(root / "manifest.json")])
+        assert code == 1
+        parse_errors = [
+            (f["severity"], f["subject"], f["message"])
+            for f in doc["findings"]
+            if f["code"] == "MODEL-PARSE-ERROR"
+        ]
+        message = f"model 'function-chart': timer on node 's2': unknown timer mode {mode!r}"
+        assert parse_errors == [("error", "function-chart", message)]
+
 
 def degraded_fig7(tmp_path):
     """fig7 with one tool answer removed: exactly one warning, no errors."""
@@ -189,6 +220,13 @@ class TestDeps:
         dot = dot_path.read_text(encoding="utf-8")
         assert dot.startswith("digraph dependencies {")
         assert "style=solid" in dot
+
+    def test_text_mode_names_the_dot_file_last(self, capsys, tmp_path):
+        dot_path = tmp_path / "deps.dot"
+        assert cli.run(["deps", str(PARKPILOT_MANIFEST), "--dot", str(dot_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote dot: {dot_path}"
+        golden = Path(__file__).parent / "golden" / "parkpilot-export.dot"
+        assert dot_path.read_bytes() == golden.read_bytes()
 
     def test_export_payload_matches_deps(self, capsys):
         _, deps_doc = run_json(capsys, ["deps", str(PARKPILOT_MANIFEST)])

@@ -10,6 +10,7 @@ from procpyramid.graph import (
     adjacency,
     bfs_layers,
     depth_first,
+    longest_paths,
     reachable,
     strongly_connected,
     topological_order,
@@ -101,3 +102,48 @@ def test_strongly_connected_matches_mutual_reachability(data):
     assert all(c == sorted(c) for c in components)
     place = {n: i for i, c in enumerate(components) for n in c}
     assert all(place[dst] <= place[src] for src, dst in edges)
+
+
+@given(st.data())
+def test_reachable_matches_the_recursive_walk(data):
+    nodes = NODES[: data.draw(st.integers(min_value=1, max_value=7), label="size")]
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = data.draw(st.lists(pairs, max_size=14), label="edges")
+    starts = data.draw(st.lists(st.sampled_from(nodes), max_size=3), label="starts")
+    allowed = data.draw(st.none() | st.sets(st.sampled_from(nodes)), label="allowed")
+    succ, _ = adjacency(nodes, edges)
+
+    # a start outside allowed is kept, and the walk leaves it all the same
+    entered = {n: [v for v in vs if allowed is None or v in allowed] for n, vs in succ.items()}
+    expected = set().union(*(oracles.reachable_from(s, entered) for s in starts))
+    assert reachable(succ, starts, allowed) == expected
+
+
+@given(st.data())
+def test_longest_paths_match_the_exhaustive_search(data):
+    nodes = NODES[: data.draw(st.integers(min_value=1, max_value=7), label="size")]
+    pairs = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
+    edges = data.draw(st.lists(pairs, max_size=14), label="edges")
+    weight = {n: data.draw(st.integers(min_value=-2, max_value=5), label=f"weight {n}") for n in nodes}
+    within = data.draw(st.sets(st.sampled_from(nodes), min_size=1), label="within")
+    seeds = data.draw(
+        st.dictionaries(st.sampled_from(sorted(within)), st.integers(0, 9), min_size=1), label="seeds"
+    )
+    succ, _ = adjacency(nodes, edges)
+
+    # every member is a seed or reachable inside the members from one
+    inside = {n: [v for v in succ[n] if v in within] for n in within}
+    members = set().union(*(oracles.reachable_from(s, inside) for s in seeds))
+    inner = {n: [v for v in succ[n] if v in members] for n in members}
+    inner_edges = [(a, b) for a, b in edges if a in members and b in members]
+    dist = dict(seeds)
+    stuck = longest_paths(succ, weight, members, dist)
+
+    closure = oracles.closure_floyd_warshall(members, inner_edges)
+    on_cycle = {a for a, b in inner_edges if a == b} | {a for a, b in closure if (b, a) in closure}
+    assert stuck == on_cycle | {b for a, b in closure if a in on_cycle}
+    for v in members - stuck:
+        paths = [
+            (d, oracles.longest_path_exhaustive(inner, weight, s, v)) for s, d in seeds.items()
+        ]
+        assert dist[v] == max(d + p for d, p in paths if p is not None)

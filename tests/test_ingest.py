@@ -13,8 +13,10 @@ from procpyramid import (
     Duration,
     FlowNode,
     Lane,
+    Milestone,
     ModelParseError,
     ProcessModel,
+    TimerDef,
     check_gq,
     check_wellformed,
     extract_milestones,
@@ -135,6 +137,42 @@ class TestParse:
         model = parse_model(wrap('<subProcess id="sub"/>' + MINIMAL), "m")
         assert [f.code for f in model.parse_findings] == ["UNSUPPORTED-ELEMENT"]
 
+    @pytest.mark.parametrize(
+        "namespace, findings",
+        [
+            ("http://example.com/schema/audit", 1),
+            ("http://example.com/schema/studio", 1),
+            ("http://example.com/schema/dictionary", 1),
+            ("http://example.com/schema/media", 1),
+            ("http://example.com/schema/DI", 0),
+            ("http://example.com/schema/DC", 0),
+            ("http://www.omg.org/spec/BPMN/20100524/DI", 0),
+        ],
+    )
+    def test_only_diagram_interchange_namespaces_are_silent(self, namespace, findings):
+        """Diagram interchange is a namespace whose last URI segment,
+        lower-cased, is one of its names; a segment that merely contains
+        one (audit holds "di") is a vendor's, and its elements are noted."""
+        source = wrap(f'<x:note xmlns:x="{namespace}" id="n"/>' + MINIMAL)
+        model = parse_model(source, "m")
+        noted = [(f.code, f.severity, f.subject, f.message) for f in model.parse_findings]
+        assert noted == [("UNSUPPORTED-ELEMENT", "info", "m", "ignored element 'note'")] * findings
+        assert _outcome(parse_model, source) == _outcome(oracles.parse_model_by_tree, source)
+
+    def test_an_entry_may_give_its_value_as_element_text(self):
+        body = (
+            '<startEvent id="s"/>'
+            '<task id="t"><extensionElements><entry key="duration">P3D</entry></extensionElements></task>'
+            '<endEvent id="e"><extensionElements><entry key="gq3">\n  release desk </entry>'
+            "</extensionElements></endEvent>"
+            '<sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
+            '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>'
+        )
+        nm = parse_model(wrap(body), "m").node_map()
+        assert (nm["t"].duration, nm["t"].extensions) == (Duration(3), {})
+        assert nm["e"].extensions == {"gq3": "release desk"}
+        assert _outcome(parse_model, wrap(body)) == _outcome(oracles.parse_model_by_tree, wrap(body))
+
     def test_second_process_is_ignored_with_a_note(self):
         xml = (
             '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL">'
@@ -195,6 +233,20 @@ class TestParse:
         )
         with pytest.raises(ModelParseError):
             parse_model(wrap(body), "m")
+
+
+class TestConstructorGuards:
+    def test_an_unknown_node_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown node kind 'subprocess'"):
+            FlowNode("n", "subprocess")
+
+    def test_only_events_may_carry_timers(self):
+        with pytest.raises(ValueError, match="node t: only events may carry timers"):
+            FlowNode("t", "task", timer=TimerDef(Duration(1)))
+
+    def test_an_unknown_milestone_kind_is_refused(self):
+        with pytest.raises(ValueError, match="unknown milestone kind 'final'"):
+            Milestone("m:e", "m", "e", "done", "final")
 
 
 # Two tasks in one lane: the first writes `draft`, the second reads it through

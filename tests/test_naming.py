@@ -1,3 +1,5 @@
+import sys
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -24,6 +26,21 @@ def test_alias_cycle_terminates():
     table = {"a": "b", "b": "a"}
     assert canonical_key("a", compile_aliases(table)) in ("a", "b")
     assert canonical_key("zz", compile_aliases(table)) == "zz"
+
+
+DEPTH = 5000
+
+
+def test_a_chain_deeper_than_the_recursion_limit_maps_every_key_to_its_end():
+    assert DEPTH > sys.getrecursionlimit()
+    names = [f"k{i:05d}" for i in range(DEPTH + 1)]
+    assert compile_aliases(dict(zip(names, names[1:]))) == dict.fromkeys(names[:-1], names[-1])
+
+
+def test_a_cycle_deeper_than_the_recursion_limit_maps_each_member_to_the_one_naming_it():
+    names = [f"k{i:05d}" for i in range(DEPTH)]
+    aliases = dict(zip(names, names[1:] + names[:1]))
+    assert compile_aliases(aliases) == {target: name for name, target in aliases.items()}
 
 
 def test_canonical_key_without_aliases_is_normalization():
