@@ -21,8 +21,8 @@ def compile_aliases(aliases: dict[str, str] | None) -> dict[str, str]:
     into a cycle stops at the last distinct name seen from its start: the
     cycle member just before the one the chain entered by. One pass over
     the strongly connected components of the alias graph, sinks first,
-    gives both, so compiling is linear in the size of the table. Stages
-    compile the table on entry and pass the result to `canonical_key`.
+    gives both, so no key is walked twice. Stages compile the table on
+    entry and pass the result to `canonical_key`.
     """
     table = {normalize_name(k): normalize_name(v) for k, v in (aliases or {}).items()}
     compiled: dict[str, str] = {}

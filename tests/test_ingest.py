@@ -160,7 +160,7 @@ class TestParse:
         assert _outcome(parse_model, source) == _outcome(oracles.parse_model_by_tree, source)
 
     def test_an_entry_may_give_its_value_as_element_text(self):
-        body = (
+        source = wrap(
             '<startEvent id="s"/>'
             '<task id="t"><extensionElements><entry key="duration">P3D</entry></extensionElements></task>'
             '<endEvent id="e"><extensionElements><entry key="gq3">\n  release desk </entry>'
@@ -168,10 +168,10 @@ class TestParse:
             '<sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
             '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>'
         )
-        nm = parse_model(wrap(body), "m").node_map()
+        nm = parse_model(source, "m").node_map()
         assert (nm["t"].duration, nm["t"].extensions) == (Duration(3), {})
         assert nm["e"].extensions == {"gq3": "release desk"}
-        assert _outcome(parse_model, wrap(body)) == _outcome(oracles.parse_model_by_tree, wrap(body))
+        assert _outcome(parse_model, source) == _outcome(oracles.parse_model_by_tree, source)
 
     def test_second_process_is_ignored_with_a_note(self):
         xml = (
