@@ -316,7 +316,7 @@ class _Session:
         return [], payload
 
     def _resolve_seed(self, seed: str) -> str:
-        if seed in set(self.graph.nodes) or seed in self.bundle.pyramid.models:
+        if seed in self.graph.nodes or seed in self.bundle.pyramid.models:
             return seed
         key = normalize_name(seed)
         matches = [ms.milestone_id for ms in self.bundle.milestones if normalize_name(ms.name) == key]

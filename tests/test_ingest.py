@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from dataclasses import replace
 
 import pytest
@@ -23,8 +24,10 @@ from procpyramid import (
     parse_model,
     serialize_model,
 )
+from procpyramid.bundle import _decode, _encode
 from procpyramid.dependency import DependencyEdge
 from procpyramid.findings import Finding
+from procpyramid.ingest import _NO_EXTENSIONS, _NO_ITEMS
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
 PRODUCT_XML = (FIXTURES / "parkpilot" / "product-process.bpmn").read_text(encoding="utf-8")
@@ -766,6 +769,71 @@ def test_check_wellformed_matches_the_rule_by_rule_scan(model, data):
     ]
     model = replace(model, nodes=nodes, flows=flows, lanes=lanes)
     assert check_wellformed(model) == oracles.wellformed_by_scan(model)
+
+
+
+def assert_codec_round_trip(parsed: ProcessModel) -> None:
+    """`_decode(_encode(...))` of a parsed model, its milestones and their
+    findings gives equal records, `anchors` and `parse_findings` included,
+    and keeps the sharing that `TestSharing` checks on a parse."""
+    milestones, findings = extract_milestones(parsed)
+    model, decoded, decoded_findings = _decode(_encode((parsed, milestones, findings)))
+    assert model == parsed
+    assert model.parse_findings == parsed.parse_findings
+    assert decoded == milestones
+    assert [ms.anchors for ms in decoded] == [ms.anchors for ms in milestones]
+    assert decoded_findings == findings
+
+    ids = {n.node_id: n.node_id for n in model.nodes}
+    assert all(end is ids[end] for flow in model.flows for end in flow)
+    assert all(m is ids[m] for lane in model.lanes for m in lane.member_nodes if m in ids)
+    assert all(ms.event_node_id is ids[ms.event_node_id] for ms in decoded)
+    first: dict[tuple, tuple] = {}
+    for items in (s for n in model.nodes for s in (n.inputs, n.outputs) if s):
+        assert first.setdefault(items, items) is items
+    assert [n.extensions is _NO_EXTENSIONS for n in model.nodes] == [
+        n.extensions is _NO_EXTENSIONS for n in parsed.nodes
+    ]
+    assert all(
+        sys.intern(text) is text for n in model.nodes for entry in n.extensions.items() for text in entry
+    )
+
+    def empties(mss):
+        return [(ms.gq.gq3_tools is _NO_ITEMS, ms.gq.gq7_consumers is _NO_ITEMS, ms.aligns_with is _NO_ITEMS) for ms in mss]
+
+    assert empties(decoded) == empties(milestones)
+
+
+@given(models())
+def test_codec_round_trip(model):
+    assert_codec_round_trip(parse_model(serialize_model(model), model.model_id))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        SHARING_XML,
+        FRAGMENT_XML,
+        PRODUCT_XML,
+        (FIXTURES / "anchors" / "rework.bpmn").read_bytes(),
+        wrap(
+            '<subProcess id="sub"/><startEvent id="s"><timerEventDefinition><timeDuration>P5D'
+            '</timeDuration></timerEventDefinition></startEvent><task id="t"><dataInputAssociation>'
+            "<sourceRef>nothing</sourceRef></dataInputAssociation></task>"
+            '<endEvent id="e"><extensionElements><entry key="declaredOffset" value="banana"/>'
+            '</extensionElements></endEvent><sequenceFlow id="f1" sourceRef="s" targetRef="t"/>'
+            '<sequenceFlow id="f2" sourceRef="t" targetRef="e"/>'
+        ),
+    ],
+    ids=SOURCE_IDS + ["cyclic", "findings"],
+)
+def test_codec_round_trip_of_fixtures(source):
+    assert_codec_round_trip(parse_model(source, "m"))
+
+
+def test_codec_round_trip_of_a_failed_entry():
+    failed = (None, [], [Finding("MODEL-PARSE-ERROR", "m", "cannot read 'm.bpmn': gone")])
+    assert _decode(_encode(failed)) == failed
 
 
 # Variants that the serializer never emits, applied to a serialized model on
