@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 import sys
 import threading
 from collections import Counter
@@ -23,8 +22,8 @@ from .pyramid import LevelEntry, Manifest, Pyramid, build_pyramid, link_levels, 
 from .timeline import GqRecord, Milestone
 
 # The listed model files' total size in bytes from which loading forks one
-# worker for every other file. Below it, the fork and the codec cost more
-# than the parse time they save (break-even measured in CHANGES.md).
+# worker for the second half of them. Below it, the fork and the codec cost
+# more than the parse time they save (break-even measured in CHANGES.md).
 FORK_MIN_BYTES = 300_000
 
 
@@ -279,63 +278,58 @@ def _work(read_fd: int, write_fd: int, base: Path, entries: list[LevelEntry]) ->
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, count: int) -> list[_Loaded] | None:
-    """`count` chunks, each read and decoded in turn, or None at a short read."""
+def _receive(pipe: BinaryIO, count: int) -> list[_Loaded]:
+    """Up to `count` chunks, each read and decoded in turn, fewer at a short read."""
     out = []
     for _ in range(count):
         head = pipe.read(8)
         if len(head) < 8:
-            return None
+            break
         size = int.from_bytes(head, "little")
         chunk = pipe.read(size)
         if len(chunk) < size:
-            return None
+            break
         out.append(_decode(chunk))
     return out
 
 
-def _load_forked(base: Path, entries: list[LevelEntry]) -> list[_Loaded] | None:
-    """Every entry loaded, the even ones here and the odd ones in a forked
-    worker at the same time; None when the fork fails or this process's
-    share raises, so that the caller loads them all serially instead and a
-    defect raises what a serial load raises.
+def _load_forked(base: Path, entries: list[LevelEntry]) -> list[_Loaded]:
+    """The entries loaded, in manifest order, as far as they got: this
+    process loads the first half while a forked worker loads the second.
+    Of the worker's half, only the chunks that arrive whole count, and none
+    when the pipe or the fork is refused or the worker exits non-zero. The
+    caller loads whatever is missing after this prefix, so a defect raises
+    what a serial load raises.
 
-    A worker that exits non-zero or sends short has its share loaded here
-    after it. The worker is reaped before this returns.
+    The worker is reaped before this returns. When this process stops
+    reading early, it closes the pipe, and the worker's write fails and
+    ends it.
     """
-    theirs_entries = entries[1::2]
+    mid = (len(entries) + 1) // 2
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
-        return None
+        return []
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        return []
     if pid == 0:
-        _work(read_fd, write_fd, base, theirs_entries)
+        _work(read_fd, write_fd, base, entries[mid:])
     os.close(write_fd)
-    theirs = None
+    loaded: list[_Loaded] = []
     try:
         with open(read_fd, "rb") as pipe:
-            try:
-                ours = [_load_entry(base, entry) for entry in entries[::2]]
-            except Exception:
-                return None  # the serial load raises it again, in manifest order
-            theirs = _receive(pipe, len(theirs_entries))
+            loaded += [_load_entry(base, entry) for entry in entries[:mid]]
+            loaded += _receive(pipe, len(entries) - mid)
     finally:
-        if theirs is None:
-            os.kill(pid, signal.SIGKILL)  # its share is not needed, or it failed
         try:
-            status = os.waitpid(pid, 0)[1]
-        except ChildProcessError:  # reaped elsewhere, as when SIGCHLD is ignored
-            status = 0
-    if theirs is None or status != 0:
-        theirs = [_load_entry(base, entry) for entry in theirs_entries]
-    loaded: list[_Loaded] = [None] * len(entries)
-    loaded[::2], loaded[1::2] = ours, theirs
+            if os.waitpid(pid, 0)[1] != 0:
+                del loaded[mid:]
+        except ChildProcessError:  # reaped already, as when SIGCHLD is ignored
+            pass
     return loaded
 
 
@@ -348,42 +342,39 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
     findings join the bundle's `findings`.
 
     When the model files total at least FORK_MIN_BYTES and a second CPU is
-    free (`_fork_pays`), one forked worker parses and extracts every other
-    file and sends each result back through `_encode`; the bundle is the
-    same either way, and no worker outlives the call.
+    free (`_fork_pays`), one forked worker parses and extracts the second
+    half of the files and sends each result back through `_encode`. What
+    it does not deliver loads here after the first half, so the bundle is
+    the same either way; no worker outlives the call.
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(read_utf8(manifest_path, ManifestError))
     base = manifest_path.parent
 
     entries = manifest.entries
-    loaded = _load_forked(base, entries) if _fork_pays(base, entries) else None
-    if loaded is None:
-        loaded = [_load_entry(base, entry) for entry in entries]
+    loaded = _load_forked(base, entries) if _fork_pays(base, entries) else []
+    loaded += [_load_entry(base, entry) for entry in entries[len(loaded):]]
 
+    # In model id order, the order of `pyramid.models`; `merge_findings`
+    # sorts and de-duplicates the groups.
     models: dict[str, ProcessModel] = {}
-    load_findings: list[Finding] = []
-    extracted_of: dict[str, tuple[list[Milestone], list[Finding]]] = {}
-    for entry, (model, milestones, findings) in zip(entries, loaded):
-        if model is None:
-            load_findings += findings
-        else:
+    extracted: list[Milestone] = []
+    groups: list[list[Finding]] = []
+    by_id = sorted(zip(entries, loaded), key=lambda pair: pair[0].model_id)
+    for entry, (model, milestones, findings) in by_id:
+        if model is not None:
             models[entry.model_id] = model
-            extracted_of[entry.model_id] = milestones, findings
+            extracted += milestones
+            groups.append(model.parse_findings)
+        groups.append(findings)
 
     pyramid, build_findings = build_pyramid(manifest, models)
     pyramid, link_findings = link_levels(pyramid)
-    groups = [load_findings, build_findings, link_findings]
-    extracted: list[Milestone] = []
-    for model_id, model in pyramid.models.items():
-        milestones, extract_findings = extracted_of[model_id]
-        extracted.extend(milestones)
-        groups += [model.parse_findings, extract_findings]
 
     return Bundle(
         manifest=manifest,
         pyramid=pyramid,
         milestones=resolve_references(extracted),
-        findings=merge_findings(*groups),
+        findings=merge_findings(build_findings, link_findings, *groups),
         root_dir=base,
     )

@@ -24,6 +24,8 @@ FIG7_MANIFEST = FIXTURES / "fig7" / "manifest.json"
 PARKPILOT_MANIFEST = FIXTURES / "parkpilot" / "manifest.json"
 PARKPILOT_SEVERED = FIXTURES / "parkpilot" / "manifest-severed.json"
 ANCHORS_MANIFEST = FIXTURES / "anchors" / "manifest.json"
+# One bound model deviates majorly from its template, the other minorly.
+DEVIATION_MANIFEST = FIXTURES / "deviation" / "manifest.json"
 
 # Property tests build whole bundles per example; the default deadline is
 # too twitchy for that.

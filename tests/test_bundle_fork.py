@@ -1,7 +1,8 @@
 """A bundle whose model files total at least `FORK_MIN_BYTES` loads on two
-CPUs: one forked worker parses and extracts every other file. Its reports
-are the bytes of a serial load, no worker outlives `load_bundle`, and a
-worker that dies or a defect in either share ends as a serial load does."""
+CPUs: one forked worker parses and extracts the second half of the files.
+Its reports are the bytes of a serial load, no worker outlives
+`load_bundle`, and a worker that dies or a defect in either share ends as a
+serial load does."""
 
 import importlib
 import os
@@ -98,9 +99,12 @@ def test_no_worker_outlives_the_load(manifest, cpus, exit_codes):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("sigchld", [signal.SIG_DFL, signal.SIG_IGN], ids=["default", "ignored"])
 def test_a_worker_that_dies_mid_share_leaves_the_report_unchanged(
-    manifest, cpus, exit_codes, capsys, monkeypatch
+    manifest, cpus, exit_codes, capsys, monkeypatch, sigchld
 ):
+    """With SIGCHLD ignored the kernel reaps the worker itself: the parent's
+    wait finds no child, so no exit code is recorded."""
     cpus(1)
     serial = report(manifest, capsys)
     parent, parse, seen = os.getpid(), bundle.parse_model, []
@@ -114,17 +118,23 @@ def test_a_worker_that_dies_mid_share_leaves_the_report_unchanged(
 
     monkeypatch.setattr(bundle, "parse_model", dies_on_its_third_model)
     forked = cpus(2)
-    code, out, err = report(manifest, capsys)
-    assert len(forked) == 1 and exit_codes == [3]
+    previous = signal.signal(signal.SIGCHLD, sigchld)
+    try:
+        code, out, err = report(manifest, capsys)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert len(forked) == 1 and exit_codes == ([3] if sigchld == signal.SIG_DFL else [])
     assert (code, out, err) == serial
     assert "fatal" not in err
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("broken", [[0], [1], [1, 2]], ids=["parent", "worker", "both"])
+@pytest.mark.parametrize("broken", [[0], [-1], [1, -1]], ids=["parent", "worker", "both"])
 def test_a_defect_in_either_share_raises_as_a_serial_load_does(manifest, cpus, monkeypatch, broken):
-    """Even entries are the parent's, odd ones the worker's. With a defect
-    in both shares, the first in manifest order is the worker's."""
+    """The first half of the entries is the parent's, the second half the
+    worker's: [0] is the parent's first entry and [-1] the worker's last.
+    With a defect in both shares, the first in manifest order is the
+    parent's."""
     entries = load_manifest(manifest.read_text(encoding="utf-8")).entries
     broken_ids = {entries[i].model_id for i in broken}
     parse = bundle.parse_model

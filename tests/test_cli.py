@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     ANCHORS_MANIFEST,
+    DEVIATION_MANIFEST,
     FIG7_MANIFEST,
     PARKPILOT_MANIFEST,
     PARKPILOT_SEVERED,
@@ -264,6 +265,30 @@ class TestImpact:
         assert section["downstream"] == ["park-pilot-test:s4", "park-pilot-test:e4"]
         assert section["crossedLevels"] == [0, 1, 3, 4]
 
+    def test_crossed_levels_are_sorted(self, capsys, tmp_path):
+        """A 9-level chain whose only dependency runs from level 1 to level 8:
+        the seed crosses levels {1, 8}, which a set iterates as [8, 1]."""
+        entries = []
+        for level in range(9):
+            mid, child = f"m{level}", f"m{level + 1}"
+            end = {"gq7": "m8:s"} if level == 1 else {}
+            nodes = [node("s", "start-event", name=f"{mid} start", timer=anchor(9 - level))]
+            if level < 8:
+                nodes.append(node("c", "call-activity", name=f"call {child}"))
+            nodes.append(node("e", "end-event", name=f"{mid} end", ext=end))
+            model = chain_model(mid, nodes, call_targets={"c": child} if level < 8 else {})
+            (tmp_path / f"{mid}.bpmn").write_text(serialize_model(model), encoding="utf-8")
+            entry = {"id": mid, "file": f"{mid}.bpmn", "level": level}
+            if level:
+                entry["parent"] = {"model": f"m{level - 1}", "node": "c"}
+            entries.append(entry)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"root": "m0", "models": entries}), encoding="utf-8")
+        _, doc = run_json(capsys, ["impact", str(manifest), "--seed", "m1:e"])
+        assert doc["impact"]["downstream"] == ["m8:s"]
+        assert doc["impact"]["upstream"] == []
+        assert doc["impact"]["crossedLevels"] == [1, 8]
+
     def test_unknown_seed_is_fatal(self, capsys):
         assert cli.run(["impact", str(PARKPILOT_MANIFEST), "--seed", "nope"]) == 2
         assert "fatal [UNKNOWN-SEED]" in capsys.readouterr().err
@@ -294,6 +319,17 @@ class TestConform:
         assert doc["vvLinks"] == [
             {"right": "park-pilot-test", "left": "function-chart", "iterations": 0}
         ]
+
+    def test_a_major_deviation_fails_only_under_strict(self, capsys):
+        """A major deviation is a warning, a minor one info: the deviating
+        bundle passes, and fails under --strict."""
+        code, doc = run_json(capsys, ["conform", str(DEVIATION_MANIFEST)])
+        assert code == 0
+        assert [(f["code"], f["severity"], f["subject"]) for f in doc["findings"]] == [
+            ("MAJOR-DEVIATION", "warning", "build/prototype-build"),
+            ("MINOR-DEVIATION", "info", "program/program-plan"),
+        ]
+        assert cli.run(["conform", str(DEVIATION_MANIFEST), "--strict"]) == 1
 
     def test_a_model_bound_to_both_sides_is_unlinked_from_itself(self, capsys, tmp_path):
         """Its own milestones are no iteration: no data flows between them."""

@@ -1,10 +1,10 @@
 """Byte-for-byte reports on the fixture bundles.
 
 Each case runs one command and compares what it wrote with the file
-recorded under tests/golden/: the --json report, or the DOT text of
-`export --dot`. Refactors that must not change behaviour keep these
-passing. After a deliberate change of output, check the diff and record
-the files again with
+recorded under tests/golden/: the --json report, the text report
+(`.txt`), or the DOT text of `export --dot`. Refactors that must not
+change behaviour keep these passing. After a deliberate change of output,
+check the diff and record the files again with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,7 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import ANCHORS_MANIFEST, FIG7_MANIFEST, PARKPILOT_MANIFEST, PARKPILOT_SEVERED
+from conftest import (
+    ANCHORS_MANIFEST,
+    DEVIATION_MANIFEST,
+    FIG7_MANIFEST,
+    PARKPILOT_MANIFEST,
+    PARKPILOT_SEVERED,
+)
 from procpyramid import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,12 +45,21 @@ CASES.update({f"{bundle}-export.dot": ["export", str(manifest)] for bundle, mani
 CASES.update(
     {f"anchors-{command}.json": [command, str(ANCHORS_MANIFEST)] for command in ("timeline", "deps", "report")}
 )
+# One bound model deviates majorly, the other minorly.
+CASES["deviation-conform.json"] = ["conform", str(DEVIATION_MANIFEST)]
+# The text views: every parkpilot command, validate and conform on the
+# severed bundle, and conform on the deviating one.
+TEXT = [n for n in CASES if n.startswith("parkpilot-") and "severed" not in n and n.endswith(".json")]
+TEXT += ["parkpilot-severed-validate.json", "parkpilot-severed-conform.json", "deviation-conform.json"]
+CASES.update({name.removesuffix(".json") + ".txt": CASES[name] for name in TEXT})
 
 
 def produce(name: str, work: Path) -> bytes:
     """Run the case and return the bytes it is judged by."""
-    report, dot = work / "report.json", work / "graph.dot"
-    argv = CASES[name] + ["--json", "--out", str(report)]
+    report, dot = work / "report", work / "graph.dot"
+    argv = CASES[name] + ["--out", str(report)]
+    if not name.endswith(".txt"):
+        argv.append("--json")
     if name.endswith(".dot"):
         argv += ["--dot", str(dot)]
     assert cli.run(argv) in (0, 1)
