@@ -177,11 +177,9 @@ def _encode(loaded: _Loaded) -> bytes:
 
 
 # Decoded durations are shared per day count, as parsed ones are per text.
-_days = lru_cache(maxsize=1024)(Duration)
-
-
+@lru_cache(maxsize=1024)
 def _duration(days: int | None) -> Duration | None:
-    return None if days is None else _days(days)
+    return None if days is None else Duration(days)
 
 
 def _decode(chunk: bytes) -> _Loaded:
@@ -199,7 +197,7 @@ def _decode(chunk: bytes) -> _Loaded:
                     kind,
                     node_name,
                     _duration(days),
-                    None if timer is None else TimerDef(_days(timer[0]), timer[1]),
+                    None if timer is None else TimerDef(_duration(timer[0]), timer[1]),
                     inputs,
                     outputs,
                     _NO_EXTENSIONS if ext is None else ext,
@@ -278,13 +276,11 @@ def _work(read_fd: int, write_fd: int, base: Path, entries: list[LevelEntry]) ->
         os._exit(status)
 
 
-def _receive(pipe: BinaryIO, count: int) -> list[_Loaded]:
-    """Up to `count` chunks, each read and decoded in turn, fewer at a short read."""
+def _receive(pipe: BinaryIO) -> list[_Loaded]:
+    """The worker's chunks, each read and decoded in turn, until the pipe
+    ends or a chunk comes short: the worker closes it after its last entry."""
     out = []
-    for _ in range(count):
-        head = pipe.read(8)
-        if len(head) < 8:
-            break
+    while len(head := pipe.read(8)) == 8:
         size = int.from_bytes(head, "little")
         chunk = pipe.read(size)
         if len(chunk) < size:
@@ -323,7 +319,7 @@ def _load_forked(base: Path, entries: list[LevelEntry]) -> list[_Loaded]:
     try:
         with open(read_fd, "rb") as pipe:
             loaded += [_load_entry(base, entry) for entry in entries[:mid]]
-            loaded += _receive(pipe, len(entries) - mid)
+            loaded += _receive(pipe)
     finally:
         try:
             if os.waitpid(pid, 0)[1] != 0:

@@ -156,16 +156,62 @@ def test_a_defect_in_either_share_raises_as_a_serial_load_does(manifest, cpus, m
     assert_no_child_left()
 
 
-def test_a_failed_fork_loads_serially(manifest, cpus, capsys, monkeypatch):
+@pytest.mark.parametrize("refused", ["pipe", "fork"])
+def test_a_failed_fork_loads_serially(manifest, cpus, capsys, monkeypatch, refused):
     cpus(1)
     serial = report(manifest, capsys)
-    cpus(2)
+    forked = cpus(2)
 
-    def no_fork():
-        raise OSError("fork refused")
+    def refuse():
+        raise OSError(f"{refused} refused")
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, refused, refuse)
     assert report(manifest, capsys) == serial
+    assert forked == []
+
+
+def test_whole_chunks_from_a_failed_worker_are_dropped(manifest, cpus, exit_codes, capsys, monkeypatch):
+    """A worker that writes two whole chunks and a torn third, then exits 1:
+    the parent decodes the two whole chunks, stops at the torn one, and
+    drops both for the non-zero exit, so it parses every entry itself."""
+    cpus(1)
+    serial = report(manifest, capsys)
+    entries = load_manifest(manifest.read_text(encoding="utf-8")).entries
+
+    def tears_its_third_chunk(read_fd, write_fd, base, share):
+        try:
+            os.close(read_fd)
+            frames = []
+            for entry in share[:3]:
+                chunk = bundle._encode(bundle._load_entry(base, entry))
+                frames.append(len(chunk).to_bytes(8, "little") + chunk)
+            frames[2] = frames[2][: len(frames[2]) // 2]
+            with open(write_fd, "wb") as pipe:
+                pipe.writelines(frames)
+        finally:
+            os._exit(1)
+
+    parent, parse, decode = os.getpid(), bundle.parse_model, bundle._decode
+    parsed, decoded = [], []
+
+    def counted_parse(source, model_id):
+        if os.getpid() == parent:
+            parsed.append(model_id)
+        return parse(source, model_id)
+
+    def counted_decode(chunk):
+        decoded.append(len(chunk))
+        return decode(chunk)
+
+    monkeypatch.setattr(bundle, "_work", tears_its_third_chunk)
+    monkeypatch.setattr(bundle, "parse_model", counted_parse)
+    monkeypatch.setattr(bundle, "_decode", counted_decode)
+    forked = cpus(2)
+    assert report(manifest, capsys) == serial
+    assert len(forked) == 1 and exit_codes == [1]
+    assert len(decoded) == 2
+    assert sorted(parsed) == sorted(entry.model_id for entry in entries)
+    assert_no_child_left()
 
 
 def test_an_ignored_sigchld_still_loads(manifest, cpus, capsys):

@@ -512,7 +512,24 @@ ACYCLIC_ANCHORS = chain_model(
 )
 
 
+# e is cyclic for its anchor s (e -> y -> x -> e), but its segment {e, t1, x}
+# stops at the event y, so it is acyclic and lasts 5 days.
+CYCLIC_FOR_ANCHOR_ACYCLIC_SEGMENT = chain_model(
+    "m",
+    [
+        node("s", "start-event", timer=anchor(100)),
+        node("t1", "task", days=5),
+        node("e", "intermediate-event"),
+        node("y", "intermediate-event"),
+        node("x", "task", days=3),
+        node("end", "end-event"),
+    ],
+    flows=[("s", "t1"), ("t1", "e"), ("e", "y"), ("y", "x"), ("x", "e"), ("e", "end")],
+)
+
+
 @settings(max_examples=300)
+@example(CYCLIC_FOR_ANCHOR_ACYCLIC_SEGMENT)
 @example(ACYCLIC_ANCHORS)
 @example(CONVERGING_ANCHORS)
 @example(back_edge_model("a"))
@@ -524,17 +541,22 @@ def test_flow_index_walks_match_per_event_cones(model):
     FlowIndex give exactly what the per-event cone walks and a plain
     reachability walk over the whole model give: candidate order, cycle
     flag, days and covered events, on the one-pass path for an acyclic
-    model and on the per-anchor passes for a cyclic one."""
+    model and on the per-anchor and per-segment passes for a cyclic one.
+    A second index without the one-pass facts holds those passes to the
+    same oracles on every draw, acyclic ones too."""
     index = FlowIndex.of(model)
     ids = [n.node_id for n in model.nodes]
     acyclic = oracles.priority_topological_order(ids, model.flows) is not None
     assert (index.acyclic_facts is not None) == acyclic
     assert timer_covered_events(index.nodes, index.succ) == oracles.timer_covered_by_reachability(model)
-    candidates = anchor_candidates(index)
-    assert candidates.keys() == {event.node_id for event in model.events()}
-    for event in model.events():
-        expected = oracles.anchor_candidates_by_cones(model, event.node_id)
-        assert candidates[event.node_id] == expected
-        expected_days = oracles.segment_duration_by_scan(model, event.node_id)
-        segment = segment_nodes(index, event.node_id)
-        assert segment_duration(index, event.node_id, segment) == expected_days
+    per_pass = FlowIndex.of(model)
+    per_pass.__dict__["acyclic_facts"] = None
+    for flows in (index, per_pass):
+        candidates = anchor_candidates(flows)
+        assert candidates.keys() == {event.node_id for event in model.events()}
+        for event in model.events():
+            expected = oracles.anchor_candidates_by_cones(model, event.node_id)
+            assert candidates[event.node_id] == expected
+            expected_days = oracles.segment_duration_by_scan(model, event.node_id)
+            segment = segment_nodes(flows, event.node_id)
+            assert segment_duration(flows, event.node_id, segment) == expected_days
