@@ -4,22 +4,22 @@ from __future__ import annotations
 
 import marshal
 import os
+import stat
 import sys
 import threading
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
-from .durations import Duration
+from .durations import shared_duration
 from .errors import ManifestError, ModelParseError, PyramidError
 from .findings import Finding, merge_findings
-from .ingest import _NO_EXTENSIONS, _NO_ITEMS, extract_milestones, parse_model
-from .model import DataObject, FlowNode, Lane, ProcessModel, TimerDef
+from .ingest import extract_milestones, parse_model
+from .model import _NO_EXTENSIONS, DataObject, FlowNode, Lane, ProcessModel, TimerDef
 from .naming import normalize_name
 from .pyramid import LevelEntry, Manifest, Pyramid, build_pyramid, link_levels, load_manifest
-from .timeline import GqRecord, Milestone
+from .timeline import _NO_ITEMS, GqRecord, Milestone
 
 # The listed model files' total size in bytes from which loading forks one
 # worker for the second half of them. Below it, the fork and the codec cost
@@ -47,10 +47,25 @@ class Bundle:
         }
 
 
+def read_file(path: Path) -> bytes:
+    """The bytes of an input file. It is opened without blocking, as opening
+    a FIFO waits for a writer, and read only if it is a regular file, as a
+    FIFO or a device such as /dev/zero may never end; anything else raises
+    OSError naming the path."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise OSError(f"not a regular file: {str(path)!r}")
+        with open(fd, "rb", closefd=False) as f:
+            return f.read()
+    finally:
+        os.close(fd)
+
+
 def read_utf8(path: Path, error: type[PyramidError]) -> str:
     """The text of a UTF-8 JSON input file; any other bytes raise `error`."""
     try:
-        return path.read_bytes().decode("utf-8")
+        return read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path.name} is not UTF-8 text ({exc})") from None
 
@@ -104,7 +119,7 @@ def _load_entry(base: Path, entry: LevelEntry) -> _Loaded:
     cannot be read or parsed gives no model and one MODEL-PARSE-ERROR
     finding."""
     try:
-        model = parse_model((base / entry.file).read_bytes(), entry.model_id)
+        model = parse_model(read_file(base / entry.file), entry.model_id)
     except OSError as exc:
         return None, [], [Finding("MODEL-PARSE-ERROR", entry.model_id, f"cannot read {entry.file!r}: {exc}")]
     except ModelParseError as exc:
@@ -176,15 +191,10 @@ def _encode(loaded: _Loaded) -> bytes:
     )
 
 
-# Decoded durations are shared per day count, as parsed ones are per text.
-@lru_cache(maxsize=1024)
-def _duration(days: int | None) -> Duration | None:
-    return None if days is None else Duration(days)
-
-
 def _decode(chunk: bytes) -> _Loaded:
     """The entry `_encode` wrote, rebuilt through the record constructors,
-    so that each record's own checks run."""
+    so that each record's own checks run; its durations are the parser's
+    `shared_duration` objects."""
     model, milestones, findings = marshal.loads(chunk)
     if model is not None:
         model_id, name, nodes, flows, lanes, objects, call_targets, extensions, parse_findings = model
@@ -196,8 +206,8 @@ def _decode(chunk: bytes) -> _Loaded:
                     node_id,
                     kind,
                     node_name,
-                    _duration(days),
-                    None if timer is None else TimerDef(_duration(timer[0]), timer[1]),
+                    shared_duration(days),
+                    None if timer is None else TimerDef(shared_duration(timer[0]), timer[1]),
                     inputs,
                     outputs,
                     _NO_EXTENSIONS if ext is None else ext,
@@ -222,7 +232,7 @@ def _decode(chunk: bytes) -> _Loaded:
 
 
 def _gq_record(gq1, gq2, gq3, gq4, gq5, gq6, gq7, gq8) -> GqRecord:
-    return GqRecord(gq1, gq2, gq3 or _NO_ITEMS, _duration(gq4), gq5, gq6, gq7 or _NO_ITEMS, gq8)
+    return GqRecord(gq1, gq2, gq3 or _NO_ITEMS, shared_duration(gq4), gq5, gq6, gq7 or _NO_ITEMS, gq8)
 
 
 def _fork_pays(base: Path, entries: list[LevelEntry]) -> bool:

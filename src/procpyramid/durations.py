@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 DAYS_PER_MONTH = 30
 DAYS_PER_WEEK = 7
@@ -30,19 +31,26 @@ class Duration:
         return f"P{self.days}D"
 
 
+# `Duration` is frozen and a bundle repeats a few day counts thousands of
+# times, so each count is built once, for parsing, extraction and decoding.
+@lru_cache(maxsize=1024)
+def shared_duration(days: int | None) -> Duration | None:
+    """The one `Duration` of `days` days; None for None."""
+    return None if days is None else Duration(days)
+
+
+@lru_cache(maxsize=1024)
 def parse_duration(text: str) -> Duration:
     """Parse an ISO-8601 duration with Y/M/W/D designators into days.
 
     Mixed designators sum, e.g. P1M2W -> 44 days. Time-of-day components
-    are rejected.
+    are rejected. Cached per text; `P1M` returns the `P30D` object.
     """
     m = _DURATION.match(text.strip())
     if m is None or all(g is None for g in m.groups()):
         raise ValueError(f"unsupported ISO-8601 duration {text!r}")
     years, months, weeks, days = (int(g) if g else 0 for g in m.groups())
-    return Duration(
-        days=years * DAYS_PER_YEAR + months * DAYS_PER_MONTH + weeks * DAYS_PER_WEEK + days
-    )
+    return shared_duration(years * DAYS_PER_YEAR + months * DAYS_PER_MONTH + weeks * DAYS_PER_WEEK + days)
 
 
 def parse_offset_days(text: str) -> int:

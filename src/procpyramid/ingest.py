@@ -14,15 +14,15 @@ import xml.etree.ElementTree as ET
 from functools import lru_cache
 from itertools import compress
 from operator import attrgetter
-from types import MappingProxyType
 from typing import Mapping
 
 from . import flowgraph
-from .durations import Duration, parse_duration, parse_offset_days
+from .durations import parse_duration, parse_offset_days, shared_duration
 from .errors import ModelParseError
 from .findings import Finding, sort_findings
 from .graph import reachable
 from .model import (
+    _NO_EXTENSIONS,
     ANCHOR_BEFORE_SOP,
     EVENT_KINDS,
     DataObject,
@@ -31,7 +31,7 @@ from .model import (
     ProcessModel,
     TimerDef,
 )
-from .timeline import GqRecord, Milestone, ambiguous_anchor
+from .timeline import _NO_ITEMS, GqRecord, Milestone, ambiguous_anchor
 
 _NODE_TAGS = {
     "startEvent": "start-event",
@@ -47,16 +47,6 @@ _TAG_FOR_KIND = {v: k for k, v in _NODE_TAGS.items()}
 # Harmless structural noise present in real exports; skipped without comment.
 _IGNORED_TAGS = {"documentation", "incoming", "outgoing", "text"}
 _IGNORED_NS = ("bpmndi", "di", "dc", "omgdi", "omgdc")
-
-# The name sets that are tested for membership or combined (gq3, gq7,
-# alignsWith) are mostly empty; they share this one instead of 216 bytes
-# each. Node inputs and outputs and gq5/gq6 are sorted tuples instead, as
-# nothing tests them for membership: a 1-tuple costs 48 bytes, and an empty
-# one is the shared `()`.
-_NO_ITEMS: frozenset[str] = frozenset()
-# Most nodes have no extension entry once `duration` is parsed out; they
-# share this one, read-only so that no caller's write reaches every node.
-_NO_EXTENSIONS: Mapping[str, str] = MappingProxyType({})
 
 
 @lru_cache(maxsize=1024)
@@ -76,10 +66,6 @@ def _tag(tag: str) -> tuple[str, str | None, bool]:
 
 # the child or attribute that names a data association's object
 _ASSOC_REF = {"dataInputAssociation": "sourceRef", "dataOutputAssociation": "targetRef"}
-
-# A bundle repeats a handful of duration strings across thousands of nodes
-# and timers; `Duration` is frozen, so each string is parsed once and shared.
-_duration = lru_cache(maxsize=1024)(parse_duration)
 
 
 def _fail(model_id: str, message: str) -> None:
@@ -109,7 +95,7 @@ def _parse_timer(elem: ET.Element, model_id: str, node_id: str, tags: dict[str, 
     if not text:
         _fail(model_id, f"timer on node {node_id!r} has no timeDuration")
     try:
-        return TimerDef(amount=_duration(text), mode=mode)
+        return TimerDef(amount=parse_duration(text), mode=mode)
     except ValueError as exc:
         _fail(model_id, f"timer on node {node_id!r}: {exc}")
 
@@ -218,7 +204,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
                     )
             if "duration" in extensions:
                 try:
-                    duration = _duration(extensions.pop("duration"))
+                    duration = parse_duration(extensions.pop("duration"))
                 except ValueError as exc:
                     _fail(model_id, f"node {node_id!r}: {exc}")
             if kind == "call-activity":
@@ -522,10 +508,9 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             seg_inputs.update(node_map[nid].inputs)
             seg_outputs.update(node_map[nid].outputs)
 
-        gq4 = _annotation(ext, "gq4", _duration, subject, findings)
+        gq4 = _annotation(ext, "gq4", parse_duration, subject, findings)
         if gq4 is None:
-            days = flowgraph.segment_duration(flow, node.node_id, seg)
-            gq4 = Duration(days) if days is not None else None
+            gq4 = shared_duration(flowgraph.segment_duration(flow, node.node_id, seg))
 
         # a ref to no declared object (a hand-built model) has no location
         derived = {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .durations import Duration
@@ -30,6 +31,11 @@ class TimerDef:
     def __post_init__(self):
         if self.mode not in TIMER_MODES:
             raise ValueError(f"unknown timer mode {self.mode!r}")
+
+
+# Most parsed nodes have no extension entry once `duration` is parsed out;
+# they share this one, read-only so that no caller's write reaches every node.
+_NO_EXTENSIONS: Mapping[str, str] = MappingProxyType({})
 
 
 @dataclass(slots=True)

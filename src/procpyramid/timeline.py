@@ -18,6 +18,12 @@ if TYPE_CHECKING:
     from .pyramid import Pyramid
 
 
+# gq3, gq7 and alignsWith are tested for membership and mostly empty; they
+# share this set instead of 216 bytes each. Node inputs and outputs and
+# gq5/gq6 are sorted tuples, whose empty one is the shared `()`.
+_NO_ITEMS: frozenset[str] = frozenset()
+
+
 @dataclass(slots=True)
 class GqRecord:
     """Answers to the eight golden questions for one milestone.
@@ -30,11 +36,11 @@ class GqRecord:
 
     gq1_process: str = ""
     gq2_role: str = ""
-    gq3_tools: frozenset[str] = frozenset()
+    gq3_tools: frozenset[str] = _NO_ITEMS
     gq4_duration: Duration | None = None
     gq5_inputs: tuple[str, ...] = ()
     gq6_outputs: tuple[str, ...] = ()
-    gq7_consumers: frozenset[str] = frozenset()
+    gq7_consumers: frozenset[str] = _NO_ITEMS
     gq8_storage: dict[str, str] = field(default_factory=dict)
 
 
@@ -50,7 +56,7 @@ class Milestone:
     gq: GqRecord = field(default_factory=GqRecord)
     declared_offset: int | None = None
     terminal: bool = False
-    aligns_with: frozenset[str] = frozenset()
+    aligns_with: frozenset[str] = _NO_ITEMS
     # The event's (anchor candidates, cyclic) as found at extraction;
     # None for a milestone built by hand.
     anchors: tuple[tuple[tuple[str, int], ...], bool] | None = field(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from procpyramid import bundle, cli, load_bundle, load_manifest
+from procpyramid import bundle, cli, durations, load_bundle, load_manifest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -226,3 +226,50 @@ def test_an_ignored_sigchld_still_loads(manifest, cpus, capsys):
     finally:
         signal.signal(signal.SIGCHLD, previous)
     assert len(forked) == 1
+
+
+# Start (a 3-month anchor timer) -> a P1M task -> an intermediate event ->
+# a P30D task -> end: both later events derive a 30-day gq4.
+THIRTY_DAYS_XML = (
+    '<definitions xmlns="http://www.omg.org/spec/BPMN/20100524/MODEL"><process id="p">'
+    '<startEvent id="s"><timerEventDefinition><timeDuration>P3M</timeDuration>'
+    "</timerEventDefinition></startEvent>"
+    '<task id="month"><extensionElements><entry key="duration" value="P1M"/></extensionElements></task>'
+    '<intermediateCatchEvent id="mid"/>'
+    '<task id="days"><extensionElements><entry key="duration" value="P30D"/></extensionElements></task>'
+    '<endEvent id="e"/>'
+    '<sequenceFlow id="f1" sourceRef="s" targetRef="month"/>'
+    '<sequenceFlow id="f2" sourceRef="month" targetRef="mid"/>'
+    '<sequenceFlow id="f3" sourceRef="mid" targetRef="days"/>'
+    '<sequenceFlow id="f4" sourceRef="days" targetRef="e"/>'
+    "</process></definitions>"
+)
+
+
+@pytest.mark.parametrize("cpu_count", [1, 2], ids=["serial", "forked"])
+def test_a_load_shares_one_duration_per_day_count(tmp_path, cpus, monkeypatch, cpu_count):
+    """Parsed (`P1M`, `P30D`, the timer), derived (gq4) and, in a forked
+    load, decoded durations of one day count are one object. The second
+    model is the worker's share."""
+    for model_id in "ab":
+        (tmp_path / f"{model_id}.bpmn").write_text(THIRTY_DAYS_XML, encoding="utf-8")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(
+        '{"root": "a", "models": [{"id": "a", "file": "a.bpmn", "level": 0},'
+        ' {"id": "b", "file": "b.bpmn", "level": 1}]}',
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(bundle, "FORK_MIN_BYTES", 0)
+    durations.parse_duration.cache_clear()
+    durations.shared_duration.cache_clear()
+    forked = cpus(cpu_count)
+    loaded = load_bundle(manifest)
+    assert len(forked) == cpu_count - 1
+
+    nodes = [n for m in loaded.pyramid.models.values() for n in m.nodes]
+    found = [n.duration for n in nodes if n.duration] + [n.timer.amount for n in nodes if n.timer]
+    found += [ms.gq.gq4_duration for ms in loaded.milestones if ms.gq.gq4_duration]
+    first: dict[int, object] = {}
+    assert [first.setdefault(d.days, d) is d for d in found] == [True] * len(found)
+    assert sorted(first) == [30, 90]
+    assert [d.days for d in found].count(30) == 8

@@ -27,7 +27,8 @@ from procpyramid import (
 from procpyramid.bundle import _decode, _encode
 from procpyramid.dependency import DependencyEdge
 from procpyramid.findings import Finding
-from procpyramid.ingest import _NO_EXTENSIONS, _NO_ITEMS
+from procpyramid.model import _NO_EXTENSIONS
+from procpyramid.timeline import _NO_ITEMS
 
 FRAGMENT_XML = (FIXTURES / "fig7" / "fragment.bpmn").read_text(encoding="utf-8")
 PRODUCT_XML = (FIXTURES / "parkpilot" / "product-process.bpmn").read_text(encoding="utf-8")
