@@ -284,7 +284,10 @@ class _Session:
         }
         if table.offsets:
             step = args.step or self.bundle.manifest.reference_step.days
-            grid = build_reference_timeline(table, step)
+            try:
+                grid = build_reference_timeline(table, step)
+            except ValueError as exc:  # the step is positive, so the grid is too wide
+                return timing + [Finding("GRID-TOO-WIDE", "grid", str(exc))], {"timeline": section}
             section["grid"] = {
                 "stepDays": grid.step,
                 "boundaries": grid.boundaries,

@@ -1,7 +1,9 @@
 """Calendar-free durations and SOP-relative offset rendering.
 
 All arithmetic is in whole days with fixed designators: a year is 360 days,
-a month 30, a week 7. Sub-day resolution is not supported.
+a month 30, a week 7. Sub-day resolution is not supported. A duration spans
+at most `MAX_DAYS`, so every sum of durations stays an exact integer far
+below Python's 4300-digit limit on printing one.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from functools import lru_cache
 DAYS_PER_MONTH = 30
 DAYS_PER_WEEK = 7
 DAYS_PER_YEAR = 360
+MAX_DAYS = 1_000_000
 
 _DURATION = re.compile(r"^P(?:(\d+)Y)?(?:(\d+)M)?(?:(\d+)W)?(?:(\d+)D)?$")
 
@@ -44,13 +47,17 @@ def parse_duration(text: str) -> Duration:
     """Parse an ISO-8601 duration with Y/M/W/D designators into days.
 
     Mixed designators sum, e.g. P1M2W -> 44 days. Time-of-day components
-    are rejected. Cached per text; `P1M` returns the `P30D` object.
+    and spans over `MAX_DAYS` are rejected. Cached per text; `P1M` returns
+    the `P30D` object.
     """
     m = _DURATION.match(text.strip())
     if m is None or all(g is None for g in m.groups()):
         raise ValueError(f"unsupported ISO-8601 duration {text!r}")
     years, months, weeks, days = (int(g) if g else 0 for g in m.groups())
-    return shared_duration(years * DAYS_PER_YEAR + months * DAYS_PER_MONTH + weeks * DAYS_PER_WEEK + days)
+    total = years * DAYS_PER_YEAR + months * DAYS_PER_MONTH + weeks * DAYS_PER_WEEK + days
+    if total > MAX_DAYS:
+        raise ValueError(f"unsupported ISO-8601 duration {text!r}: over {MAX_DAYS} days")
+    return shared_duration(total)
 
 
 def parse_offset_days(text: str) -> int:

@@ -48,6 +48,7 @@ CATALOG: dict[str, str] = {
     "GQ8-INCOMPLETE": "warning",
     "MISALIGNED": "error",
     "DANGLING-ALIGNMENT": "error",
+    "GRID-TOO-WIDE": "warning",
     # dependency analysis
     "UNDECLARED-DEPENDENCY": "warning",
     "DECLARED-UNMATCHED": "error",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
@@ -217,18 +216,24 @@ def check_gq(milestone: Milestone) -> list[Finding]:
     return sort_findings(out)
 
 
+# Durations are bounded, but a chain of them at a one-day step is not: a
+# grid wider than this is refused instead of built.
+MAX_GRID_SLOTS = 100_000
+
+
 def build_reference_timeline(table: OffsetTable, step: int = 30) -> ReferenceTimeline:
-    """Lay every resolved offset onto a fixed-step slot grid."""
+    """Lay every resolved offset onto a fixed-step slot grid of at most
+    `MAX_GRID_SLOTS` slots."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if not table.offsets:
         raise EmptyTimelineError("no resolved offsets to place on a timeline")
-    lo = math.floor(min(table.offsets.values()) / step) * step
-    hi = math.ceil(max(table.offsets.values()) / step) * step
-    if hi == lo:
-        hi = lo + step
+    lo = min(table.offsets.values()) // step * step
+    hi = max(lo + step, -(-max(table.offsets.values()) // step) * step)
+    slots = (hi - lo) // step
+    if slots > MAX_GRID_SLOTS:
+        raise ValueError(f"{slots} slots of {step}d from {lo}d to {hi}d exceed the cap of {MAX_GRID_SLOTS}")
     boundaries = list(range(lo, hi + 1, step))
-    slots = len(boundaries) - 1
     assignments = {
         mid: min((off - lo) // step, slots - 1) for mid, off in table.offsets.items()
     }

@@ -6,6 +6,7 @@ internals so a bug cannot hide in both places at once.
 """
 
 import json
+import math
 import re
 import xml.etree.ElementTree as ET
 from collections import Counter, deque
@@ -140,6 +141,20 @@ def slot_scan(offset, boundaries):
         if lo <= offset < hi or (i == last and offset == hi):
             return i
     return None
+
+
+def grid_by_float_division(offsets, step):
+    """(boundaries, assignments) of the slot grid by floor and ceiling of
+    offset / step in floats. Exact only while that quotient cannot round
+    onto the wrong side of an integer, e.g. below 2**40 days at a step
+    below 2**10; far beyond 2**53 a boundary can miss its offset."""
+    lo = math.floor(min(offsets.values()) / step) * step
+    hi = math.ceil(max(offsets.values()) / step) * step
+    if hi == lo:
+        hi = lo + step
+    boundaries = list(range(lo, hi + 1, step))
+    slots = len(boundaries) - 1
+    return boundaries, {mid: min((off - lo) // step, slots - 1) for mid, off in offsets.items()}
 
 
 def edges_brute_force(producers, consumers, declared):

@@ -74,23 +74,27 @@ class TestValidate:
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "validate"
 
     @pytest.mark.parametrize(
-        "needle, bad",
+        "key, old, bad",
         [
-            ('key="declaredOffset" value="-60"', 'key="declaredOffset" value="banana"'),
-            ('key="gq4" value="P0D"', 'key="gq4" value="banana"'),
+            ("declaredOffset", "-60", "banana"),
+            ("gq4", "P0D", "banana"),
+            ("declaredOffset", "-60", "P1000001D"),
+            ("gq4", "P0D", "P2778Y"),
         ],
-        ids=["declaredOffset", "gq4"],
+        ids=["declaredOffset", "gq4", "declaredOffset-over-day-bound", "gq4-over-day-bound"],
     )
-    def test_malformed_annotation_is_a_finding(self, capsys, tmp_path, needle, bad):
+    def test_malformed_annotation_is_a_finding(self, capsys, tmp_path, key, old, bad):
+        needle = f'key="{key}" value="{old}"'
         text = (FIG7_MANIFEST.parent / "fragment.bpmn").read_text(encoding="utf-8")
         assert needle in text
-        (tmp_path / "fragment.bpmn").write_text(text.replace(needle, bad, 1), encoding="utf-8")
+        edited = text.replace(needle, f'key="{key}" value="{bad}"', 1)
+        (tmp_path / "fragment.bpmn").write_text(edited, encoding="utf-8")
         shutil.copy(FIG7_MANIFEST, tmp_path / "manifest.json")
         code, doc = run_json(capsys, ["validate", str(tmp_path / "manifest.json")])
         assert code == 1
         errors = [f for f in doc["findings"] if f["severity"] == "error"]
         assert [f["code"] for f in errors] == ["BAD-ANNOTATION"]
-        assert "'banana'" in errors[0]["message"]
+        assert f"{key}={bad!r} ignored" in errors[0]["message"]
 
     @pytest.mark.parametrize("declared, codes", [("-55", []), ("-60", ["OFFSET-MISMATCH"])])
     def test_an_elapsed_timer_waits_in_the_flow(self, capsys, tmp_path, declared, codes):
@@ -122,6 +126,28 @@ class TestValidate:
         ]
         message = f"model 'function-chart': timer on node 's2': unknown timer mode {mode!r}"
         assert parse_errors == [("error", "function-chart", message)]
+
+    @pytest.mark.parametrize(
+        "amount", ["P" + "9" * 4299 + "Y", "P" + "9" * 320 + "D"], ids=["4299-nines-Y", "320-nines-D"]
+    )
+    @pytest.mark.parametrize(
+        "needle, current",
+        [("<bpmn2:timeDuration>{}</bpmn2:timeDuration>", "P10M"), ('<bpmn2:entry key="duration" value="{}"/>', "P2M")],
+        ids=["timer", "task"],
+    )
+    def test_a_duration_over_the_day_bound_is_a_parse_error(self, capsys, tmp_path, needle, current, amount):
+        """Day counts stay exact integers far below Python's 4300-digit
+        limit on printing one, so no command ends in `fatal [FATAL]`."""
+        root = tmp_path / "parkpilot"
+        shutil.copytree(PARKPILOT_MANIFEST.parent, root)
+        pep = root / "pep.bpmn"
+        text = pep.read_text(encoding="utf-8")
+        assert text.count(needle.format(current)) == 1
+        pep.write_text(text.replace(needle.format(current), needle.format(amount)), encoding="utf-8")
+        for command in ("validate", "timeline", "deps", "report"):
+            code, doc = run_json(capsys, [command, str(root / "manifest.json")])
+            parse_errors = [f["subject"] for f in doc["findings"] if f["code"] == "MODEL-PARSE-ERROR"]
+            assert (command, code, parse_errors) == (command, 1, ["pep"])
 
 
 def degraded_fig7(tmp_path):
@@ -177,6 +203,45 @@ class TestTimeline:
         out = capsys.readouterr().out
         assert "milestone offsets:" in out
         assert "grid: 1 slots of 30d from -90d to -60d" in out
+
+    def test_a_grid_over_the_slot_cap_is_a_finding(self, tmp_path):
+        """A hundred tasks of a million days each, at a step of one day, ask
+        for 10**8 slots. The command runs in a child interpreter under a
+        1 GiB address-space limit and a timeout, so a grid that is built
+        anyway fails the test instead of the machine."""
+        nodes = [node("s", "start-event", timer=anchor(1_000_000))]
+        nodes += [node(f"t{i}", "task", days=1_000_000) for i in range(100)]
+        model = chain_model("m", [*nodes, node("e", "end-event")])
+        (tmp_path / "m.bpmn").write_text(serialize_model(model), encoding="utf-8")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(
+            json.dumps({"root": "m", "models": [{"id": "m", "file": "m.bpmn", "level": 0}]}),
+            encoding="utf-8",
+        )
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from procpyramid import cli\n"
+            "sys.exit(cli.run(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["timeline", str(manifest), "--json", "--step", "1"]
+        result = subprocess.run(
+            [sys.executable, "-c", child, *argv], env=env, capture_output=True, encoding="utf-8", timeout=60
+        )
+        assert result.stderr == ""
+        doc = json.loads(result.stdout)
+        assert doc["timeline"]["grid"] is None
+        assert doc["timeline"]["offsets"]["e"] == 99_000_000
+        assert [f for f in doc["findings"] if f["code"] == "GRID-TOO-WIDE"] == [
+            {
+                "code": "GRID-TOO-WIDE",
+                "severity": "warning",
+                "subject": "grid",
+                "message": "100000000 slots of 1d from -1000000d to 99000000d exceed the cap of 100000",
+            }
+        ]
 
     def test_a_name_equal_to_another_milestone_id_keeps_every_offset(self, capsys, tmp_path):
         """m:e is named like m:s's id, while m:s shares its name with m:i;

@@ -18,13 +18,21 @@ from procpyramid.durations import parse_offset_days
         ("P2Y3M", 810),
         ("P12M", 360),
         (" P3M ", 90),
+        ("P1000000D", 1_000_000),
+        ("P2777Y9M", 999_990),
     ],
 )
 def test_parse_duration(text, days):
     assert parse_duration(text).days == days
 
 
-@pytest.mark.parametrize("text", ["", "P", "PT5H", "P1H", "1M", "P-1D", "P1.5D", "P1D2W"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        *("", "P", "PT5H", "P1H", "1M", "P-1D", "P1.5D", "P1D2W", "P1000001D", "P2778Y"),
+        pytest.param("P" + "9" * 4299 + "Y", id="P-4299-nines-Y"),
+    ],
+)
 def test_parse_duration_rejects(text):
     with pytest.raises(ValueError):
         parse_duration(text)
@@ -50,7 +58,7 @@ def test_parse_offset_days(text, days):
     assert parse_offset_days(text) == days
 
 
-@pytest.mark.parametrize("text", ["abc", "1.5", "", "PT1H", "P"])
+@pytest.mark.parametrize("text", ["abc", "1.5", "", "PT1H", "P", "P1000001D"])
 def test_parse_offset_days_rejects(text):
     with pytest.raises(ValueError):
         parse_offset_days(text)

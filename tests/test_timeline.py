@@ -33,6 +33,7 @@ from procpyramid.flowgraph import (
     segment_nodes,
     timer_covered_events,
 )
+from procpyramid import timeline
 
 
 def one_model_pyramid(model):
@@ -303,6 +304,35 @@ class TestGrid:
         assert all(b % step == 0 for b in grid.boundaries)
         for mid, off in offsets.items():
             assert grid.assignments[mid] == oracles.slot_scan(off, grid.boundaries)
+
+    @given(
+        st.integers(min_value=-(2**40) + 1, max_value=2**40 - 2**16),
+        st.lists(st.integers(min_value=0, max_value=2**16 - 1), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=2**10 - 1),
+    )
+    def test_grid_matches_the_float_formula_where_floats_are_exact(self, base, spreads, step):
+        """Offsets below 2**40 days, spread over fewer slots than the cap."""
+        offsets = {f"m{i}": base + spread for i, spread in enumerate(spreads)}
+        grid = build_reference_timeline(OffsetTable(offsets=offsets), step=step)
+        assert (grid.boundaries, grid.assignments) == oracles.grid_by_float_division(offsets, step)
+
+    def test_offsets_beyond_float_precision_stay_in_their_slots(self):
+        """In floats, 986031778147293388 / 69 rounds the last boundary down
+        to ...348, below the offset it should cover."""
+        offsets = {"a": 986031778147293258, "b": 986031778147293388}
+        boundaries, _ = oracles.grid_by_float_division(offsets, 69)
+        assert boundaries[-1] == 986031778147293348
+        grid = build_reference_timeline(OffsetTable(offsets=offsets), step=69)
+        assert grid.boundaries[-1] == 986031778147293417
+        for mid, off in offsets.items():
+            assert grid.assignments[mid] == oracles.slot_scan(off, grid.boundaries)
+
+    def test_refuses_more_slots_than_the_cap(self):
+        cap = timeline.MAX_GRID_SLOTS
+        grid = build_reference_timeline(OffsetTable(offsets={"a": -7, "b": cap * 7 - 7}), step=7)
+        assert len(grid.boundaries) == cap + 1
+        with pytest.raises(ValueError, match=f"{cap + 1} slots of 7d from -7d to {cap * 7}d"):
+            build_reference_timeline(OffsetTable(offsets={"a": -7, "b": cap * 7 - 6}), step=7)
 
 
 class TestAlignment:
