@@ -43,7 +43,7 @@ from .dependency import (
     impact,
     infer_edges,
 )
-from .durations import render_offset
+from .durations import quoted, read_days, render_offset
 from .errors import PyramidError, TemplateError, UnknownSeedError
 from .findings import Finding, error_count, merge_findings, summarize
 from .ingest import check_wellformed
@@ -420,12 +420,11 @@ def _execute(args: argparse.Namespace) -> ReportBundle:
 
 def _positive_days(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number of days") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number of days")
-    return value
+        if (days := read_days(text, quoted(text))) > 0:
+            return days
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    raise argparse.ArgumentTypeError("must be a positive number of days")
 
 
 @cache

@@ -14,7 +14,7 @@ from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
 # canonical_key stays bound here: perfbench/tracing.py wraps this attribute
 from .naming import canonical_key, normalize_name  # noqa: F401
-from .timeline import Milestone
+from .timeline import Milestone, split_list
 
 if TYPE_CHECKING:
     from .pyramid import Pyramid
@@ -251,12 +251,8 @@ def _model_aspects(
             tools.update(keys[t] for t in ms.gq.gq3_tools)
     methods: set[str] = set()
     for ext in [model.extensions, *(n.extensions for n in model.nodes if n.extensions)]:
-        for raw in ext.get("methods", "").split(","):
-            if raw.strip():
-                methods.add(keys[raw])
-        for raw in ext.get("tools", "").split(","):
-            if raw.strip():
-                tools.add(keys[raw])
+        methods.update(keys[name] for name in split_list(ext.get("methods", "")))
+        tools.update(keys[name] for name in split_list(ext.get("tools", "")))
     return _model_steps(model, keys), frozenset(roles), frozenset(methods), frozenset(tools)
 
 

@@ -17,7 +17,22 @@ DAYS_PER_WEEK = 7
 DAYS_PER_YEAR = 360
 MAX_DAYS = 1_000_000
 
-_DURATION = re.compile(r"^P(?:(\d+)Y)?(?:(\d+)M)?(?:(\d+)W)?(?:(\d+)D)?$")
+_DURATION = re.compile(r"^P(?:([0-9]+)Y)?(?:([0-9]+)M)?(?:([0-9]+)W)?(?:([0-9]+)D)?$")
+_DAY_COUNT = re.compile(r"([+-]?)([0-9]+)")
+
+
+def quoted(text: str) -> str:
+    """`text` as a message quotes input: its first 40 characters."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}…"
+
+
+def read_days(text: str, what: str) -> int:
+    """Signed whole days in ASCII digits, at most `MAX_DAYS`; other text is refused as `what`."""
+    m = _DAY_COUNT.fullmatch(text.strip())
+    digits = m and (m[2].lstrip("0") or "0")
+    if not digits or len(digits) > len(str(MAX_DAYS)) or (days := int(digits)) > MAX_DAYS:
+        raise ValueError(f"{what}: days must be at most {MAX_DAYS}, in ASCII digits")
+    return -days if m[1] == "-" else days
 
 
 @dataclass(frozen=True, order=True)
@@ -46,17 +61,18 @@ def shared_duration(days: int | None) -> Duration | None:
 def parse_duration(text: str) -> Duration:
     """Parse an ISO-8601 duration with Y/M/W/D designators into days.
 
-    Mixed designators sum, e.g. P1M2W -> 44 days. Time-of-day components
-    and spans over `MAX_DAYS` are rejected. Cached per text; `P1M` returns
-    the `P30D` object.
+    Mixed designators sum, e.g. P1M2W -> 44 days. Time-of-day components,
+    digits other than ASCII and spans over `MAX_DAYS` are rejected. Cached
+    per text; `P1M` returns the `P30D` object.
     """
+    what = f"unsupported ISO-8601 duration {quoted(text)}"
     m = _DURATION.match(text.strip())
     if m is None or all(g is None for g in m.groups()):
-        raise ValueError(f"unsupported ISO-8601 duration {text!r}")
-    years, months, weeks, days = (int(g) if g else 0 for g in m.groups())
+        raise ValueError(what)
+    years, months, weeks, days = (read_days(g or "0", what) for g in m.groups())
     total = years * DAYS_PER_YEAR + months * DAYS_PER_MONTH + weeks * DAYS_PER_WEEK + days
     if total > MAX_DAYS:
-        raise ValueError(f"unsupported ISO-8601 duration {text!r}: over {MAX_DAYS} days")
+        raise ValueError(f"{what}: over {MAX_DAYS} days")
     return shared_duration(total)
 
 
@@ -65,12 +81,7 @@ def parse_offset_days(text: str) -> int:
     or an ISO-8601 duration that many days before SOP (`P2M` is -60)."""
     if text.strip().startswith("P"):
         return -parse_duration(text).days
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ValueError(
-            f"declared offset must be signed integer days or an ISO-8601 duration, got {text!r}"
-        ) from None
+    return read_days(text, f"declared offset {quoted(text)}")
 
 
 def render_offset(days: int) -> str:

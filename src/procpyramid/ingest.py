@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import flowgraph
-from .durations import parse_duration, parse_offset_days, shared_duration
+from .durations import parse_duration, parse_offset_days, quoted, shared_duration
 from .errors import ModelParseError
 from .findings import Finding, sort_findings
 from .graph import reachable
@@ -31,7 +31,7 @@ from .model import (
     ProcessModel,
     TimerDef,
 )
-from .timeline import _NO_ITEMS, GqRecord, Milestone, ambiguous_anchor
+from .timeline import GqRecord, Milestone, ambiguous_anchor, split_list
 
 _NODE_TAGS = {
     "startEvent": "start-event",
@@ -437,10 +437,6 @@ _KIND_FOR_EVENT = {
 }
 
 
-def _split_list(value: str) -> frozenset[str]:
-    return frozenset(item.strip() for item in value.split(",") if item.strip()) or _NO_ITEMS
-
-
 def _parse_storage(value: str) -> dict[str, str]:
     """gq8 entries `name=location`, separated by `,` or `;`. An entry with
     an empty name or an empty location is skipped."""
@@ -461,7 +457,7 @@ def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: li
     try:
         return parse(ext[key])
     except ValueError as exc:
-        findings.append(Finding("BAD-ANNOTATION", subject, f"{key}={ext[key]!r} ignored: {exc}"))
+        findings.append(Finding("BAD-ANNOTATION", subject, f"{key}={quoted(ext[key])} ignored: {exc}"))
         return None
 
 
@@ -517,8 +513,8 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
             oid: objects.get(oid) or (f"{model.model_id}:{oid}", "")
             for oid in sorted(seg_inputs | seg_outputs)
         }
-        gq5 = _split_list(ext["gq5"]) if "gq5" in ext else {derived[oid][0] for oid in seg_inputs}
-        gq6 = _split_list(ext["gq6"]) if "gq6" in ext else {derived[oid][0] for oid in seg_outputs}
+        gq5 = split_list(ext["gq5"]) if "gq5" in ext else {derived[oid][0] for oid in seg_inputs}
+        gq6 = split_list(ext["gq6"]) if "gq6" in ext else {derived[oid][0] for oid in seg_outputs}
 
         storage = {label: location for label, location in derived.values() if location}
         storage.update(_parse_storage(ext.get("gq8", "")))
@@ -527,11 +523,11 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
         gq = GqRecord(
             gq1_process=ext.get("gq1", model.model_id),
             gq2_role=ext.get("gq2", lane.role_name.strip() if lane else ""),
-            gq3_tools=_split_list(ext.get("gq3", "")),
+            gq3_tools=split_list(ext.get("gq3", "")),
             gq4_duration=gq4,
             gq5_inputs=tuple(sorted(gq5)),
             gq6_outputs=tuple(sorted(gq6)),
-            gq7_consumers=_split_list(ext.get("gq7", "")),
+            gq7_consumers=split_list(ext.get("gq7", "")),
             gq8_storage=storage,
         )
         out.append(
@@ -544,7 +540,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
                 gq=gq,
                 declared_offset=_annotation(ext, "declaredOffset", parse_offset_days, subject, findings),
                 terminal=ext.get("terminal", "").strip().lower() in ("true", "1", "yes"),
-                aligns_with=_split_list(ext.get("alignsWith", "")),
+                aligns_with=split_list(ext.get("alignsWith", "")),
                 anchors=(tuple(candidates), cyclic),
             )
         )

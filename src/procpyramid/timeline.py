@@ -23,6 +23,11 @@ if TYPE_CHECKING:
 _NO_ITEMS: frozenset[str] = frozenset()
 
 
+def split_list(value: str) -> frozenset[str]:
+    """The trimmed, non-empty names of a comma-separated list entry."""
+    return frozenset(item.strip() for item in value.split(",") if item.strip()) or _NO_ITEMS
+
+
 @dataclass(slots=True)
 class GqRecord:
     """Answers to the eight golden questions for one milestone.

@@ -157,6 +157,13 @@ def grid_by_float_division(offsets, step):
     return boundaries, {mid: min((off - lo) // step, slots - 1) for mid, off in offsets.items()}
 
 
+def days_by_int(text):
+    """Signed days as `int()` reads them: surrounding whitespace and one
+    sign allowed, but also `_` between digits and any script's decimal
+    digits, with no bound but Python's limit on digit strings."""
+    return int(text)
+
+
 def edges_brute_force(producers, consumers, declared):
     """Expected dependency edges from per-milestone name sets.
 

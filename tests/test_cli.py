@@ -80,8 +80,19 @@ class TestValidate:
             ("gq4", "P0D", "banana"),
             ("declaredOffset", "-60", "P1000001D"),
             ("gq4", "P0D", "P2778Y"),
+            ("declaredOffset", "-60", "-1000001"),
+            ("declaredOffset", "-60", "1_000"),
+            ("declaredOffset", "-60", "\u0663"),
         ],
-        ids=["declaredOffset", "gq4", "declaredOffset-over-day-bound", "gq4-over-day-bound"],
+        ids=[
+            "declaredOffset",
+            "gq4",
+            "declaredOffset-over-day-bound",
+            "gq4-over-day-bound",
+            "integer-declaredOffset-over-day-bound",
+            "declaredOffset-underscore",
+            "declaredOffset-arabic-indic-3",
+        ],
     )
     def test_malformed_annotation_is_a_finding(self, capsys, tmp_path, key, old, bad):
         needle = f'key="{key}" value="{old}"'
@@ -128,7 +139,9 @@ class TestValidate:
         assert parse_errors == [("error", "function-chart", message)]
 
     @pytest.mark.parametrize(
-        "amount", ["P" + "9" * 4299 + "Y", "P" + "9" * 320 + "D"], ids=["4299-nines-Y", "320-nines-D"]
+        "amount",
+        ["P" + "9" * 4299 + "Y", "P" + "9" * 320 + "D", "P" + "9" * 4301 + "D"],
+        ids=["4299-nines-Y", "320-nines-D", "4301-nines-D"],
     )
     @pytest.mark.parametrize(
         "needle, current",
@@ -137,7 +150,9 @@ class TestValidate:
     )
     def test_a_duration_over_the_day_bound_is_a_parse_error(self, capsys, tmp_path, needle, current, amount):
         """Day counts stay exact integers far below Python's 4300-digit
-        limit on printing one, so no command ends in `fatal [FATAL]`."""
+        limit on printing one, so no command ends in `fatal [FATAL]`. The
+        bound is checked before `int()` meets that limit, and the message
+        names it and quotes 40 characters of the duration."""
         root = tmp_path / "parkpilot"
         shutil.copytree(PARKPILOT_MANIFEST.parent, root)
         pep = root / "pep.bpmn"
@@ -146,8 +161,11 @@ class TestValidate:
         pep.write_text(text.replace(needle.format(current), needle.format(amount)), encoding="utf-8")
         for command in ("validate", "timeline", "deps", "report"):
             code, doc = run_json(capsys, [command, str(root / "manifest.json")])
-            parse_errors = [f["subject"] for f in doc["findings"] if f["code"] == "MODEL-PARSE-ERROR"]
-            assert (command, code, parse_errors) == (command, 1, ["pep"])
+            parse_errors = [f for f in doc["findings"] if f["code"] == "MODEL-PARSE-ERROR"]
+            assert (command, code, [f["subject"] for f in parse_errors]) == (command, 1, ["pep"])
+            message = parse_errors[0]["message"]
+            assert len(message) <= 200 and "set_int_max_str_digits" not in message
+            assert message.endswith(": days must be at most 1000000, in ASCII digits")
 
 
 def degraded_fig7(tmp_path):
@@ -197,6 +215,16 @@ class TestTimeline:
     def test_non_positive_step_is_a_usage_error(self, capsys):
         assert cli.run(["timeline", str(FIG7_MANIFEST), "--step", "0"]) == 2
         assert cli.run(["timeline", str(FIG7_MANIFEST), "--step", "nope"]) == 2
+
+    @pytest.mark.parametrize("step", ["1_0", "\u0663", "1000001"], ids=["underscore", "arabic-indic-3", "over-bound"])
+    def test_a_step_outside_ascii_digits_or_the_bound_is_a_usage_error(self, capsys, step):
+        assert cli.run(["timeline", str(FIG7_MANIFEST), "--step", step]) == 2
+        assert f"argument --step: {step!r}: days must be at most 1000000, in ASCII digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["45", "+45", " 45 ", "1000000"])
+    def test_a_step_in_ascii_digits_within_the_bound_runs(self, capsys, step):
+        code, doc = run_json(capsys, ["timeline", str(FIG7_MANIFEST), "--step", step])
+        assert (code, doc["timeline"]["grid"]["stepDays"]) == (0, int(step))
 
     def test_offsets_table_in_text_mode(self, capsys):
         assert cli.run(["timeline", str(FIG7_MANIFEST)]) == 0
