@@ -346,10 +346,10 @@ class _Session:
                         "verdict": report.verdict,
                         "aspects": {
                             name: {
-                                "matched": list(aspect.matched),
-                                "missing": list(aspect.missing),
-                                "extra": list(aspect.extra),
-                                "reordered": [list(p) for p in aspect.reordered],
+                                "matched": aspect.matched,
+                                "missing": aspect.missing,
+                                "extra": aspect.extra,
+                                "reordered": aspect.reordered,
                                 "matchRatio": aspect.match_ratio,
                             }
                             for name, aspect in sorted(report.aspects.items())

@@ -229,16 +229,16 @@ def _set_diff(reference: frozenset[str], actual: frozenset[str]) -> AspectDiff:
 
 
 def _model_steps(model: ProcessModel, keys: _NameKeys) -> list[str]:
-    """Task names in flow order: topological where possible, document order
-    to break ties and on cycles. Nodes are ordered by document rank; a
-    repeated node id stands for its last node."""
+    """Task display names in flow order: topological where possible,
+    document order to break ties and on cycles. Nodes are ordered by
+    document rank; a repeated node id stands for its last node."""
     nodes = model.nodes
     rank = {n.node_id: i for i, n in enumerate(nodes)}
     succ: dict[int, list[int]] = {i: [] for i in rank.values()}
     for src, dst in model.flows:
         succ[rank[src]].append(rank[dst])
     order = topological_order(succ) or [rank[n.node_id] for n in nodes]
-    return [keys[nodes[i].name or nodes[i].node_id] for i in order if nodes[i].kind == "task"]
+    return [keys[nodes[i].display_name] for i in order if nodes[i].kind == "task"]
 
 
 def _model_aspects(
@@ -378,39 +378,30 @@ def check_vv_links(
     return sort_findings(out)
 
 
-def check_milestone_retention(
-    before: Iterable[Milestone], after: Iterable[Milestone]
-) -> list[Finding]:
+def _unmatched(milestones: list[Milestone], others: list[Milestone]) -> list[Milestone]:
+    """Those of `milestones` that no milestone of `others` matches: one
+    matches when it has the same id, or the same normalized name provided
+    that name is not blank."""
+    ids = {ms.milestone_id for ms in others}
+    names = {normalize_name(ms.name) for ms in others} - {""}
+    return [ms for ms in milestones if ms.milestone_id not in ids and normalize_name(ms.name) not in names]
+
+
+def check_milestone_retention(before: Iterable[Milestone], after: Iterable[Milestone]) -> list[Finding]:
     """Milestones may be added between snapshots but never silently dropped.
-
-    Identity holds on milestone id or, failing that, on normalized name, so
-    a re-ids survive as long as the name does.
-    """
-    before = list(before)
-    after = list(after)
-    after_ids = {ms.milestone_id for ms in after}
-    after_names = {normalize_name(ms.name) for ms in after}
-    before_ids = {ms.milestone_id for ms in before}
-    before_names = {normalize_name(ms.name) for ms in before}
-
-    out: list[Finding] = []
-    for ms in sorted(before, key=lambda m: m.milestone_id):
-        if ms.milestone_id not in after_ids and normalize_name(ms.name) not in after_names:
-            out.append(
-                Finding(
-                    "MILESTONE-DROPPED",
-                    ms.milestone_id,
-                    f"milestone {ms.name!r} is gone from the later snapshot",
-                )
-            )
-    for ms in sorted(after, key=lambda m: m.milestone_id):
-        new = ms.milestone_id not in before_ids and normalize_name(ms.name) not in before_names
-        if new and ms.kind == "intermediate":
-            out.append(
-                Finding(
-                    "ADDED-INTERMEDIATE",
-                    ms.milestone_id,
-                    f"intermediate milestone {ms.name!r} added since the earlier snapshot",
-                )
-            )
+    Identity is `_unmatched`'s rule, so a re-id survives if its name does."""
+    before, after = list(before), list(after)
+    out = [
+        Finding("MILESTONE-DROPPED", ms.milestone_id, f"milestone {ms.name!r} is gone from the later snapshot")
+        for ms in _unmatched(before, after)
+    ]
+    out += [
+        Finding(
+            "ADDED-INTERMEDIATE",
+            ms.milestone_id,
+            f"intermediate milestone {ms.name!r} added since the earlier snapshot",
+        )
+        for ms in _unmatched(after, before)
+        if ms.kind == "intermediate"
+    ]
     return sort_findings(out)

@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import flowgraph
-from .durations import parse_duration, parse_offset_days, quoted, shared_duration
+from .durations import parse_duration, parse_offset_days, shared_duration
 from .errors import ModelParseError
 from .findings import Finding, sort_findings
 from .graph import reachable
@@ -457,7 +457,7 @@ def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: li
     try:
         return parse(ext[key])
     except ValueError as exc:
-        findings.append(Finding("BAD-ANNOTATION", subject, f"{key}={quoted(ext[key])} ignored: {exc}"))
+        findings.append(Finding("BAD-ANNOTATION", subject, f"{key} ignored: {exc}"))
         return None
 
 
@@ -535,7 +535,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
                 milestone_id=subject,
                 model_id=model.model_id,
                 event_node_id=node.node_id,
-                name=node.name or node.node_id,
+                name=node.display_name,
                 kind=_KIND_FOR_EVENT[node.kind],
                 gq=gq,
                 declared_offset=_annotation(ext, "declaredOffset", parse_offset_days, subject, findings),

@@ -60,6 +60,11 @@ class FlowNode:
     def is_event(self) -> bool:
         return self.kind in EVENT_KINDS
 
+    @property
+    def display_name(self) -> str:
+        """The name trimmed, or the node id when the name is blank."""
+        return self.name.strip() or self.node_id
+
 
 @dataclass(slots=True)
 class Lane:

@@ -105,7 +105,8 @@ class TestValidate:
         assert code == 1
         errors = [f for f in doc["findings"] if f["severity"] == "error"]
         assert [f["code"] for f in errors] == ["BAD-ANNOTATION"]
-        assert f"{key}={bad!r} ignored" in errors[0]["message"]
+        message = errors[0]["message"]
+        assert message.startswith(f"{key} ignored: ") and message.count(repr(bad)) == 1
 
     @pytest.mark.parametrize("declared, codes", [("-55", []), ("-60", ["OFFSET-MISMATCH"])])
     def test_an_elapsed_timer_waits_in_the_flow(self, capsys, tmp_path, declared, codes):
@@ -423,6 +424,19 @@ class TestConform:
             ("MINOR-DEVIATION", "info", "program/program-plan"),
         ]
         assert cli.run(["conform", str(DEVIATION_MANIFEST), "--strict"]) == 1
+
+    def test_a_blank_task_name_is_no_step_name(self, capsys, tmp_path):
+        """A task named only whitespace is the step of its node id."""
+        root = tmp_path / "deviation"
+        shutil.copytree(DEVIATION_MANIFEST.parent, root)
+        build = root / "build.bpmn"
+        text = build.read_text(encoding="utf-8")
+        needle = '<task id="t_build" name="Build prototype">'
+        assert text.count(needle) == 1
+        build.write_text(text.replace(needle, '<task id="t_build" name="   ">'), encoding="utf-8")
+        _, doc = run_json(capsys, ["conform", str(root / "manifest.json")])
+        [steps] = [e["aspects"]["steps"] for e in doc["conformance"] if e["model"] == "build"]
+        assert steps["extra"] == ["t_build", "paint prototype"]
 
     def test_a_model_bound_to_both_sides_is_unlinked_from_itself(self, capsys, tmp_path):
         """Its own milestones are no iteration: no data flows between them."""

@@ -556,6 +556,15 @@ class TestRetention:
         findings = check_milestone_retention([milestone("m:a")], after)
         assert [(f.code, f.severity) for f in findings] == [("ADDED-INTERMEDIATE", "info")]
 
+    def test_a_blank_name_matches_no_other_milestone(self):
+        before = [milestone("m:a"), milestone("m:e1", name=" ")]
+        after = [milestone("m:a"), milestone("m:e2", name="\t ")]
+        findings = check_milestone_retention(before, after)
+        assert [(f.code, f.subject) for f in findings] == [
+            ("MILESTONE-DROPPED", "m:e1"),
+            ("ADDED-INTERMEDIATE", "m:e2"),
+        ]
+
     def test_added_terminal_events_pass_silently(self):
         after = [milestone("m:a"), milestone("m:fin", kind="end")]
         assert check_milestone_retention([milestone("m:a")], after) == []

@@ -653,6 +653,32 @@ class TestMilestones:
         assert ms.declared_offset is None
         assert ms.gq.gq4_duration == Duration(5)
 
+    def test_a_refused_annotation_quotes_its_value_once(self):
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", timer=anchor(30)),
+                node("e", "end-event", ext={"declaredOffset": "1_000"}),
+            ],
+        )
+        [bad] = extract_milestones(model)[1]
+        assert bad.message == (
+            "declaredOffset ignored: declared offset '1_000': days must be at most 1000000, in ASCII digits"
+        )
+
+    def test_a_milestone_is_named_by_its_events_display_name(self):
+        """The name trimmed, or the node id when the name is blank."""
+        model = chain_model(
+            "m",
+            [
+                node("s", "start-event", name="  ", timer=anchor(30)),
+                node("t", "task", days=5),
+                node("e", "end-event", name=" Gate A "),
+            ],
+        )
+        names = {ms.event_node_id: ms.name for ms in extract_milestones(model)[0]}
+        assert names == {"s": "s", "e": "Gate A"}
+
     def test_nameless_objects_fall_back_to_ids(self):
         model = chain_model(
             "m",

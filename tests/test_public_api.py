@@ -2,6 +2,7 @@
 The module attributes the benchmark tracer wraps must keep resolving, and
 keep being called, too."""
 
+import ast
 import importlib
 from collections import Counter
 from pathlib import Path
@@ -76,3 +77,24 @@ def test_every_attribute_the_tracer_wraps_is_called(monkeypatch, capsys, tmp_pat
     assert cli.run(["retention", manifest, "--after", str(PARKPILOT_SEVERED)]) == 0
     capsys.readouterr()
     assert set(tracing.SPANS) - set(calls) == {("conformance", "canonical_key")}
+
+
+def test_no_new_private_name_crosses_a_module():
+    """A `_`-prefixed name belongs to its module. These few are shared on
+    purpose; any other import of one from a sibling module fails here."""
+    crossings = set()
+    for path in Path(procpyramid.__file__).parent.glob("*.py"):
+        for stmt in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module:
+                crossings.update(
+                    (alias.name, stmt.module, path.stem)
+                    for alias in stmt.names
+                    if alias.name.startswith("_")
+                )
+    assert crossings == {
+        ("_NO_EXTENSIONS", "model", "bundle"),
+        ("_NO_EXTENSIONS", "model", "ingest"),
+        ("_NO_ITEMS", "timeline", "bundle"),
+        ("_NameKeys", "dependency", "cli"),
+        ("_NameKeys", "dependency", "conformance"),
+    }
