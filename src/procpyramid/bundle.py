@@ -7,7 +7,6 @@ import os
 import stat
 import sys
 import threading
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, NoReturn
@@ -17,9 +16,8 @@ from .errors import ManifestError, ModelParseError, PyramidError
 from .findings import Finding, merge_findings
 from .ingest import extract_milestones, parse_model
 from .model import _NO_EXTENSIONS, DataObject, FlowNode, Lane, ProcessModel, TimerDef
-from .naming import normalize_name
 from .pyramid import LevelEntry, Manifest, Pyramid, build_pyramid, link_levels, load_manifest
-from .timeline import _NO_ITEMS, GqRecord, Milestone
+from .timeline import _NO_ITEMS, GqRecord, Milestone, milestone_resolver
 
 # The listed model files' total size in bytes from which loading forks one
 # worker for the second half of them. Below it, the fork and the codec cost
@@ -36,13 +34,12 @@ class Bundle:
     root_dir: Path = Path(".")
 
     def labels(self) -> dict[str, str]:
-        """Reporting label per milestone: the display name when it is unique
-        across the bundle and is no milestone's id, the full id otherwise, so
-        no two milestones share a label."""
-        counts = Counter(ms.name for ms in self.milestones)
-        ids = {ms.milestone_id for ms in self.milestones}
+        """Reporting label per milestone: its display name when that name,
+        read as a reference, names it (`milestone_resolver`), its full id
+        otherwise, so no two milestones share a label."""
+        named = milestone_resolver(self.milestones)
         return {
-            ms.milestone_id: ms.name if counts[ms.name] == 1 and ms.name not in ids else ms.milestone_id
+            ms.milestone_id: ms.name if named(ms.name) == ms.milestone_id else ms.milestone_id
             for ms in self.milestones
         }
 
@@ -73,31 +70,15 @@ def read_utf8(path: Path, error: type[PyramidError]) -> str:
 def resolve_references(milestones: list[Milestone]) -> list[Milestone]:
     """Rewrite gq7 and alignsWith entries to milestone ids, in new records.
 
-    A reference may be a milestone id, a unique display name, or a unique
-    event node id. Anything unresolvable stays verbatim so later checks can
-    flag it. The records given are left unchanged.
+    A reference resolves by `milestone_resolver`. Anything unresolvable
+    stays verbatim so later checks can flag it. The records given are left
+    unchanged.
     """
-    ids = {ms.milestone_id for ms in milestones}
-    by_name: dict[str, list[str]] = {}
-    by_node: dict[str, list[str]] = {}
-    for ms in milestones:
-        by_name.setdefault(normalize_name(ms.name), []).append(ms.milestone_id)
-        by_node.setdefault(ms.event_node_id, []).append(ms.milestone_id)
-
-    def resolve(ref: str) -> str:
-        if ref in ids:
-            return ref
-        named = by_name.get(normalize_name(ref), [])
-        if len(named) == 1:
-            return named[0]
-        noded = by_node.get(ref, [])
-        if len(noded) == 1:
-            return noded[0]
-        return ref
+    named = milestone_resolver(milestones)
 
     def resolve_all(refs: frozenset[str]) -> frozenset[str]:
         # Empty sets are kept as they are: they are shared, not copied.
-        return frozenset(map(resolve, refs)) if refs else refs
+        return frozenset(named(ref) or ref for ref in refs) if refs else refs
 
     resolved = []
     for ms in milestones:

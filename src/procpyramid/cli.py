@@ -47,7 +47,6 @@ from .durations import quoted, read_days, render_offset
 from .errors import PyramidError, TemplateError, UnknownSeedError
 from .findings import Finding, error_count, merge_findings, summarize
 from .ingest import check_wellformed
-from .naming import normalize_name
 from .pyramid import assign_coordinates, check_connectivity
 from .timeline import (
     Milestone,
@@ -55,6 +54,7 @@ from .timeline import (
     build_reference_timeline,
     check_alignment,
     check_gq,
+    milestone_resolver,
     reconcile_declared,
     resolve_offsets,
 )
@@ -321,11 +321,10 @@ class _Session:
     def _resolve_seed(self, seed: str) -> str:
         if seed in self.graph.nodes or seed in self.bundle.pyramid.models:
             return seed
-        key = normalize_name(seed)
-        matches = [ms.milestone_id for ms in self.bundle.milestones if normalize_name(ms.name) == key]
-        if len(matches) == 1:
-            return matches[0]
-        raise UnknownSeedError(f"seed {seed!r} matches no milestone, model, or unique milestone name")
+        resolved = milestone_resolver(self.bundle.milestones)(seed)
+        if resolved is not None:
+            return resolved
+        raise UnknownSeedError(f"seed {seed!r} matches no model and names no milestone")
 
     def conform(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle, templates = self.bundle, self.templates

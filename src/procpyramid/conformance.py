@@ -14,7 +14,7 @@ from .graph import adjacency, reachable, topological_order
 from .model import ProcessModel
 # canonical_key stays bound here: perfbench/tracing.py wraps this attribute
 from .naming import canonical_key, normalize_name  # noqa: F401
-from .timeline import Milestone, split_list
+from .timeline import Milestone, split_list, unique_names
 
 if TYPE_CHECKING:
     from .pyramid import Pyramid
@@ -378,22 +378,19 @@ def check_vv_links(
     return sort_findings(out)
 
 
-def _unmatched(milestones: list[Milestone], others: list[Milestone]) -> list[Milestone]:
-    """Those of `milestones` that no milestone of `others` matches: one
-    matches when it has the same id, or the same normalized name provided
-    that name is not blank."""
-    ids = {ms.milestone_id for ms in others}
-    names = {normalize_name(ms.name) for ms in others} - {""}
-    return [ms for ms in milestones if ms.milestone_id not in ids and normalize_name(ms.name) not in names]
-
-
 def check_milestone_retention(before: Iterable[Milestone], after: Iterable[Milestone]) -> list[Finding]:
     """Milestones may be added between snapshots but never silently dropped.
-    Identity is `_unmatched`'s rule, so a re-id survives if its name does."""
+    Milestones pair by id first; of those left on each side, two pair when
+    `unique_names` gives both their name, so a re-id survives if its name does."""
     before, after = list(before), list(after)
+    ids_before, ids_after = {ms.milestone_id for ms in before}, {ms.milestone_id for ms in after}
+    gone = [ms for ms in before if ms.milestone_id not in ids_after]
+    new = [ms for ms in after if ms.milestone_id not in ids_before]
+    shared = unique_names(gone).keys() & unique_names(new).keys()
     out = [
         Finding("MILESTONE-DROPPED", ms.milestone_id, f"milestone {ms.name!r} is gone from the later snapshot")
-        for ms in _unmatched(before, after)
+        for ms in gone
+        if normalize_name(ms.name) not in shared
     ]
     out += [
         Finding(
@@ -401,7 +398,7 @@ def check_milestone_retention(before: Iterable[Milestone], after: Iterable[Miles
             ms.milestone_id,
             f"intermediate milestone {ms.name!r} added since the earlier snapshot",
         )
-        for ms in _unmatched(after, before)
-        if ms.kind == "intermediate"
+        for ms in new
+        if ms.kind == "intermediate" and normalize_name(ms.name) not in shared
     ]
     return sort_findings(out)

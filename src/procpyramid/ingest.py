@@ -17,7 +17,7 @@ from operator import attrgetter
 from typing import Mapping
 
 from . import flowgraph
-from .durations import parse_duration, parse_offset_days, shared_duration
+from .durations import parse_duration, parse_offset_days, quoted, shared_duration
 from .errors import ModelParseError
 from .findings import Finding, sort_findings
 from .graph import reachable
@@ -449,6 +449,15 @@ def _parse_storage(value: str) -> dict[str, str]:
     return entries
 
 
+def _parse_flag(value: str) -> bool:
+    """A yes/no entry: true, 1 or yes, or false, 0 or no, in any case and
+    trimmed. Any other value raises ValueError."""
+    key = value.strip().lower()
+    if key in ("true", "1", "yes", "false", "0", "no"):
+        return key in ("true", "1", "yes")
+    raise ValueError(f"terminal flag {quoted(value)}: expected true, 1, yes, false, 0 or no")
+
+
 def _annotation(ext: dict[str, str], key: str, parse, subject: str, findings: list[Finding]):
     """The parsed extension entry, or None when it is absent or does not
     parse; the latter is reported as BAD-ANNOTATION."""
@@ -466,9 +475,9 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
 
     GQ answers are derived from the model where possible (owning process,
     lane role, segment durations, data associations) and overridden by
-    explicit gq1..gq8 extension entries on the event. A gq4 or
-    declaredOffset entry that does not parse is reported as BAD-ANNOTATION
-    and treated as absent. Each milestone keeps its event's anchor
+    explicit gq1..gq8 extension entries on the event. A gq4, declaredOffset
+    or terminal entry that does not parse is reported as BAD-ANNOTATION and
+    treated as absent. Each milestone keeps its event's anchor
     candidates for offset resolution.
     """
     out: list[Milestone] = []
@@ -539,7 +548,7 @@ def extract_milestones(model: ProcessModel) -> tuple[list[Milestone], list[Findi
                 kind=_KIND_FOR_EVENT[node.kind],
                 gq=gq,
                 declared_offset=_annotation(ext, "declaredOffset", parse_offset_days, subject, findings),
-                terminal=ext.get("terminal", "").strip().lower() in ("true", "1", "yes"),
+                terminal=bool(_annotation(ext, "terminal", _parse_flag, subject, findings)),
                 aligns_with=split_list(ext.get("alignsWith", "")),
                 anchors=(tuple(candidates), cyclic),
             )

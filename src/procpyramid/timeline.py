@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import flowgraph
 from .durations import Duration
@@ -70,6 +71,26 @@ class Milestone:
     def __post_init__(self):
         if self.kind not in ("start", "intermediate", "end"):
             raise ValueError(f"unknown milestone kind {self.kind!r}")
+
+
+def unique_names(milestones: Iterable[Milestone]) -> dict[str, str]:
+    """Each non-blank normalized display name that exactly one milestone
+    carries, mapped to that milestone's id."""
+    keys = [(normalize_name(ms.name), ms.milestone_id) for ms in milestones]
+    counts = Counter(key for key, _ in keys)
+    return {key: mid for key, mid in keys if key and counts[key] == 1}
+
+
+def milestone_resolver(milestones: Sequence[Milestone]) -> Callable[[str], str | None]:
+    """The reference rule: a reference names the milestone whose id it is,
+    else the one its normalized form names in `unique_names`, else the one
+    whose event node id it is when no other milestone has that node id. The
+    function returned maps a reference to that milestone's id, or to None."""
+    ids = {ms.milestone_id for ms in milestones}
+    names = unique_names(milestones)
+    counts = Counter(ms.event_node_id for ms in milestones)
+    nodes = {ms.event_node_id: ms.milestone_id for ms in milestones if counts[ms.event_node_id] == 1}
+    return lambda ref: ref if ref in ids else names.get(normalize_name(ref), nodes.get(ref))
 
 
 @dataclass

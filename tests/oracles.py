@@ -220,6 +220,56 @@ def alias_walk(name, aliases):
     return key
 
 
+def _names_alike(a, b):
+    """Display names compare case-folded with whitespace collapsed; a blank
+    name is like no other."""
+    a, b = " ".join(a.split()).casefold(), " ".join(b.split()).casefold()
+    return a != "" and a == b
+
+
+def resolve_by_scan(milestones, ref):
+    """The id of the milestone a reference names, or None, by linear scans:
+    the milestone with that id; else the only milestone whose name is like
+    the reference; else the only milestone whose event node id it is."""
+    for ms in milestones:
+        if ms.milestone_id == ref:
+            return ref
+    for matches in (
+        [ms for ms in milestones if _names_alike(ms.name, ref)],
+        [ms for ms in milestones if ms.event_node_id == ref],
+    ):
+        if len(matches) == 1:
+            return matches[0].milestone_id
+    return None
+
+
+def retention_by_scan(before, after):
+    """The sorted (code, subject) pairs of the retention findings, by scans.
+
+    A milestone is left when the other snapshot has no milestone with its
+    id. A left milestone is paired when exactly one left milestone on its
+    own side and exactly one on the other side have a name like its name.
+    Unpaired left milestones of the earlier snapshot are dropped; unpaired
+    left intermediate ones of the later snapshot are added.
+    """
+
+    def left(side, other):
+        return [ms for ms in side if not any(o.milestone_id == ms.milestone_id for o in other)]
+
+    gone, new = left(before, after), left(after, before)
+
+    def paired(ms, own, other):
+        return all(sum(_names_alike(ms.name, m.name) for m in side) == 1 for side in (own, other))
+
+    out = [("MILESTONE-DROPPED", ms.milestone_id) for ms in gone if not paired(ms, gone, new)]
+    out += [
+        ("ADDED-INTERMEDIATE", ms.milestone_id)
+        for ms in new
+        if ms.kind == "intermediate" and not paired(ms, new, gone)
+    ]
+    return sorted(out)
+
+
 def unreachable_by_bfs(root, children):
     """Models not reached from root over parent->child links."""
     seen = {root}

@@ -3,10 +3,14 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import FIXTURES, PARKPILOT_MANIFEST, milestone
-from procpyramid import Bundle, ManifestError, load_bundle
+from procpyramid import Bundle, ManifestError, UnknownSeedError, check_milestone_retention, load_bundle
 from procpyramid.bundle import resolve_references
+from procpyramid.cli import _Session
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +174,74 @@ class TestLabels:
         labels = bundle.labels()
         assert labels == {"m:s": "m:s", "m:i": "m:i", "m:e": "m:e", "m:f": "m:f"}
         assert len(set(labels.values())) == len(ms)
+
+    def test_names_alike_once_normalized_fall_back_to_ids(self, parkpilot):
+        """`Review` and `review` both name no milestone as a reference, so
+        neither is a label."""
+        ms = [
+            milestone("m:a", name="Review"),
+            milestone("n:b", name="review"),
+            milestone("n:c", name="Handover"),
+        ]
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=ms)
+        assert bundle.labels() == {"m:a": "m:a", "n:b": "n:b", "n:c": "Handover"}
+
+
+# Small milestone lists for the reference rule: ids share node ids across
+# models, and names mix case and whitespace variants, blank names, and
+# names equal to ids or node ids.
+NODES = ("a", "b", "e4")
+IDS = tuple(f"{model}:{node}" for model in ("m", "n") for node in NODES)
+NAMES = ("Review", "review", " REVIEW\t", "Re  view", "", " ", "Handover", "m:a", "n:b", "a", "e4", " E4")
+REFS = (*NAMES, *IDS, "nowhere")
+
+
+def milestone_lists(**kwargs):
+    rows = st.tuples(
+        st.sampled_from(IDS),
+        st.sampled_from(NAMES),
+        st.sampled_from(("start", "intermediate", "end")),
+        st.frozensets(st.sampled_from(REFS), max_size=3),
+    )
+    return st.lists(rows, unique_by=lambda row: row[0], **kwargs).map(
+        lambda rows: [
+            milestone(mid, name=name, kind=kind, consumers=refs, aligns=sorted(refs)[:1])
+            for mid, name, kind, refs in rows
+        ]
+    )
+
+
+class TestReferenceRule:
+    """gq7 and alignsWith references, labels, seeds and retention follow
+    one rule, checked against linear scans."""
+
+    @given(milestone_lists(min_size=1, max_size=6))
+    def test_references_labels_and_seeds(self, parkpilot, ms):
+        def expected(ref):
+            return oracles.resolve_by_scan(ms, ref) or ref
+
+        for before, after in zip(ms, resolve_references(ms)):
+            assert after.gq.gq7_consumers == frozenset(map(expected, before.gq.gq7_consumers))
+            assert after.aligns_with == frozenset(map(expected, before.aligns_with))
+
+        plain = [milestone(m.milestone_id, name=m.name, kind=m.kind) for m in ms]
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=plain)
+        labels = bundle.labels()
+        assert len(set(labels.values())) == len(plain)
+        for m in plain:
+            named = oracles.resolve_by_scan(plain, m.name) == m.milestone_id
+            assert labels[m.milestone_id] == (m.name if named else m.milestone_id)
+
+        session = _Session(bundle)
+        for ref in REFS:
+            want = oracles.resolve_by_scan(plain, ref)
+            if want is None:
+                with pytest.raises(UnknownSeedError):
+                    session._resolve_seed(ref)
+            else:
+                assert session._resolve_seed(ref) == want
+
+    @given(milestone_lists(max_size=5), milestone_lists(max_size=5))
+    def test_retention(self, before, after):
+        findings = check_milestone_retention(before, after)
+        assert sorted((f.code, f.subject) for f in findings) == oracles.retention_by_scan(before, after)

@@ -83,6 +83,7 @@ class TestValidate:
             ("declaredOffset", "-60", "-1000001"),
             ("declaredOffset", "-60", "1_000"),
             ("declaredOffset", "-60", "\u0663"),
+            ("terminal", "true", "ture"),
         ],
         ids=[
             "declaredOffset",
@@ -92,6 +93,7 @@ class TestValidate:
             "integer-declaredOffset-over-day-bound",
             "declaredOffset-underscore",
             "declaredOffset-arabic-indic-3",
+            "terminal-typo",
         ],
     )
     def test_malformed_annotation_is_a_finding(self, capsys, tmp_path, key, old, bad):
@@ -351,6 +353,13 @@ class TestImpact:
             "product-process:s0",
         ]
         assert section["crossedLevels"] == [0, 1, 2, 3, 4]
+
+    def test_seed_by_event_node_id(self, capsys):
+        """A node id that one milestone alone has names it, as in a gq7 entry."""
+        by_node = run_json(capsys, ["impact", str(PARKPILOT_MANIFEST), "--seed", "e4"])
+        by_name = run_json(capsys, ["impact", str(PARKPILOT_MANIFEST), "--seed", "Park pilot approved"])
+        assert by_node == by_name
+        assert by_node[1]["impact"]["seed"] == "park-pilot-test:e4"
 
     def test_seed_by_model_id(self, capsys):
         code, doc = run_json(capsys, ["impact", str(PARKPILOT_MANIFEST), "--seed", "test-plan"])

@@ -565,6 +565,30 @@ class TestRetention:
             ("ADDED-INTERMEDIATE", "m:e2"),
         ]
 
+    @pytest.mark.parametrize(
+        "after, expected",
+        [
+            ([milestone("m:a", name="Review")], [("MILESTONE-DROPPED", "m:b")]),
+            (
+                [milestone("m:c", name="Review")],
+                [("ADDED-INTERMEDIATE", "m:c"), ("MILESTONE-DROPPED", "m:a"), ("MILESTONE-DROPPED", "m:b")],
+            ),
+        ],
+        ids=["one-kept-by-id", "one-new-of-that-name"],
+    )
+    def test_a_name_two_milestones_share_pairs_neither(self, after, expected):
+        """`Review` names neither of two milestones, so it cannot keep the
+        one whose id is gone."""
+        before = [milestone("m:a", name="Review"), milestone("m:b", name="Review")]
+        findings = check_milestone_retention(before, after)
+        assert sorted((f.code, f.subject) for f in findings) == expected
+
+    def test_names_pair_among_the_milestones_left_after_ids(self):
+        """m:a pairs by id; of the rest, only m:b and m:c carry `Review`."""
+        before = [milestone("m:a", name="Review"), milestone("m:b", name="Review")]
+        after = [milestone("m:a", name="Review"), milestone("m:c", name="review")]
+        assert check_milestone_retention(before, after) == []
+
     def test_added_terminal_events_pass_silently(self):
         after = [milestone("m:a"), milestone("m:fin", kind="end")]
         assert check_milestone_retention([milestone("m:a")], after) == []
