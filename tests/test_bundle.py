@@ -224,6 +224,8 @@ class TestReferenceRule:
             assert after.gq.gq7_consumers == frozenset(map(expected, before.gq.gq7_consumers))
             assert after.aligns_with == frozenset(map(expected, before.aligns_with))
 
+        # Without consumers the dependency graph's nodes are the milestone
+        # ids alone, so every seed but an id reaches the resolver.
         plain = [milestone(m.milestone_id, name=m.name, kind=m.kind) for m in ms]
         bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=plain)
         labels = bundle.labels()
