@@ -44,7 +44,7 @@ from .dependency import (
     infer_edges,
 )
 from .durations import quoted, read_days, render_offset
-from .errors import PyramidError, TemplateError, UnknownSeedError
+from .errors import PyramidError, TemplateError
 from .findings import Finding, error_count, merge_findings, summarize
 from .ingest import check_wellformed
 from .pyramid import assign_coordinates, check_connectivity
@@ -307,7 +307,12 @@ class _Session:
         return findings, payload
 
     def impact(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
-        result = impact(self.graph, self.bundle.pyramid, self._resolve_seed(args.seed))
+        # a model id, or else the milestone the reference rule names;
+        # `impact` refuses any other text
+        seed = args.seed
+        if seed not in self.bundle.pyramid.models:
+            seed = milestone_resolver(self.bundle.milestones)(seed) or seed
+        result = impact(self.graph, self.bundle.pyramid, seed)
         payload = {
             "impact": {
                 "seed": result.seed,
@@ -317,14 +322,6 @@ class _Session:
             }
         }
         return [], payload
-
-    def _resolve_seed(self, seed: str) -> str:
-        if seed in self.graph.nodes or seed in self.bundle.pyramid.models:
-            return seed
-        resolved = milestone_resolver(self.bundle.milestones)(seed)
-        if resolved is not None:
-            return resolved
-        raise UnknownSeedError(f"seed {seed!r} matches no model and names no milestone")
 
     def conform(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         bundle, templates = self.bundle, self.templates

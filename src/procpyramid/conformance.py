@@ -329,9 +329,10 @@ def vv_iterations(
     """
     pairs = ((e.producer, e.consumer) for e in graph.edges if e.status != DECLARED_UNMATCHED)
     producers = adjacency(graph.nodes, pairs)[1]
-    by_model: dict[str, list[str]] = {}
+    model_of = graph.model_of
+    by_model: dict[str | None, list[str]] = {}
     for node in graph.nodes:
-        by_model.setdefault(graph.model_id(node), []).append(node)
+        by_model.setdefault(model_of.get(node), []).append(node)
     # right model -> the models of the milestones upstream of its own, counted
     upstream_of: dict[str, Counter] = {}
     rows: dict[tuple[str, str], VvLinkStat] = {}
@@ -340,7 +341,7 @@ def vv_iterations(
             upstream = upstream_of.get(rm)
             if upstream is None:
                 upstream = upstream_of[rm] = Counter(
-                    graph.model_id(n)
+                    model_of.get(n)
                     for node in by_model.get(rm, ())
                     for n in reachable(producers, [node])
                     if n != node

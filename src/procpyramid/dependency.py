@@ -3,9 +3,10 @@ declared consumers, ordered in time, and traversed for impact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from .durations import quoted
 from .errors import UnknownSeedError
 from .findings import Finding, frozen_record, sort_findings
 from .graph import adjacency, bfs_layers, strongly_connected
@@ -32,16 +33,12 @@ class DependencyEdge:
 
 @dataclass
 class DependencyGraph:
-    nodes: list[str] = field(default_factory=list)
-    edges: list[DependencyEdge] = field(default_factory=list)
-    # milestone id -> model id; model ids may themselves contain ":"
-    model_of: dict[str, str] = field(default_factory=dict)
-
-    def model_id(self, node: str) -> str:
-        """The model a node belongs to. Nodes that are no milestone (dangling
-        gq7 references) are read as model:node."""
-        model = self.model_of.get(node)
-        return model if model is not None else node.split(":", 1)[0]
+    nodes: list[str]
+    edges: list[DependencyEdge]
+    # milestone id -> model id, the one rule for which model a node belongs
+    # to; model ids may themselves contain ":". A node that is no milestone
+    # (a dangling gq7 reference) belongs to no model.
+    model_of: dict[str, str]
 
     def adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """The consumers and the producers of every node, over every edge."""
@@ -203,23 +200,21 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
 
 
 def _expand_seed(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> set[str]:
-    node_set = set(graph.nodes)
     if seed in pyramid.models:
-        members = {n for n in node_set if graph.model_id(n) == seed}
-        if members:
-            return members
-        raise UnknownSeedError(f"model {seed!r} has no milestones in the dependency graph")
-    if seed in node_set:
-        return {seed}
-    raise UnknownSeedError(f"seed {seed!r} matches no milestone and no model")
+        members = {n for n, model in graph.model_of.items() if model == seed}
+    else:
+        members = {seed} & graph.model_of.keys()
+    if not members:
+        raise UnknownSeedError(f"seed {quoted(seed)} names no milestone and no model with milestones")
+    return members
 
 
 def impact(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> ImpactSet:
     """Everything a change at the seed can touch, in both directions.
 
-    The seed may be a milestone id or a model id (which expands to all of
-    the model's milestones). crossed_levels collects the pyramid levels of
-    every touched milestone.
+    The seed is a model id (which expands to the model's milestones in
+    `graph.model_of`), or else a milestone id, a key of `graph.model_of`.
+    crossed_levels collects the pyramid levels of every touched milestone.
     """
     seeds = _expand_seed(graph, pyramid, seed)
     consumers, producers = graph.adjacency()
@@ -227,9 +222,9 @@ def impact(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> ImpactSet:
     upstream = bfs_layers(producers, seeds)
 
     crossed: set[int] = set()
-    level_of = pyramid.level_of
+    level_of, model_of = pyramid.level_of, graph.model_of
     for node in seeds | set(downstream) | set(upstream):
-        model_id = graph.model_id(node)
+        model_id = model_of.get(node)
         if model_id in level_of:
             crossed.add(level_of[model_id])
     return ImpactSet(seed=seed, downstream=downstream, upstream=upstream, crossed_levels=crossed)
@@ -312,11 +307,12 @@ def graph_to_dot(graph: DependencyGraph, table: OffsetTable, names: dict[str, st
 def graph_to_json(
     graph: DependencyGraph, table: OffsetTable, pyramid: Pyramid, names: dict[str, str]
 ) -> dict:
-    """JSON-ready edge list with level metadata on every edge."""
-    level_of = pyramid.level_of
+    """JSON-ready edge list with level metadata on every edge. A node of no
+    model (a dangling gq7 reference) has no level."""
+    level_of, model_of = pyramid.level_of, graph.model_of
 
     def level(node: str) -> int | None:
-        return level_of.get(graph.model_id(node))
+        return level_of.get(model_of.get(node))
 
     nodes = [
         {

@@ -22,7 +22,6 @@ from procpyramid import (
     Lane,
     OffsetTable,
     ProcessModel,
-    Pyramid,
     ReferenceProcess,
     TimerDef,
     check_connectivity,
@@ -109,6 +108,8 @@ def test_criterion_3_twelve_slot_grid():
 def test_criterion_4_dependency_oracle_equivalence():
     rng = random.Random(41)
     pool = [f"obj{k}" for k in range(20)]
+    models = [f"m{k}" for k in range(5)]
+    pyramid = stub_pyramid({k: [mid] for k, mid in enumerate(models)}, list(zip(models, models[1:])))
     started = time.perf_counter()
 
     for _ in range(100):
@@ -119,7 +120,7 @@ def test_criterion_4_dependency_oracle_equivalence():
             outs = rng.sample(pool, rng.randint(0, 3))
             ins = rng.sample(pool, rng.randint(0, 3))
             declared = (
-                rng.sample(ids + ["ghost:g"], rng.randint(1, 2)) if rng.random() < 0.4 else []
+                rng.sample(ids + ["ghost:g", "m0:ghost"], rng.randint(1, 2)) if rng.random() < 0.4 else []
             )
             ms.append(milestone(mid, inputs=ins, outputs=outs, consumers=declared))
 
@@ -135,10 +136,15 @@ def test_criterion_4_dependency_oracle_equivalence():
         closure = oracles.closure_floyd_warshall(
             graph.nodes, [(e.producer, e.consumer) for e in graph.edges]
         )
-        seed = rng.choice(ids)
-        result = impact(graph, Pyramid(""), seed)
-        assert set(result.downstream) == {b for a, b in closure if a == seed} - {seed}
-        assert set(result.upstream) == {a for a, b in closure if b == seed} - {seed}
+        # a milestone seed, or a model seed standing for its milestones in model_of
+        seed = rng.choice(ids + sorted(set(graph.model_of.values())))
+        seeds = {n for n, model in graph.model_of.items() if model == seed} or {seed}
+        result = impact(graph, pyramid, seed)
+        assert set(result.downstream) == {b for a, b in closure if a in seeds} - seeds
+        assert set(result.upstream) == {a for a, b in closure if b in seeds} - seeds
+        touched = seeds | set(result.downstream) | set(result.upstream)
+        members = touched & graph.model_of.keys()
+        assert result.crossed_levels == {pyramid.level_of[graph.model_of[n]] for n in members}
 
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -193,6 +199,7 @@ def test_criterion_6_temporal_soundness():
         graph = DependencyGraph(
             nodes=sorted(ids),
             edges=[DependencyEdge(p, c, frozenset({"x"}), INFERRED_UNDECLARED) for p, c in edges],
+            model_of=dict.fromkeys(ids, "m"),
         )
         assert check_temporal(graph, OffsetTable(offsets=offsets)) == []
 

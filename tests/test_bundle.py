@@ -1,6 +1,7 @@
 import copy
 import json
 import shutil
+from argparse import Namespace
 
 import pytest
 from hypothesis import given
@@ -220,28 +221,28 @@ class TestReferenceRule:
         def expected(ref):
             return oracles.resolve_by_scan(ms, ref) or ref
 
-        for before, after in zip(ms, resolve_references(ms)):
+        loaded = resolve_references(ms)
+        for before, after in zip(ms, loaded):
             assert after.gq.gq7_consumers == frozenset(map(expected, before.gq.gq7_consumers))
             assert after.aligns_with == frozenset(map(expected, before.aligns_with))
 
-        # Without consumers the dependency graph's nodes are the milestone
-        # ids alone, so every seed but an id reaches the resolver.
-        plain = [milestone(m.milestone_id, name=m.name, kind=m.kind) for m in ms]
-        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=plain)
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=loaded)
         labels = bundle.labels()
-        assert len(set(labels.values())) == len(plain)
-        for m in plain:
-            named = oracles.resolve_by_scan(plain, m.name) == m.milestone_id
+        assert len(set(labels.values())) == len(ms)
+        for m in ms:
+            named = oracles.resolve_by_scan(ms, m.name) == m.milestone_id
             assert labels[m.milestone_id] == (m.name if named else m.milestone_id)
 
+        # No reference is a model id here, so a seed is the milestone it
+        # names; a gq7 item kept as written is a graph node, but no seed.
         session = _Session(bundle)
         for ref in REFS:
-            want = oracles.resolve_by_scan(plain, ref)
+            want = oracles.resolve_by_scan(ms, ref)
             if want is None:
                 with pytest.raises(UnknownSeedError):
-                    session._resolve_seed(ref)
+                    session.impact(Namespace(seed=ref))
             else:
-                assert session._resolve_seed(ref) == want
+                assert session.impact(Namespace(seed=ref))[1]["impact"]["seed"] == want
 
     @given(milestone_lists(max_size=5), milestone_lists(max_size=5))
     def test_retention(self, before, after):

@@ -396,6 +396,28 @@ class TestImpact:
         assert cli.run(["impact", str(PARKPILOT_MANIFEST), "--seed", "nope"]) == 2
         assert "fatal [UNKNOWN-SEED]" in capsys.readouterr().err
 
+    def test_an_unknown_seed_is_quoted_to_40_characters(self, capsys):
+        assert cli.run(["impact", str(PARKPILOT_MANIFEST), "--seed", "x" * 100]) == 2
+        assert capsys.readouterr().err == (
+            f"fatal [UNKNOWN-SEED]: seed {'x' * 40!r}… names no milestone and no model with milestones\n"
+        )
+
+    def test_a_gq7_item_that_names_no_milestone_is_no_seed(self, capsys, tmp_path):
+        """pep's `PEP released` renamed `program approved`: pep:s1's gq7 item
+        `PEP released` then names no milestone. It stays a graph node, so its
+        broken promise shows, but it is no seed."""
+        shutil.copytree(PARKPILOT_MANIFEST.parent, tmp_path, dirs_exist_ok=True)
+        pep = tmp_path / "pep.bpmn"
+        text = pep.read_text(encoding="utf-8")
+        pep.write_text(text.replace('name="PEP released"', 'name="program approved"'), encoding="utf-8")
+        manifest = str(tmp_path / "manifest.json")
+        _, doc = run_json(capsys, ["deps", manifest])
+        assert ("pep:s1", "PEP released", "declared-unmatched") in {
+            (e["producer"], e["consumer"], e["status"]) for e in doc["dependencies"]["edges"]
+        }
+        assert cli.run(["impact", manifest, "--seed", "PEP released"]) == 2
+        assert "fatal [UNKNOWN-SEED]" in capsys.readouterr().err
+
     def test_seed_is_required(self, capsys):
         assert cli.run(["impact", str(PARKPILOT_MANIFEST)]) == 2
 
@@ -568,6 +590,36 @@ class TestColonInModelId:
         assert levels == {self.rename(n["id"]): n["level"] for n in before["dependencies"]["nodes"]}
         assert levels["ecu:v2:e4"] == 4
         assert after["vvLinks"] == [{"right": self.NEW, "left": "function-chart", "iterations": 4}]
+
+    def test_a_dangling_reference_has_no_level(self, capsys, tmp_path):
+        """Models a and a:b, and a gq7 item a:b:x that names no milestone:
+        its text starts with both model ids, yet it belongs to neither."""
+        a = chain_model(
+            "a",
+            [
+                node("s", "start-event", name="a start", timer=anchor(2)),
+                node("c", "call-activity", name="call a:b"),
+                node("e", "end-event", name="a end", ext={"gq7": "a:b:x"}),
+            ],
+            call_targets={"c": "a:b"},
+        )
+        b = chain_model(
+            "a:b", [node("s", "start-event", name="b start", timer=anchor(1)), node("e", "end-event", name="b end")]
+        )
+        (tmp_path / "a.bpmn").write_text(serialize_model(a), encoding="utf-8")
+        (tmp_path / "b.bpmn").write_text(serialize_model(b), encoding="utf-8")
+        entries = [
+            {"id": "a", "file": "a.bpmn", "level": 0},
+            {"id": "a:b", "file": "b.bpmn", "level": 1, "parent": {"model": "a", "node": "c"}},
+        ]
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"root": "a", "models": entries}), encoding="utf-8")
+        _, doc = run_json(capsys, ["deps", str(manifest)])
+        nodes = {n["id"]: (n["name"], n["level"], n["offset"]) for n in doc["dependencies"]["nodes"]}
+        assert nodes["a:b:x"] == ("a:b:x", None, None)
+        assert nodes["a:b:e"][1] == 1
+        edges = {(e["producer"], e["consumer"]): e for e in doc["dependencies"]["edges"]}
+        assert (edges["a:e", "a:b:x"]["producerLevel"], edges["a:e", "a:b:x"]["consumerLevel"]) == (0, None)
 
 
 class TestRetention:

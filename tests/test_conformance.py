@@ -393,7 +393,7 @@ class TestDiffParity:
 def vv_setup(edges):
     pyramid = stub_pyramid({0: ["lm"], 1: ["rm"], 2: ["other"]}, [("lm", "rm"), ("rm", "other")])
     nodes = sorted({n for e in edges for n in (e.producer, e.consumer)} | {"lm:a", "rm:b"})
-    graph = DependencyGraph(nodes=nodes, edges=list(edges))
+    graph = DependencyGraph(nodes=nodes, edges=list(edges), model_of={n: n.split(":")[0] for n in nodes})
     refs = [
         ReferenceProcess("design", side="left", steps=["x"], binding_model="lm"),
         ReferenceProcess(
@@ -452,7 +452,7 @@ class TestVvLinks:
         them the pairing has no iteration, so it is unlinked."""
         pyramid, _, refs = vv_setup([])
         refs[0].binding_model = "rm"
-        graph = DependencyGraph(nodes=["rm:a", "rm:b"], edges=[])
+        graph = DependencyGraph(nodes=["rm:a", "rm:b"], edges=[], model_of={"rm:a": "rm", "rm:b": "rm"})
         links = vv_iterations(pyramid, graph, refs)
         assert links == [VvLinkStat("rm", "rm", 0)]
         findings = check_vv_links(pyramid, refs, links)

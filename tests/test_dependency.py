@@ -200,6 +200,7 @@ class TestTemporal:
         graph = DependencyGraph(
             nodes=ids,
             edges=[DependencyEdge(a, b, frozenset({"x"}), INFERRED_UNDECLARED) for a, b in edges],
+            model_of=dict.fromkeys(ids, "m"),
         )
         closure = oracles.closure_floyd_warshall(ids, edges)
         expected = set()
@@ -213,15 +214,15 @@ class TestTemporal:
         assert set(found) == expected
 
 
-def layer_order(seed, edges):
-    """Nodes other than seed that it reaches, by fewest edges from seed, then
-    by id; distances by relaxing every edge once per node."""
-    hops = {seed: 0}
+def layer_order(seeds, edges):
+    """Nodes other than the seeds that they reach, by fewest edges from a
+    seed, then by id; distances by relaxing every edge once per node."""
+    hops = dict.fromkeys(seeds, 0)
     for _ in range(len(edges)):
         for a, b in edges:
             if a in hops and hops[a] + 1 < hops.get(b, len(edges) + 1):
                 hops[b] = hops[a] + 1
-    return sorted((n for n in hops if n != seed), key=lambda n: (hops[n], n))
+    return sorted((n for n in hops if n not in seeds), key=lambda n: (hops[n], n))
 
 
 def diamond_graph():
@@ -251,33 +252,55 @@ class TestImpact:
         assert result.crossed_levels == {0, 1, 2}
 
     def test_unknown_seed(self):
-        with pytest.raises(UnknownSeedError):
+        """One message for every seed refused, a model with no milestones too."""
+        wording = "^seed '{}' names no milestone and no model with milestones$"
+        with pytest.raises(UnknownSeedError, match=wording.format("nope")):
             impact(diamond_graph(), Pyramid(""), "nope")
         pyramid = stub_pyramid({0: ["p0"], 1: ["empty"]}, [("p0", "empty")])
-        with pytest.raises(UnknownSeedError):
+        with pytest.raises(UnknownSeedError, match=wording.format("empty")):
             impact(diamond_graph(), pyramid, "empty")
+
+    def test_a_dangling_reference_belongs_to_no_model(self):
+        """n:b promises a consumer p0:ghost that is no milestone. Its text
+        starts with the model id p0, but only a milestone of p0 is p0's: the
+        model seed does not reach n:b through it, and it is no seed itself."""
+        graph = infer_edges([milestone("p0:a"), milestone("n:b", consumers=("p0:ghost",))])
+        assert "p0:ghost" in graph.nodes
+        pyramid = stub_pyramid({0: ["p0"], 1: ["n"]}, [("p0", "n")])
+        result = impact(graph, pyramid, "p0")
+        assert (result.downstream, result.upstream, result.crossed_levels) == ([], [], {0})
+        promising = impact(graph, pyramid, "n")
+        assert (promising.downstream, promising.crossed_levels) == (["p0:ghost"], {1})
+        with pytest.raises(UnknownSeedError):
+            impact(graph, pyramid, "p0:ghost")
 
     @given(st.data())
     def test_downstream_matches_closure_oracle(self, data):
+        """Over gq7 graphs whose promises include dangling references under
+        a real model id (m0:ghost), seeded by a milestone or by a model: a
+        model stands for its milestones in model_of, and the crossed levels
+        are those of model_of's models alone."""
         size = data.draw(st.integers(min_value=1, max_value=7), label="size")
-        ids = [f"m:e{i}" for i in range(size)]
-        edges = [
-            (a, b)
-            for a in ids
-            for b in ids
-            if a != b and data.draw(st.booleans(), label=f"{a}->{b}")
-        ]
-        graph = DependencyGraph(
-            nodes=sorted(ids),
-            edges=[DependencyEdge(a, b, frozenset({"x"}), INFERRED_UNDECLARED) for a, b in edges],
-        )
-        closure = oracles.closure_floyd_warshall(ids, edges)
-        seed = data.draw(st.sampled_from(ids), label="seed")
-        result = impact(graph, Pyramid(""), seed)
-        assert set(result.downstream) == {b for a, b in closure if a == seed} - {seed}
-        assert set(result.upstream) == {a for a, b in closure if b == seed} - {seed}
-        assert result.downstream == layer_order(seed, edges)
-        assert result.upstream == layer_order(seed, [(b, a) for a, b in edges])
+        ids = [f"m{i % 3}:e{i}" for i in range(size)]
+        targets = (*ids, "m0:ghost", "m1:ghost")
+        promised = {
+            a: [b for b in targets if a != b and data.draw(st.booleans(), label=f"{a}->{b}")] for a in ids
+        }
+        graph = infer_edges([milestone(a, consumers=promised[a]) for a in ids])
+        assert graph.model_of == {a: a.split(":")[0] for a in ids}
+        edges = [(e.producer, e.consumer) for e in graph.edges]
+        closure = oracles.closure_floyd_warshall(graph.nodes, edges)
+        pyramid = stub_pyramid({0: ["m0"], 1: ["m1"], 2: ["m2"]}, [("m0", "m1"), ("m1", "m2")])
+        seed = data.draw(st.sampled_from(sorted({*ids, *graph.model_of.values()})), label="seed")
+        seeds = {n for n, model in graph.model_of.items() if model == seed} or {seed}
+        result = impact(graph, pyramid, seed)
+        assert set(result.downstream) == {b for a, b in closure if a in seeds} - seeds
+        assert set(result.upstream) == {a for a, b in closure if b in seeds} - seeds
+        assert result.downstream == layer_order(seeds, edges)
+        assert result.upstream == layer_order(seeds, [(b, a) for a, b in edges])
+        touched = seeds | set(result.downstream) | set(result.upstream)
+        members = touched & graph.model_of.keys()
+        assert result.crossed_levels == {pyramid.level_of[graph.model_of[n]] for n in members}
 
 
 class TestRedundant:
