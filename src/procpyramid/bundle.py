@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, NoReturn
 
-from .durations import shared_duration
+from .durations import quoted, shared_duration
 from .errors import ManifestError, ModelParseError, PyramidError
 from .findings import Finding, merge_findings
 from .ingest import extract_milestones, parse_model
@@ -320,13 +320,28 @@ def _load_forked(base: Path, entries: list[LevelEntry]) -> list[_Loaded]:
     return loaded
 
 
+def _refuse_shared_ids(milestones: list[Milestone]) -> None:
+    """Raise DUPLICATE-MILESTONE when two milestones share an id. Node ids
+    are unique within a model, so that happens only where a model id holds
+    `:` and two (model, node) pairs spell one `model:node`."""
+    first: dict[str, Milestone] = {}
+    for ms in milestones:
+        other = first.setdefault(ms.milestone_id, ms)
+        if other is not ms:
+            pairs = " and ".join(
+                f"node {quoted(m.event_node_id)} of model {quoted(m.model_id)}" for m in (other, ms)
+            )
+            raise PyramidError(f"milestone id {quoted(ms.milestone_id)} is {pairs}", "DUPLICATE-MILESTONE")
+
+
 def load_bundle(manifest_path: str | Path) -> Bundle:
     """Read the manifest, parse every listed model, and assemble the pyramid.
 
     Model files are read as bytes, so each one's XML encoding declaration is
     honoured. Individual model files that fail to parse degrade to findings;
-    a missing or unreadable root model stays fatal. Each model's parse
-    findings join the bundle's `findings`.
+    a missing or unreadable root model stays fatal, and so do two milestones
+    with one id (`_refuse_shared_ids`). Each model's parse findings join the
+    bundle's `findings`.
 
     When the model files total at least FORK_MIN_BYTES and a second CPU is
     free (`_fork_pays`), one forked worker parses and extracts the second
@@ -354,6 +369,7 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
             extracted += milestones
             groups.append(model.parse_findings)
         groups.append(findings)
+    _refuse_shared_ids(extracted)
 
     pyramid, build_findings = build_pyramid(manifest, models)
     pyramid, link_findings = link_levels(pyramid)

@@ -44,7 +44,7 @@ from .dependency import (
     infer_edges,
 )
 from .durations import quoted, read_days, render_offset
-from .errors import PyramidError, TemplateError
+from .errors import PyramidError, TemplateError, UnknownSeedError
 from .findings import Finding, error_count, merge_findings, summarize
 from .ingest import check_wellformed
 from .pyramid import assign_coordinates, check_connectivity
@@ -307,15 +307,22 @@ class _Session:
         return findings, payload
 
     def impact(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
-        # a model id, or else the milestone the reference rule names;
-        # `impact` refuses any other text
+        """What `--seed` names: a model id stands for that model's milestones,
+        any other text for the milestone the reference rule names."""
         seed = args.seed
-        if seed not in self.bundle.pyramid.models:
-            seed = milestone_resolver(self.bundle.milestones)(seed) or seed
-        result = impact(self.graph, self.bundle.pyramid, seed)
+        if seed in self.bundle.pyramid.models:
+            seeds = {n for n, model in self.graph.model_of.items() if model == seed}
+        else:
+            seed = milestone_resolver(self.bundle.milestones)(seed)
+            seeds = {seed} if seed else set()
+        if not seeds:
+            raise UnknownSeedError(
+                f"seed {quoted(args.seed)} names no milestone and no model with milestones"
+            )
+        result = impact(self.graph, self.bundle.pyramid, seeds)
         payload = {
             "impact": {
-                "seed": result.seed,
+                "seed": seed,
                 "downstream": result.downstream,
                 "upstream": result.upstream,
                 "crossedLevels": sorted(result.crossed_levels),

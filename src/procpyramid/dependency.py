@@ -6,8 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .durations import quoted
-from .errors import UnknownSeedError
 from .findings import Finding, frozen_record, sort_findings
 from .graph import adjacency, bfs_layers, strongly_connected
 from .naming import canonical_key, compile_aliases
@@ -47,7 +45,6 @@ class DependencyGraph:
 
 @dataclass
 class ImpactSet:
-    seed: str
     downstream: list[str]
     upstream: list[str]
     crossed_levels: set[int]
@@ -199,24 +196,13 @@ def check_temporal(graph: DependencyGraph, table: OffsetTable) -> list[Finding]:
     return sort_findings(out)
 
 
-def _expand_seed(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> set[str]:
-    if seed in pyramid.models:
-        members = {n for n, model in graph.model_of.items() if model == seed}
-    else:
-        members = {seed} & graph.model_of.keys()
-    if not members:
-        raise UnknownSeedError(f"seed {quoted(seed)} names no milestone and no model with milestones")
-    return members
-
-
-def impact(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> ImpactSet:
-    """Everything a change at the seed can touch, in both directions.
-
-    The seed is a model id (which expands to the model's milestones in
-    `graph.model_of`), or else a milestone id, a key of `graph.model_of`.
-    crossed_levels collects the pyramid levels of every touched milestone.
+def impact(graph: DependencyGraph, pyramid: Pyramid, seeds: Iterable[str]) -> ImpactSet:
+    """Everything a change at the seeds, milestone ids, can touch, in both
+    directions. crossed_levels collects the pyramid levels of every touched
+    milestone: the seeds and the nodes they reach that are keys of
+    `graph.model_of`.
     """
-    seeds = _expand_seed(graph, pyramid, seed)
+    seeds = set(seeds)
     consumers, producers = graph.adjacency()
     downstream = bfs_layers(consumers, seeds)
     upstream = bfs_layers(producers, seeds)
@@ -227,7 +213,7 @@ def impact(graph: DependencyGraph, pyramid: Pyramid, seed: str) -> ImpactSet:
         model_id = model_of.get(node)
         if model_id in level_of:
             crossed.add(level_of[model_id])
-    return ImpactSet(seed=seed, downstream=downstream, upstream=upstream, crossed_levels=crossed)
+    return ImpactSet(downstream=downstream, upstream=upstream, crossed_levels=crossed)
 
 
 def find_redundant(

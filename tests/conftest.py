@@ -26,6 +26,12 @@ PARKPILOT_SEVERED = FIXTURES / "parkpilot" / "manifest-severed.json"
 ANCHORS_MANIFEST = FIXTURES / "anchors" / "manifest.json"
 # One bound model deviates majorly from its template, the other minorly.
 DEVIATION_MANIFEST = FIXTURES / "deviation" / "manifest.json"
+# `deviation` with its models renamed `p` and `p:b`: in the clash bundle
+# node `b:x` of `p` and node `x` of `p:b` both spell milestone id `p:b:x`;
+# in the seed bundle node `b` of `p`, named `Program start`, is milestone
+# `p:b`, whose id is also a model id.
+IDCLASH_DUPLICATE = FIXTURES / "idclash" / "manifest-clash.json"
+IDCLASH_SEED = FIXTURES / "idclash" / "manifest-seed.json"
 
 # Property tests build whole bundles per example; the default deadline is
 # too twitchy for that.

@@ -139,7 +139,7 @@ def test_criterion_4_dependency_oracle_equivalence():
         # a milestone seed, or a model seed standing for its milestones in model_of
         seed = rng.choice(ids + sorted(set(graph.model_of.values())))
         seeds = {n for n, model in graph.model_of.items() if model == seed} or {seed}
-        result = impact(graph, pyramid, seed)
+        result = impact(graph, pyramid, seeds)
         assert set(result.downstream) == {b for a, b in closure if a in seeds} - seeds
         assert set(result.upstream) == {a for a, b in closure if b in seeds} - seeds
         touched = seeds | set(result.downstream) | set(result.upstream)

@@ -1,15 +1,27 @@
 import copy
 import json
 import shutil
+import tempfile
 from argparse import Namespace
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIXTURES, PARKPILOT_MANIFEST, milestone
-from procpyramid import Bundle, ManifestError, UnknownSeedError, check_milestone_retention, load_bundle
+from conftest import FIXTURES, PARKPILOT_MANIFEST, anchor, chain_model, milestone, node
+from procpyramid import (
+    Bundle,
+    ManifestError,
+    PyramidError,
+    UnknownSeedError,
+    check_milestone_retention,
+    impact,
+    load_bundle,
+    serialize_model,
+)
 from procpyramid.bundle import resolve_references
 from procpyramid.cli import _Session
 
@@ -248,3 +260,78 @@ class TestReferenceRule:
     def test_retention(self, before, after):
         findings = check_milestone_retention(before, after)
         assert sorted((f.code, f.subject) for f in findings) == oracles.retention_by_scan(before, after)
+
+
+def id_parts(letters: str, most: int):
+    return st.lists(st.sampled_from(letters), min_size=1, max_size=most).map(":".join)
+
+
+@st.composite
+def clashing_bundles(draw):
+    """Up to 6 models, each a chain of 2 or 3 events: model ids drawn from
+    `a`, `a:b`, `a:b:c`, ... and node ids from `b`, `c`, `b:c`, ..., so a
+    node id may complete another model's id, and a milestone id may be a
+    model id. Each event has a name of its own and may promise consumers
+    by id."""
+    models = draw(st.lists(id_parts("abc", 3), min_size=1, max_size=6, unique=True))
+    nodes = {m: draw(st.lists(id_parts("bcx", 2), min_size=2, max_size=3, unique=True)) for m in models}
+    ids = [f"{m}:{n}" for m in models for n in nodes[m]]
+    consumers = {i: draw(st.lists(st.sampled_from(ids), max_size=2, unique=True)) for i in ids}
+    return models, nodes, consumers
+
+
+class TestOneIdNamespace:
+    @given(clashing_bundles())
+    def test_one_milestone_per_pair_and_impact_is_a_union(self, drawn):
+        """The load refuses two (model, node) pairs that spell one id, or
+        else gives each pair its own milestone, listed once among the
+        dependency nodes. A model seed's impact is the union of its
+        milestones' impacts, and a name seed is the milestone it names."""
+        models, nodes, consumers = drawn
+        pairs = [(m, n) for m in models for n in nodes[m]]
+        with tempfile.TemporaryDirectory() as tmp:
+            entries = []
+            for level, m in enumerate(models):
+                kinds = ["start-event"] + ["intermediate-event"] * (len(nodes[m]) - 2) + ["end-event"]
+                events = [
+                    node(n, kind, name=f"event {m} {n}", ext={"gq7": ", ".join(consumers[f"{m}:{n}"])})
+                    for n, kind in zip(nodes[m], kinds)
+                ]
+                events[0].timer = anchor(10)
+                (Path(tmp) / f"{level}.bpmn").write_text(serialize_model(chain_model(m, events)), encoding="utf-8")
+                entries.append({"id": m, "file": f"{level}.bpmn", "level": min(level, 1)})
+            manifest = Path(tmp) / "manifest.json"
+            manifest.write_text(json.dumps({"root": models[0], "models": entries}), encoding="utf-8")
+            if len({f"{m}:{n}" for m, n in pairs}) < len(pairs):
+                with pytest.raises(PyramidError) as refused:
+                    load_bundle(manifest)
+                assert refused.value.code == "DUPLICATE-MILESTONE"
+                return
+            loaded = load_bundle(manifest)
+
+        got = sorted((ms.model_id, ms.event_node_id, ms.milestone_id) for ms in loaded.milestones)
+        assert got == sorted((m, n, f"{m}:{n}") for m, n in pairs)
+        session = _Session(loaded)
+        listed = Counter(n["id"] for n in session.deps(Namespace())[1]["dependencies"]["nodes"])
+        assert all(listed[ms.milestone_id] == 1 for ms in loaded.milestones)
+
+        graph, pyramid = session.graph, loaded.pyramid
+        closure = oracles.closure_floyd_warshall(graph.nodes, [(e.producer, e.consumer) for e in graph.edges])
+
+        def section(seed, seeds):
+            one = impact(graph, pyramid, seeds)
+            levels = sorted(one.crossed_levels)
+            return {"seed": seed, "downstream": one.downstream, "upstream": one.upstream, "crossedLevels": levels}
+
+        for m in models:
+            members = {f"{m}:{n}" for n in nodes[m]}
+            whole = section(m, members)
+            parts = [section(i, {i}) for i in members]
+            assert set(whole["downstream"]) == {b for a, b in closure if a in members} - members
+            assert set(whole["downstream"]) == {n for p in parts for n in p["downstream"]} - members
+            assert set(whole["upstream"]) == {a for a, b in closure if b in members} - members
+            assert set(whole["upstream"]) == {n for p in parts for n in p["upstream"]} - members
+            assert set(whole["crossedLevels"]) == {n for p in parts for n in p["crossedLevels"]}
+            assert session.impact(Namespace(seed=m))[1]["impact"] == whole
+        for ms in loaded.milestones:
+            assert session.impact(Namespace(seed=ms.name))[1]["impact"] == section(ms.milestone_id, {ms.milestone_id})

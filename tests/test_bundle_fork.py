@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import IDCLASH_DUPLICATE
 from procpyramid import bundle, cli, durations, load_bundle, load_manifest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -273,3 +274,18 @@ def test_a_load_shares_one_duration_per_day_count(tmp_path, cpus, monkeypatch, c
     assert [first.setdefault(d.days, d) is d for d in found] == [True] * len(found)
     assert sorted(first) == [30, 90]
     assert [d.days for d in found].count(30) == 8
+
+
+@pytest.mark.parametrize("cpu_count", [1, 2], ids=["serial", "forked"])
+def test_two_pairs_that_spell_one_milestone_id_are_fatal(cpus, monkeypatch, capsys, cpu_count):
+    """Node `b:x` of model `p` and node `x` of model `p:b` both spell
+    milestone id `p:b:x`; in a forked load, `p:b` is the worker's share."""
+    monkeypatch.setattr(bundle, "FORK_MIN_BYTES", 0)
+    forked = cpus(cpu_count)
+    assert cli.run(["validate", str(IDCLASH_DUPLICATE)]) == 2
+    assert len(forked) == cpu_count - 1
+    assert capsys.readouterr().err == (
+        "fatal [DUPLICATE-MILESTONE]: milestone id 'p:b:x' is node 'b:x' of model 'p'"
+        " and node 'x' of model 'p:b'\n"
+    )
+    assert_no_child_left()

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from argparse import Namespace
 from collections import Counter
 from pathlib import Path
 
@@ -16,12 +17,26 @@ from conftest import (
     DEVIATION_MANIFEST,
     FIG7_MANIFEST,
     PARKPILOT_MANIFEST,
+    IDCLASH_SEED,
     PARKPILOT_SEVERED,
     anchor,
     chain_model,
+    milestone,
     node,
+    stub_pyramid,
 )
-from procpyramid import cli, conformance, dependency, flowgraph, load_bundle, serialize_model
+from procpyramid import (
+    Bundle,
+    Manifest,
+    UnknownSeedError,
+    cli,
+    conformance,
+    dependency,
+    flowgraph,
+    load_bundle,
+    serialize_model,
+)
+from procpyramid.cli import _Session
 from procpyramid.findings import Finding, summarize
 
 
@@ -420,6 +435,51 @@ class TestImpact:
 
     def test_seed_is_required(self, capsys):
         assert cli.run(["impact", str(PARKPILOT_MANIFEST)]) == 2
+
+    def test_a_name_seed_is_its_milestone_where_that_id_is_a_model_id(self, capsys):
+        """`Program start` is milestone `p:b` at level 0, with one gq7
+        consumer, `SOP`; `p:b` is also the id of a model at level 1."""
+        by_name = run_json(capsys, ["impact", str(IDCLASH_SEED), "--seed", "Program start"])
+        assert by_name == run_json(capsys, ["impact", str(IDCLASH_SEED), "--seed", "b"])
+        code, doc = by_name
+        assert code == 0
+        assert doc["impact"] == {"seed": "p:b", "downstream": ["p:e_sop"], "upstream": [], "crossedLevels": [0]}
+        _, doc = run_json(capsys, ["impact", str(IDCLASH_SEED), "--seed", "p:b"])
+        assert doc["impact"] == {"seed": "p:b", "downstream": [], "upstream": [], "crossedLevels": [1]}
+
+    @staticmethod
+    def session(milestones, levels, links):
+        pyramid = stub_pyramid(levels, links)
+        return _Session(Bundle(Manifest([], pyramid.root_model), pyramid, milestones))
+
+    def test_a_model_seed_stands_for_its_milestones(self):
+        """p2:d promises a consumer p0:ghost that is no milestone. Its text
+        starts with the model id p0, but the model seed p0 does not take it
+        in: it is reached, and its producers are not upstream."""
+        milestones = [
+            milestone("p0:a", outputs=("x",)),
+            milestone("p1:b", inputs=("x",), outputs=("y",)),
+            milestone("p1:c", inputs=("x",), outputs=("z",)),
+            milestone("p2:d", inputs=("y", "z"), consumers=("p0:ghost",)),
+        ]
+        session = self.session(milestones, {0: ["p0"], 1: ["p1"], 2: ["p2"]}, [("p0", "p1"), ("p1", "p2")])
+        assert session.impact(Namespace(seed="p1"))[1]["impact"] == {
+            "seed": "p1", "downstream": ["p2:d", "p0:ghost"], "upstream": ["p0:a"], "crossedLevels": [0, 1, 2]
+        }
+        assert session.impact(Namespace(seed="p0"))[1]["impact"] == {
+            "seed": "p0", "downstream": ["p1:b", "p1:c", "p2:d", "p0:ghost"], "upstream": [], "crossedLevels": [0, 1, 2]
+        }
+
+    def test_one_message_for_every_seed_refused(self):
+        """Text that names no milestone, a gq7 item kept as written, and a
+        model with no milestones."""
+        session = self.session(
+            [milestone("p0:a", consumers=("p0:ghost",))], {0: ["p0"], 1: ["empty"]}, [("p0", "empty")]
+        )
+        for seed in ("nope", "p0:ghost", "empty"):
+            with pytest.raises(UnknownSeedError) as refused:
+                session.impact(Namespace(seed=seed))
+            assert str(refused.value) == f"seed {seed!r} names no milestone and no model with milestones"
 
 
 class TestConform:

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,7 +6,6 @@ from conftest import chain_model, milestone, node, stub_pyramid
 from procpyramid import (
     OffsetTable,
     Pyramid,
-    UnknownSeedError,
     check_temporal,
     cross_check_declared,
     diff,
@@ -236,50 +234,41 @@ def diamond_graph():
 
 
 class TestImpact:
+    """`impact` walks the graph from a set of milestone ids; what a
+    `--seed` names is the session's decision (tests/test_cli.py)."""
+
     def test_layers_are_ordered(self):
         graph = diamond_graph()
-        result = impact(graph, Pyramid(""), "p0:a")
+        result = impact(graph, Pyramid(""), {"p0:a"})
         assert result.downstream == ["p1:b", "p1:c", "p2:d"]
         assert result.upstream == []
-        result = impact(graph, Pyramid(""), "p2:d")
+        result = impact(graph, Pyramid(""), {"p2:d"})
         assert result.upstream == ["p1:b", "p1:c", "p0:a"]
 
-    def test_model_seed_expands_and_excludes_itself(self):
+    def test_a_seed_set_excludes_itself(self):
         pyramid = stub_pyramid({0: ["p0"], 1: ["p1"], 2: ["p2"]}, [("p0", "p1"), ("p1", "p2")])
-        result = impact(diamond_graph(), pyramid, "p1")
+        result = impact(diamond_graph(), pyramid, {"p1:b", "p1:c"})
         assert result.downstream == ["p2:d"]
         assert result.upstream == ["p0:a"]
         assert result.crossed_levels == {0, 1, 2}
 
-    def test_unknown_seed(self):
-        """One message for every seed refused, a model with no milestones too."""
-        wording = "^seed '{}' names no milestone and no model with milestones$"
-        with pytest.raises(UnknownSeedError, match=wording.format("nope")):
-            impact(diamond_graph(), Pyramid(""), "nope")
-        pyramid = stub_pyramid({0: ["p0"], 1: ["empty"]}, [("p0", "empty")])
-        with pytest.raises(UnknownSeedError, match=wording.format("empty")):
-            impact(diamond_graph(), pyramid, "empty")
-
     def test_a_dangling_reference_belongs_to_no_model(self):
         """n:b promises a consumer p0:ghost that is no milestone. Its text
-        starts with the model id p0, but only a milestone of p0 is p0's: the
-        model seed does not reach n:b through it, and it is no seed itself."""
+        starts with the model id p0, but only a milestone of p0 is p0's: it
+        crosses no level when reached."""
         graph = infer_edges([milestone("p0:a"), milestone("n:b", consumers=("p0:ghost",))])
         assert "p0:ghost" in graph.nodes
         pyramid = stub_pyramid({0: ["p0"], 1: ["n"]}, [("p0", "n")])
-        result = impact(graph, pyramid, "p0")
+        result = impact(graph, pyramid, {"p0:a"})
         assert (result.downstream, result.upstream, result.crossed_levels) == ([], [], {0})
-        promising = impact(graph, pyramid, "n")
+        promising = impact(graph, pyramid, {"n:b"})
         assert (promising.downstream, promising.crossed_levels) == (["p0:ghost"], {1})
-        with pytest.raises(UnknownSeedError):
-            impact(graph, pyramid, "p0:ghost")
 
     @given(st.data())
     def test_downstream_matches_closure_oracle(self, data):
         """Over gq7 graphs whose promises include dangling references under
-        a real model id (m0:ghost), seeded by a milestone or by a model: a
-        model stands for its milestones in model_of, and the crossed levels
-        are those of model_of's models alone."""
+        a real model id (m0:ghost), seeded by any set of milestones: the
+        crossed levels are those of model_of's models alone."""
         size = data.draw(st.integers(min_value=1, max_value=7), label="size")
         ids = [f"m{i % 3}:e{i}" for i in range(size)]
         targets = (*ids, "m0:ghost", "m1:ghost")
@@ -291,9 +280,8 @@ class TestImpact:
         edges = [(e.producer, e.consumer) for e in graph.edges]
         closure = oracles.closure_floyd_warshall(graph.nodes, edges)
         pyramid = stub_pyramid({0: ["m0"], 1: ["m1"], 2: ["m2"]}, [("m0", "m1"), ("m1", "m2")])
-        seed = data.draw(st.sampled_from(sorted({*ids, *graph.model_of.values()})), label="seed")
-        seeds = {n for n, model in graph.model_of.items() if model == seed} or {seed}
-        result = impact(graph, pyramid, seed)
+        seeds = data.draw(st.sets(st.sampled_from(ids), min_size=1), label="seeds")
+        result = impact(graph, pyramid, seeds)
         assert set(result.downstream) == {b for a, b in closure if a in seeds} - seeds
         assert set(result.upstream) == {a for a, b in closure if b in seeds} - seeds
         assert result.downstream == layer_order(seeds, edges)

@@ -22,6 +22,7 @@ from conftest import (
     ANCHORS_MANIFEST,
     DEVIATION_MANIFEST,
     FIG7_MANIFEST,
+    IDCLASH_SEED,
     PARKPILOT_MANIFEST,
     PARKPILOT_SEVERED,
 )
@@ -47,6 +48,8 @@ CASES.update(
 )
 # One bound model deviates majorly, the other minorly.
 CASES["deviation-conform.json"] = ["conform", str(DEVIATION_MANIFEST)]
+# A seed name whose milestone id `p:b` is also a model id.
+CASES["idclash-impact-seed.json"] = ["impact", str(IDCLASH_SEED), "--seed", "Program start"]
 # The text views: every parkpilot command, validate and conform on the
 # severed bundle, and conform on the deviating one.
 TEXT = [n for n in CASES if n.startswith("parkpilot-") and "severed" not in n and n.endswith(".json")]
