@@ -377,8 +377,13 @@ class _Session:
 
     def retention(self, args: argparse.Namespace) -> tuple[list[Finding], dict]:
         """The session's bundle is the earlier snapshot, `args.after` the later;
-        the later one's load findings name it, as both can share model ids."""
-        before, after = self.bundle, load_bundle(args.after)
+        the later one's load findings and fatal errors name it, as both can
+        share model ids."""
+        try:
+            after = load_bundle(args.after)
+        except PyramidError as exc:
+            raise type(exc)(f"after snapshot: {exc}", exc.code) from None
+        before = self.bundle
         findings = check_milestone_retention(before.milestones, after.milestones)
         payload = {
             "retention": {

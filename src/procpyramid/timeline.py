@@ -9,8 +9,8 @@ from itertools import compress
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import flowgraph
-from .durations import Duration
-from .errors import EmptyTimelineError
+from .durations import Duration, quoted
+from .errors import EmptyTimelineError, PyramidError
 from .findings import Finding, sort_findings
 from .naming import normalize_name
 
@@ -85,8 +85,15 @@ def milestone_resolver(milestones: Sequence[Milestone]) -> Callable[[str], str |
     """The reference rule: a reference names the milestone whose id it is,
     else the one its normalized form names in `unique_names`, else the one
     whose event node id it is when no other milestone has that node id. The
-    function returned maps a reference to that milestone's id, or to None."""
-    ids = {ms.milestone_id for ms in milestones}
+    function returned maps a reference to that milestone's id, or to None.
+    Two milestones with one id raise DUPLICATE-MILESTONE, naming both."""
+    ids: dict[str, Milestone] = {}
+    for ms in milestones:
+        if (other := ids.setdefault(ms.milestone_id, ms)) is not ms:
+            pairs = " and ".join(
+                f"node {quoted(m.event_node_id)} of model {quoted(m.model_id)}" for m in (other, ms)
+            )
+            raise PyramidError(f"milestone id {quoted(ms.milestone_id)} is {pairs}", "DUPLICATE-MILESTONE")
     names = unique_names(milestones)
     counts = Counter(ms.event_node_id for ms in milestones)
     nodes = {ms.event_node_id: ms.milestone_id for ms in milestones if counts[ms.event_node_id] == 1}

@@ -4,6 +4,7 @@ import shutil
 import tempfile
 from argparse import Namespace
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import FIXTURES, PARKPILOT_MANIFEST, anchor, chain_model, milestone, node
+from conftest import FIXTURES, IDCLASH_DUPLICATE, PARKPILOT_MANIFEST, anchor, chain_model, milestone, node
 from procpyramid import (
     Bundle,
     ManifestError,
@@ -165,6 +166,25 @@ class TestDegradedLoads:
         with pytest.raises(ManifestError, match="root"):
             load_bundle(path)
 
+    def test_a_shared_milestone_id_is_refused_before_a_missing_root(self, tmp_path):
+        """The ids are checked before the pyramid is built, so a clash
+        among the loaded models is reported, not the root that is missing."""
+        for name in ("program-clash.bpmn", "build.bpmn"):
+            shutil.copy(IDCLASH_DUPLICATE.parent / name, tmp_path / name)
+        manifest = {
+            "root": "r",
+            "models": [
+                {"id": "r", "file": "absent.bpmn", "level": 0},
+                {"id": "p", "file": "program-clash.bpmn", "level": 1},
+                {"id": "p:b", "file": "build.bpmn", "level": 2},
+            ],
+        }
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(PyramidError) as refused:
+            load_bundle(path)
+        assert refused.value.code == "DUPLICATE-MILESTONE"
+
 
 class TestLabels:
     def test_duplicate_names_fall_back_to_ids(self, parkpilot):
@@ -198,6 +218,22 @@ class TestLabels:
         ]
         bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=ms)
         assert bundle.labels() == {"m:a": "m:a", "n:b": "n:b", "n:c": "Handover"}
+
+    def test_a_shared_id_is_refused_as_the_load_refuses_it(self, parkpilot):
+        """A bundle built by hand with node `b:x` of model `p` and node `x`
+        of model `p:b` has two milestones with one id: its labels and its
+        seeds are refused with the load's message."""
+        ms = [
+            milestone("p:b:x", name="Program start"),
+            replace(milestone("p:b:x", name="Build start"), model_id="p:b", event_node_id="x"),
+        ]
+        bundle = Bundle(manifest=parkpilot.manifest, pyramid=parkpilot.pyramid, milestones=ms)
+        message = "milestone id 'p:b:x' is node 'b:x' of model 'p' and node 'x' of model 'p:b'"
+        with pytest.raises(PyramidError, match=f"^{message}$") as refused:
+            bundle.labels()
+        assert refused.value.code == "DUPLICATE-MILESTONE"
+        with pytest.raises(PyramidError, match=f"^{message}$"):
+            _Session(bundle).impact(Namespace(seed="Build start"))
 
 
 # Small milestone lists for the reference rule: ids share node ids across

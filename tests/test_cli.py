@@ -17,6 +17,7 @@ from conftest import (
     DEVIATION_MANIFEST,
     FIG7_MANIFEST,
     PARKPILOT_MANIFEST,
+    IDCLASH_DUPLICATE,
     IDCLASH_SEED,
     PARKPILOT_SEVERED,
     anchor,
@@ -28,6 +29,7 @@ from conftest import (
 from procpyramid import (
     Bundle,
     Manifest,
+    ManifestError,
     UnknownSeedError,
     cli,
     conformance,
@@ -745,6 +747,24 @@ class TestRetention:
         found = self.function_chart_findings(doc)
         assert found >= {("MODEL-PARSE-ERROR", False), ("MISSING-MODEL", False)}
         assert {prefixed for _, prefixed in found} == {False}
+
+    def test_a_shared_milestone_id_is_fatal_and_named_by_its_snapshot(self, capsys):
+        clash = "milestone id 'p:b:x' is node 'b:x' of model 'p' and node 'x' of model 'p:b'"
+        assert cli.run(["retention", str(IDCLASH_SEED), "--after", str(IDCLASH_DUPLICATE)]) == 2
+        assert capsys.readouterr().err == f"fatal [DUPLICATE-MILESTONE]: after snapshot: {clash}\n"
+        assert cli.run(["retention", str(IDCLASH_DUPLICATE), "--after", str(IDCLASH_SEED)]) == 2
+        assert capsys.readouterr().err == f"fatal [DUPLICATE-MILESTONE]: {clash}\n"
+
+    def test_a_malformed_manifest_is_fatal_and_named_by_its_snapshot(self, capsys, tmp_path):
+        bad = tmp_path / "manifest.json"
+        bad.write_text("{broken", encoding="utf-8")
+        assert cli.run(["retention", str(FIG7_MANIFEST), "--after", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("fatal [MANIFEST]: after snapshot: manifest is not valid JSON (")
+        assert cli.run(["retention", str(bad), "--after", str(FIG7_MANIFEST)]) == 2
+        assert capsys.readouterr().err.startswith("fatal [MANIFEST]: manifest is not valid JSON (")
+        with pytest.raises(ManifestError) as refused:
+            _Session(load_bundle(FIG7_MANIFEST)).retention(Namespace(after=str(bad)))
+        assert refused.value.code == "MANIFEST"
 
 
 ANCHORS_ARGS = {
