@@ -343,8 +343,8 @@ def load_bundle(manifest_path: str | Path) -> Bundle:
     loaded = _load_forked(base, entries) if _fork_pays(base, entries) else []
     loaded += [_load_entry(base, entry) for entry in entries[len(loaded):]]
 
-    # In model id order, the order of `pyramid.models`; `merge_findings`
-    # sorts and de-duplicates the groups.
+    # By model id, so `Bundle.milestones` and a DUPLICATE-MILESTONE message's pair
+    # order do not follow the manifest's; `merge_findings` sorts and de-duplicates the groups.
     models: dict[str, ProcessModel] = {}
     extracted: list[Milestone] = []
     groups: list[list[Finding]] = []

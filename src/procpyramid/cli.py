@@ -163,7 +163,7 @@ def render_report(report: ReportBundle, fmt: str = "text") -> str:
 
 def _render_payload_text(payload: dict) -> list[str]:
     lines: list[str] = []
-    if "timeline" in payload and payload["timeline"] is not None:
+    if "timeline" in payload:
         section = payload["timeline"]
         offsets, renderings = section["offsets"], section["renderings"]
         if offsets:
@@ -192,7 +192,7 @@ def _render_payload_text(payload: dict) -> list[str]:
                 f"{name} {entry['aspects'][name]['matchRatio']:.2f}" for name in sorted(entry["aspects"])
             )
             lines.append(f"{entry['model']} vs {entry['reference']}: {entry['verdict']} ({ratios})")
-        for link in payload.get("vvLinks", ()):
+        for link in payload["vvLinks"]:
             lines.append(
                 f"vv iterations {link['right']}/{link['left']}: {link['iterations']}"
             )
@@ -291,7 +291,7 @@ class _Session:
             section["grid"] = {
                 "stepDays": grid.step,
                 "boundaries": grid.boundaries,
-                "slots": {labels[m]: slot for m, slot in sorted(grid.assignments.items())},
+                "slots": {labels[m]: slot for m, slot in grid.assignments.items()},
             }
         return timing, {"timeline": section}
 
@@ -355,7 +355,7 @@ class _Session:
                                 "reordered": aspect.reordered,
                                 "matchRatio": aspect.match_ratio,
                             }
-                            for name, aspect in sorted(report.aspects.items())
+                            for name, aspect in report.aspects.items()
                         },
                     }
                 )
@@ -407,9 +407,7 @@ class _Session:
             payload.update(section)
         payload["coordinates"] = {
             model_id: {"depth": depth, "position": position, "complexity": complexity}
-            for model_id, (depth, position, complexity) in sorted(
-                assign_coordinates(self.bundle.pyramid).items()
-            )
+            for model_id, (depth, position, complexity) in assign_coordinates(self.bundle.pyramid).items()
         }
         return findings, payload
 

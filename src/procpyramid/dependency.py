@@ -90,7 +90,7 @@ def infer_edges(
     shared with other stages.
     """
     keys = _NameKeys.of(aliases)
-    milestones = sorted(milestones, key=lambda ms: ms.milestone_id)
+    milestones = list(milestones)
     positions: dict[str, list[int]] = {}
     # canonical input key -> the index of its one reader, or a list of the
     # indexes once a second milestone reads it; each milestone once per key.
@@ -137,7 +137,7 @@ def infer_edges(
                 edges.append(DependencyEdge(pid, cid, frozenset(), DECLARED_UNMATCHED))
         # declared consumers that are no known milestone still yield an edge,
         # so the broken promise stays visible in the graph
-        for ref in sorted(declared - known):
+        for ref in declared - known:
             nodes.add(ref)
             edges.append(DependencyEdge(pid, ref, frozenset(), DECLARED_UNMATCHED))
 
@@ -242,7 +242,7 @@ def find_redundant(
                 group.append(ms)
 
     out: list[Finding] = []
-    for key in sorted(shared):
+    for key in shared:
         group = shared[key]
         models = {ms.model_id for ms in group}
         if len(models) > 1:

@@ -121,8 +121,8 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     One loop visits each child of the process, of each flow node, lane set
     and extension block once. A node's data-association refs are resolved
     once the whole process is read: each distinct ref per node and
-    direction once, in sorted order, an unknown one becoming an
-    UNRESOLVED-DATA-REF finding.
+    direction once, an unknown one becoming an UNRESOLVED-DATA-REF
+    finding.
 
     Structural defects (malformed or undecodable XML, duplicate ids,
     dangling flows, missing start or end events) raise ModelParseError;
@@ -281,7 +281,7 @@ def parse_model(source: str | bytes, model_id: str) -> ProcessModel:
     io_sets: dict[tuple[str, ...], tuple[str, ...]] = {}
     for node, is_input, refs in raw_io:
         found = []
-        for ref in sorted(set(refs)) if len(refs) > 1 else refs:
+        for ref in set(refs) if len(refs) > 1 else refs:
             shared = known_objects.get(object_refs.get(ref, ref))
             if shared is not None:
                 found.append(shared)

@@ -164,14 +164,14 @@ def build_pyramid(
     """
     out: list[Finding] = []
     entry_map = manifest.entry_map()
-    for model_id in sorted(models):
+    for model_id in models:
         if model_id not in entry_map:
             out.append(Finding("ORPHAN-MODEL", model_id, "parsed model is not listed in the manifest"))
     if manifest.root_model not in models:
         raise ManifestError(f"root model {manifest.root_model!r} is missing from the bundle")
 
-    level_of: dict[str, int] = {}
-    for entry in manifest.entries:
+    pyramid = Pyramid(root_model=manifest.root_model)
+    for entry in sorted(manifest.entries, key=lambda e: e.model_id):
         model = models.get(entry.model_id)
         if model is None:
             out.append(
@@ -182,15 +182,9 @@ def build_pyramid(
                 )
             )
             continue
-        level_of[entry.model_id] = entry.level
-
-    placed = sorted(level_of)
-    pyramid = Pyramid(
-        root_model=manifest.root_model,
-        models={m: models[m] for m in placed},
-        level_of={m: level_of[m] for m in placed},
-        children={m: [] for m in placed},
-    )
+        pyramid.models[entry.model_id] = model
+        pyramid.level_of[entry.model_id] = entry.level
+        pyramid.children[entry.model_id] = []
     return pyramid, sort_findings(out)
 
 
@@ -228,7 +222,7 @@ def link_levels(pyramid: Pyramid) -> tuple[Pyramid, list[Finding]]:
             children[model_id].append(target)
             parents_of.setdefault(target, set()).add(model_id)
 
-    for child in sorted(parents_of):
+    for child in parents_of:
         if len(parents_of[child]) > 1:
             out.append(
                 Finding(
@@ -255,7 +249,7 @@ def check_connectivity(pyramid: Pyramid) -> tuple[list[Finding], int]:
     seen = reachable(pyramid.children, roots)
     out = [
         Finding("DISCONNECTED", model_id, f"model at level {level_of[model_id]} is not reachable from the root")
-        for model_id in sorted(level_of)
+        for model_id in level_of
         if model_id not in seen
     ]
     depth = max((level_of[m] for m in seen), default=0)

@@ -290,21 +290,21 @@ def check_alignment(
     pairs: set[tuple[str, str]] = set()
 
     for ms in milestones:
-        for ref in sorted(ms.aligns_with):
+        for ref in ms.aligns_with:
             if ref not in by_id:
                 out.append(
                     Finding("DANGLING-ALIGNMENT", ms.milestone_id, f"alignsWith unknown milestone {ref!r}")
                 )
                 continue
             pairs.add((min(ms.milestone_id, ref), max(ms.milestone_id, ref)))
-        for ref in sorted(ms.gq.gq7_consumers):
+        for ref in ms.gq.gq7_consumers:
             other = by_id.get(ref)
             if other is None:
                 continue
             if pyramid.level_of.get(other.model_id) != pyramid.level_of.get(ms.model_id):
                 pairs.add((min(ms.milestone_id, ref), max(ms.milestone_id, ref)))
 
-    for a, b in sorted(pairs):
+    for a, b in pairs:
         if a not in table.offsets or b not in table.offsets:
             continue
         delta = abs(table.offsets[a] - table.offsets[b])

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import stub_model, stub_pyramid
 from procpyramid import (
+    Finding,
     LevelEntry,
     ManifestError,
     assign_coordinates,
@@ -180,6 +183,23 @@ class TestAssembly:
         assert list(pyramid.models) == list(pyramid.level_of) == ["mid", "top"]
         assert pyramid.children == {"mid": [], "top": []}
 
+        # neither the manifest's order nor the parsed models' order shows,
+        # with a model of no entry and an entry of no model among them
+        entries = manifest.entries + [LevelEntry("low", "low.bpmn", 2), LevelEntry("gone", "gone.bpmn", 1)]
+        models = {model_id: stub_model(model_id) for model_id in ("top", "mid", "low", "stray")}
+        built = [
+            build_pyramid(replace(manifest, entries=list(order)), {m: models[m] for m in keys})
+            for order, keys in zip(permutations(entries), permutations(models))
+        ]
+        pyramid, findings = built[0]
+        assert list(pyramid.models) == list(pyramid.level_of) == list(pyramid.children) == ["low", "mid", "top"]
+        assert [(f.code, f.subject) for f in findings] == [("MISSING-MODEL", "gone"), ("ORPHAN-MODEL", "stray")]
+        for other, other_findings in built[1:]:
+            assert other == pyramid and other_findings == findings
+            assert [list(other.models), list(other.level_of), list(other.children)] == [
+                list(pyramid.models), list(pyramid.level_of), list(pyramid.children)
+            ]
+
 
 def linked_pyramid():
     levels = {0: ["root"], 1: ["a", "b"], 2: ["c"]}
@@ -290,13 +310,24 @@ def test_disconnected_matches_bfs_complement(data):
     links = [l for l in all_links if data.draw(st.booleans(), label=f"keep {l}")]
 
     pyramid = stub_pyramid(levels, links)
+    # stub_pyramid builds its dicts in id order; the findings must not show theirs
+    order = data.draw(st.permutations(list(pyramid.level_of)), label="dict order")
+    pyramid = replace(
+        pyramid,
+        models={m: pyramid.models[m] for m in order},
+        level_of={m: pyramid.level_of[m] for m in order},
+        children={m: pyramid.children[m] for m in order},
+    )
     findings, _ = check_connectivity(pyramid)
 
     children = {mid: [] for ids in levels.values() for mid in ids}
     for parent, child in links:
         children[parent].append(child)
     expected = oracles.unreachable_by_bfs("m0", children)
-    assert {f.subject for f in findings} == expected
+    assert findings == [
+        Finding("DISCONNECTED", m, f"model at level {pyramid.level_of[m]} is not reachable from the root")
+        for m in sorted(expected)
+    ]
 
 
 @given(st.data())

@@ -335,6 +335,15 @@ class TestGrid:
             build_reference_timeline(OffsetTable(offsets={"a": -7, "b": cap * 7 - 6}), step=7)
 
 
+ALIGNED = [
+    milestone("p:a", aligns=("c:s", "ghost3", "ghost1", "ghost2")),
+    milestone("p:b", aligns=("c:t", "d:u"), consumers=("c:s",)),
+    milestone("c:s", aligns=("zombie",)),
+    milestone("c:t", consumers=("p:a",)),
+    milestone("d:u", aligns=("p:a",)),
+]
+
+
 class TestAlignment:
     def test_aligns_with_within_tolerance(self):
         pyramid = stub_pyramid({0: ["p"], 1: ["c"]}, [("p", "c")])
@@ -364,6 +373,26 @@ class TestAlignment:
         table = OffsetTable(offsets={"p:e": -60, "p:s": -30})
         ms = [milestone("p:e", consumers=("p:s",)), milestone("p:s")]
         assert check_alignment(pyramid, table, ms) == []
+
+    @given(st.permutations(ALIGNED))
+    def test_findings_ignore_milestone_order(self, milestones):
+        """Several dangling alignsWith refs on one milestone, one more on
+        another, and several MISALIGNED pairs, from alignsWith and from gq7
+        across levels, and two pairs within the tolerance."""
+        pyramid = stub_pyramid({0: ["p"], 1: ["c", "d"]}, [("p", "c"), ("p", "d")])
+        table = OffsetTable(offsets={"p:a": 0, "p:b": 10, "c:s": 3, "c:t": 20, "d:u": 7})
+        findings = check_alignment(pyramid, table, milestones, tolerance=3)
+        assert [(f.code, f.subject, f.message) for f in findings] == [
+            ("DANGLING-ALIGNMENT", "c:s", "alignsWith unknown milestone 'zombie'"),
+            ("DANGLING-ALIGNMENT", "p:a", "alignsWith unknown milestone 'ghost1'"),
+            ("DANGLING-ALIGNMENT", "p:a", "alignsWith unknown milestone 'ghost2'"),
+            ("DANGLING-ALIGNMENT", "p:a", "alignsWith unknown milestone 'ghost3'"),
+            ("MISALIGNED", "c:s~p:b", "linked milestones are 7d apart (3d vs 10d, tolerance 3d)"),
+            ("MISALIGNED", "c:t~p:a", "linked milestones are 20d apart (20d vs 0d, tolerance 3d)"),
+            ("MISALIGNED", "c:t~p:b", "linked milestones are 10d apart (20d vs 10d, tolerance 3d)"),
+            ("MISALIGNED", "d:u~p:a", "linked milestones are 7d apart (7d vs 0d, tolerance 3d)"),
+        ]
+
 
 
 @st.composite
